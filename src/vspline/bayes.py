@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
 
 from . import kernels
 from .errors import SingularSystemError
-from .fit import GramSystem, VSplineFit, build_gram, solve_coefficients
+from .fit import GramSystem, VSplineFit, _lu_checked, build_gram, solve_coefficients
 from .kernels import KernelConfig
 
 __all__ = [
@@ -159,10 +159,7 @@ def posterior_mean_finite_rho(knots, y, v, prior: GpPrior,
     v = np.asarray(v, dtype=float)
     if y.shape != (n,) or v.shape != (n,):
         raise ValueError(f"y and v must have shape ({n},)")
-    cond = np.linalg.cond(gram.M)
-    if not np.isfinite(cond) or 1.0 / cond < 1e-14:
-        raise SingularSystemError("the kernel block system is numerically singular")
-    mlu = lu_factor(gram.M)
+    mlu = _lu_checked(gram.M, "the kernel block system")
     sol = lu_solve(mlu, np.column_stack([gram.T, np.concatenate([y, v])]))
     MiT, Miz = sol[:, :2], sol[:, 2]
     cap = gram.T.T @ MiT + np.eye(2) / prior.rho

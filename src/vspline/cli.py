@@ -217,12 +217,28 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_grid(grid):
+    if grid < 2:
+        raise CliError(2, "parsing flags", "--grid must be at least 2")
+
+
+def _check_range(name, lo, hi, steps):
+    """A positive, finite, increasing search range with at least one step."""
+    if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
+        raise CliError(2, "parsing flags",
+                       f"--{name}-min and --{name}-max must be positive, finite "
+                       f"and min < max (got {lo!r}, {hi!r})")
+    if steps < 1:
+        raise CliError(2, "parsing flags", f"--{name}-steps must be at least 1")
+
+
 def cmd_fit(args) -> int:
+    if not (np.isfinite(args.lam) and args.lam > 0.0):
+        raise CliError(2, "parsing flags", "--lambda must be positive and finite")
+    if not (np.isfinite(args.gamma) and args.gamma >= 0.0):
+        raise CliError(2, "parsing flags", "--gamma must be nonnegative and finite")
+    _check_grid(args.grid)
     t, y, v = _read_dataset(args.input)
-    if args.lam <= 0.0:
-        raise CliError(2, "parsing flags", "--lambda must be positive")
-    if args.gamma < 0.0:
-        raise CliError(2, "parsing flags", "--gamma must be nonnegative")
     weights = _read_weights(args.weights, t.size) if args.weights else None
     corr = _read_corr(args.corr, t.size) if args.corr else None
     try:
@@ -237,6 +253,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_select(args) -> int:
+    _check_range("lambda", args.lambda_min, args.lambda_max, args.lambda_steps)
+    _check_range("gamma", args.gamma_min, args.gamma_max, args.gamma_steps)
+    _check_grid(args.grid)
+    if args.criterion == "gcv-corr" and args.corr is None:
+        raise CliError(2, "parsing flags", "--criterion gcv-corr requires --corr")
     t, y, v = _read_dataset(args.input)
     weights = _read_weights(args.weights, t.size) if args.weights else None
     corr = _read_corr(args.corr, t.size) if args.corr else None
@@ -245,8 +266,6 @@ def cmd_select(args) -> int:
         cfg = KernelConfig.piecewise(np.concatenate([[0.0], tu, [1.0]]), weights)
     else:
         cfg = KernelConfig.uniform()
-    if args.criterion == "gcv-corr" and corr is None:
-        raise CliError(2, "parsing flags", "--criterion gcv-corr requires --corr")
     try:
         result = optimize_params(
             tu, yu, vu, cfg, corr=corr, criterion=args.criterion,

@@ -19,7 +19,7 @@ agree to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky, eigh
@@ -53,6 +53,13 @@ class CvScore:
     gamma: float
 
 
+def _psd_sqrt(A):
+    """Symmetric PSD square root via eigendecomposition."""
+    w, Q = eigh(np.asarray(A, dtype=float))
+    w = np.clip(w, 0.0, None)
+    return (Q * np.sqrt(w)) @ Q.T
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationSpec:
     """Known precision structures of the two error channels.
@@ -60,11 +67,14 @@ class CorrelationSpec:
     ``W`` weights position residuals, ``Ucorr`` velocity residuals; both
     must be symmetric positive definite (checked by factorization).  The
     name ``Ucorr`` keeps the correlation matrix distinct from the hat
-    block ``U`` of :class:`vspline.hermite.HatMatrices`.
+    block ``U`` of :class:`vspline.hermite.HatMatrices`.  ``cross`` is
+    the coupling ``W^(1/2) Ucorr^(1/2)`` of the correlated GCV numerator,
+    formed once here from the symmetric PSD square roots.
     """
 
     W: np.ndarray
     Ucorr: np.ndarray
+    cross: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         W = np.array(self.W, dtype=float, copy=True)
@@ -80,10 +90,12 @@ class CorrelationSpec:
                 raise ValueError(f"{name} must be positive definite")
         if W.shape != U.shape:
             raise ValueError("W and Ucorr must have the same size")
-        W.flags.writeable = False
-        U.flags.writeable = False
+        cross = _psd_sqrt(W) @ _psd_sqrt(U)
+        for mat in (W, U, cross):
+            mat.flags.writeable = False
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "Ucorr", U)
+        object.__setattr__(self, "cross", cross)
 
 
 def _check_inputs(t, y, v, lam, gamma):
@@ -198,19 +210,11 @@ def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     return CvScore(value=value, lam=lam, gamma=gamma)
 
 
-def _psd_sqrt(A):
-    """Symmetric PSD square root via eigendecomposition."""
-    w, Q = eigh(np.asarray(A, dtype=float))
-    w = np.clip(w, 0.0, None)
-    return (Q * np.sqrt(w)) @ Q.T
-
-
-def _correlated_numerator_terms(r, rp, k, W, Ucorr):
+def _correlated_numerator_terms(r, rp, k, corr: CorrelationSpec):
     """The three quadratic-form terms of the correlated GCV numerator."""
-    cross_mat = _psd_sqrt(W) @ _psd_sqrt(Ucorr)
-    return (float(r @ W @ r),
-            float(2.0 * k * (r @ cross_mat @ rp)),
-            float(k * k * (rp @ Ucorr @ rp)))
+    return (float(r @ corr.W @ r),
+            float(2.0 * k * (r @ corr.cross @ rp)),
+            float(k * k * (rp @ corr.Ucorr @ rp)))
 
 
 def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
@@ -239,7 +243,7 @@ def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
     den = n - np.trace(hats.S) - k * np.trace(hats.U)
     if abs(den) < _DENOM_FLOOR:
         raise DegenerateScoreError("trace denominator tr(I - S - k U) vanished")
-    terms = _correlated_numerator_terms(r, rp, k, corr.W, corr.Ucorr)
+    terms = _correlated_numerator_terms(r, rp, k, corr)
     return CvScore(value=float(n * sum(terms) / den**2), lam=lam, gamma=gamma)
 
 

@@ -99,22 +99,17 @@ class HermiteBasis:
         return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _lam_pieces(breaks, values, a, b):
-    """Pieces of a piecewise-constant function overlapping [a, b]."""
-    for lo, hi, val in zip(breaks[:-1], breaks[1:], values):
-        p, q = max(lo, a), min(hi, b)
-        if q > p:
-            yield p, q, val
-
-
 def penalty_gram(basis: HermiteBasis, lam_breakpoints, lam_values) -> np.ndarray:
     """Exact penalty Gram matrix: integral of lam(t) Ni''(t) Nj''(t).
 
     ``lam(t)`` is piecewise constant on ``lam_breakpoints`` (which must
-    cover [0, 1]) with values ``lam_values``.  Second derivatives of the
-    basis are linear per interval, so a two-point Gauss rule per
-    constant-lam piece integrates the products exactly.  Intervals outside
-    the knot range contribute nothing because the basis is linear there.
+    cover [0, 1]) with values ``lam_values``.  The knot range is cut at
+    the knots and at the interior breakpoints; on each piece lam is
+    constant and the basis second derivatives are linear, so a two-point
+    Gauss rule per piece integrates the products exactly.  All pieces are
+    evaluated at once and their 4x4 blocks scattered into the matrix.
+    Intervals outside the knot range contribute nothing because the basis
+    is linear there.
     """
     breaks = np.asarray(lam_breakpoints, dtype=float)
     values = np.asarray(lam_values, dtype=float)
@@ -126,26 +121,25 @@ def penalty_gram(basis: HermiteBasis, lam_breakpoints, lam_values) -> np.ndarray
         raise ValueError("penalty values must be finite and nonnegative")
     n = basis.n
     knots = basis.knots
-    omega = np.zeros((2 * n, 2 * n))
+    cuts = np.union1d(knots, breaks[(breaks > knots[0]) & (breaks < knots[-1])])
+    lo, hi = cuts[:-1], cuts[1:]
+    mid = 0.5 * (lo + hi)
+    k = np.searchsorted(knots, mid) - 1
+    lam = values[np.searchsorted(breaks, mid) - 1]
+    a = knots[k]
+    h = knots[k + 1] - a
     gauss_off = 0.5 / np.sqrt(3.0)
-    for k in range(n - 1):
-        a, b = knots[k], knots[k + 1]
-        h = b - a
-        dofs = np.array([k, n + k, k + 1, n + k + 1])
-        local = np.zeros((4, 4))
-        for p, q, lam in _lam_pieces(breaks, values, a, b):
-            if lam == 0.0:
-                continue
-            half = 0.5 * (q - p)
-            mid = 0.5 * (p + q)
-            for tg in (mid - (q - p) * gauss_off, mid + (q - p) * gauss_off):
-                x = (tg - a) / h
-                d2 = np.array([(12 * x - 6) / h**2,
-                               (6 * x - 4) / h,
-                               (6 - 12 * x) / h**2,
-                               (6 * x - 2) / h])
-                local += lam * half * np.outer(d2, d2)
-        omega[np.ix_(dofs, dofs)] += local
+    blocks = np.zeros((k.size, 4, 4))
+    for sign in (-1.0, 1.0):
+        x = ((mid + sign * gauss_off * (hi - lo)) - a) / h
+        d2 = np.stack([(12 * x - 6) / h**2,
+                       (6 * x - 4) / h,
+                       (6 - 12 * x) / h**2,
+                       (6 * x - 2) / h], axis=1)
+        blocks += (d2[:, :, None] * d2[:, None, :]) * (lam * 0.5 * (hi - lo))[:, None, None]
+    dofs = np.stack([k, n + k, k + 1, n + k + 1], axis=1)
+    omega = np.zeros((2 * n, 2 * n))
+    np.add.at(omega, (dofs[:, :, None], dofs[:, None, :]), blocks)
     return omega
 
 

@@ -13,6 +13,12 @@ partial derivatives in either argument) have exact piecewise-polynomial
 closed forms.  The test suite pins each one against adaptive quadrature of
 the defining integral.
 
+Each antiderivative is a polynomial in the integration variable, so the
+sum over whole weight intervals is a dot product with prefix sums of the
+interval powers; only the one interval cut by ``min(s, t)`` is computed
+per entry.  An ``n``-by-``m`` kernel matrix on ``k`` weight intervals
+therefore costs O(n*m + k), whatever the number of intervals.
+
 Evaluation points outside ``[0, 1]`` are rejected, not clamped; callers
 are expected to rescale their time axis first (see
 :func:`vspline.fit.rescale_domain`).
@@ -96,21 +102,39 @@ def _maybe_scalar(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def _accumulate(cfg: KernelConfig, upper, antideriv):
+def _accumulate(cfg: KernelConfig, upper, coeffs):
     """Sum ``(F(min(upper, hi)) - F(lo)) / w`` over the weight intervals.
 
-    ``antideriv`` is an antiderivative of the (already clipped) integrand;
-    intervals entirely above ``upper`` contribute nothing.  Works for
-    scalar or broadcast array ``upper``.
+    ``F(u) = sum_p coeffs[p - 1] * u**p`` (p = 1, 2, ...) is an
+    antiderivative of the (already clipped) integrand; the coefficients
+    may be arrays broadcasting against ``upper``.  Intervals entirely
+    above ``upper`` contribute nothing, and one ending exactly at
+    ``upper`` contributes in full (right-continuous convention).
+
+    Whole intervals below ``upper`` come from prefix sums of
+    ``(hi**p - lo**p) / w``; the single partial interval holding
+    ``upper`` is found by ``searchsorted``.  For an ``n``-by-``m``
+    ``upper`` on ``k`` intervals that costs O(n*m + k).  Works for scalar
+    or broadcast array ``upper``.
     """
-    total = np.zeros(np.shape(upper))
     bp = cfg.breakpoints
-    for lo, hi, w in zip(bp[:-1], bp[1:], cfg.weights):
-        top = np.minimum(upper, hi)
-        live = top > lo
-        if not np.any(live):
-            break
-        total = total + np.where(live, (antideriv(top) - antideriv(lo)) / w, 0.0)
+    w = cfg.weights
+    upper = np.asarray(upper, dtype=float)
+    # index of the interval [lo, hi) holding each upper; 1.0 falls in the last
+    idx = np.searchsorted(bp[1:-1], upper, side="right")
+    w_at = w[idx]
+    power = np.ones(upper.shape)
+    term = np.empty(upper.shape)
+    total = np.zeros(upper.shape)
+    for p, coeff in enumerate(coeffs, start=1):
+        edges = bp**p
+        whole = np.concatenate(([0.0], np.cumsum(np.diff(edges) / w)))
+        power *= upper
+        np.subtract(power, edges[idx], out=term)
+        term /= w_at
+        term += whole[idx]
+        term *= coeff
+        total += term
     return total
 
 
@@ -128,14 +152,8 @@ def eval_r1(s, t, cfg: KernelConfig):
     antiderivative difference on its clipped range.
     """
     s, t = _unit_args(s, t)
-    m = np.minimum(s, t)
-    st = s * t
-    sp = s + t
-
-    def antideriv(u):
-        return u * (st - 0.5 * sp * u + u * u / 3.0)
-
-    return _maybe_scalar(_accumulate(cfg, m, antideriv))
+    return _maybe_scalar(_accumulate(cfg, np.minimum(s, t),
+                                     (s * t, -0.5 * (s + t), 1.0 / 3.0)))
 
 
 def eval_r1_dt(s, t, cfg: KernelConfig):
@@ -146,12 +164,7 @@ def eval_r1_dt(s, t, cfg: KernelConfig):
     callers that need the full derivative kernel add it explicitly.
     """
     s, t = _unit_args(s, t)
-    m = np.minimum(s, t)
-
-    def antideriv(u):
-        return u * (s - 0.5 * u)
-
-    return _maybe_scalar(_accumulate(cfg, m, antideriv))
+    return _maybe_scalar(_accumulate(cfg, np.minimum(s, t), (s, -0.5)))
 
 
 def eval_r1_ds(s, t, cfg: KernelConfig):
@@ -163,12 +176,7 @@ def eval_r1_ds(s, t, cfg: KernelConfig):
     eval_r1_dt(t, s)``.
     """
     s, t = _unit_args(s, t)
-    m = np.minimum(s, t)
-
-    def antideriv(u):
-        return u * (t - 0.5 * u)
-
-    return _maybe_scalar(_accumulate(cfg, m, antideriv))
+    return _maybe_scalar(_accumulate(cfg, np.minimum(s, t), (t, -0.5)))
 
 
 def eval_r1_dsdt(s, t, cfg: KernelConfig):
@@ -181,9 +189,4 @@ def eval_r1_dsdt(s, t, cfg: KernelConfig):
     makes the diagonal ``min(s, s)`` exact.
     """
     s, t = _unit_args(s, t)
-    m = np.minimum(s, t)
-
-    def antideriv(u):
-        return u
-
-    return _maybe_scalar(_accumulate(cfg, m, antideriv))
+    return _maybe_scalar(_accumulate(cfg, np.minimum(s, t), (1.0,)))

@@ -53,6 +53,41 @@ def quad_r1_dsdt(s, t, cfg):
     return total
 
 
+def accumulate_by_interval(cfg, upper, antideriv):
+    """Sum ``(F(min(upper, hi)) - F(lo)) / w`` one weight interval at a time.
+
+    The direct per-interval loop (O(size(upper) * k)); ``antideriv`` is
+    ``F``, and an interval ending exactly at ``upper`` counts in full.
+    """
+    total = np.zeros(np.shape(upper))
+    bp = cfg.breakpoints
+    for lo, hi, w in zip(bp[:-1], bp[1:], cfg.weights):
+        top = np.minimum(upper, hi)
+        live = top > lo
+        if not np.any(live):
+            break
+        total = total + np.where(live, (antideriv(top) - antideriv(lo)) / w, 0.0)
+    return total
+
+
+def loop_kernels(s, t, cfg):
+    """All four curvature kernels by :func:`accumulate_by_interval`.
+
+    Returns ``(r1, r1_ds, r1_dt, r1_dsdt)`` at broadcast ``(s, t)``.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    m = np.minimum(s, t)
+    st = s * t
+    sp = s + t
+    return (
+        accumulate_by_interval(cfg, m, lambda u: u * (st - 0.5 * sp * u + u * u / 3.0)),
+        accumulate_by_interval(cfg, m, lambda u: u * (t - 0.5 * u)),
+        accumulate_by_interval(cfg, m, lambda u: u * (s - 0.5 * u)),
+        accumulate_by_interval(cfg, m, lambda u: u),
+    )
+
+
 def cubic(coeffs):
     """A cubic polynomial bundle: value, derivative, second derivative."""
     a0, a1, a2, a3 = coeffs

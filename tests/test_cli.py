@@ -54,11 +54,36 @@ class TestSimulate:
         var = np.var(finals)
         assert var == pytest.approx(1.0 / 3.0, rel=0.15)
 
-    def test_flag_validation(self, tmp_path):
+    def test_flag_validation(self, tmp_path, capsys):
         assert main(["simulate", "--kind", "line", "--n", "1", "--noise", "0",
                      "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["simulate", "--kind", "line", "--n", "5", "--noise", "-1",
                      "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "8", "--noise", "0.1",
+              "--seed", "3", "--out", str(data)])
+        out = str(tmp_path / "r.json")
+        bad_select = [
+            ["--lambda-min", "-1"], ["--lambda-min", "0"], ["--lambda-max", "inf"],
+            ["--lambda-min", "nan"], ["--lambda-min", "1", "--lambda-max", "1"],
+            ["--lambda-min", "10", "--lambda-max", "1"], ["--lambda-steps", "0"],
+            ["--gamma-min", "-1"], ["--gamma-max", "nan"],
+            ["--gamma-min", "5", "--gamma-max", "2"], ["--gamma-steps", "0"],
+            ["--grid", "0"], ["--grid", "1"],
+        ]
+        bad_fit = [
+            ["--lambda", "1e-3", "--grid", "0"], ["--lambda", "1e-3", "--grid", "1"],
+            ["--lambda", "nan"], ["--lambda", "inf"], ["--lambda", "1e-3", "--gamma", "nan"],
+        ]
+        capsys.readouterr()
+        for flags in bad_select:
+            assert main(["select", str(data), *flags, "--out", out]) == 2, flags
+            assert "error while parsing flags" in capsys.readouterr().err, flags
+        for flags in bad_fit:
+            assert main(["fit", str(data), *flags, "--out", out]) == 2, flags
+            assert "error while parsing flags" in capsys.readouterr().err, flags
+        assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "r.curve.csv").exists()
 
 
 class TestFit:

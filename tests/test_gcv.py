@@ -129,8 +129,8 @@ class TestCorrelatedGcv:
         W = _ar1(n, 0.4)
         U = _ar1(n, 0.2)
         k = 0.37
-        t1, t2, t3 = _correlated_numerator_terms(r, rp, k, W, U)
-        s1, s2, s3 = _correlated_numerator_terms(r, rp, k, 4.0 * W, U)
+        t1, t2, t3 = _correlated_numerator_terms(r, rp, k, CorrelationSpec(W, U))
+        s1, s2, s3 = _correlated_numerator_terms(r, rp, k, CorrelationSpec(4.0 * W, U))
         assert s1 == pytest.approx(4.0 * t1, rel=1e-12)
         assert s3 == pytest.approx(t3, rel=1e-12)          # no W in the U term
         assert s2 == pytest.approx(2.0 * t2, rel=1e-12)    # sqrt(4 W) = 2 sqrt(W)

@@ -100,14 +100,28 @@ class TestPenaltyGram:
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(3)
         t = random_knots(rng, 4)
-        breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, 3)), [1.0]])
-        values = rng.uniform(0.0, 2.0, 4)
-        basis = HermiteBasis(t)
-        omega = penalty_gram(basis, breaks, values)
-        for i in range(8):
-            for j in range(i, 8):
-                want = oracles.quad_penalty_entry(t, breaks, values, i, j)
-                assert omega[i, j] == pytest.approx(want, rel=1e-9, abs=1e-10)
+        inputs = [
+            # off-knot breakpoints
+            (np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, 3)), [1.0]]),
+             rng.uniform(0.0, 2.0, 4)),
+            # breakpoints on knots, mixed with off-knot ones
+            (np.array([0.0, t[0], 0.5 * (t[1] + t[2]), t[2], t[3], 1.0]),
+             rng.uniform(0.2, 2.0, 5)),
+            # breakpoints outside [t1, tn] only, grid wider than [0, 1]
+            (np.array([-0.5, 0.5 * t[0], 0.5 * (t[3] + 1.0), 1.5]),
+             np.array([0.7, 1.3, 2.1])),
+            # zero-valued pieces, including a whole knot interval
+            (np.array([0.0, t[1], 0.5 * (t[2] + t[3]), 1.0]), np.array([0.0, 1.1, 0.0])),
+            # knot-aligned layout (as the CLI builds it) with zeros
+            (np.concatenate([[0.0], t, [1.0]]), np.array([0.4, 0.0, 1.7, 0.0, 0.9])),
+        ]
+        for breaks, values in inputs:
+            omega = penalty_gram(HermiteBasis(t), breaks, values)
+            for i in range(8):
+                for j in range(i, 8):
+                    want = oracles.quad_penalty_entry(t, breaks, values, i, j)
+                    assert omega[i, j] == pytest.approx(want, rel=1e-9, abs=1e-10)
+            np.testing.assert_array_equal(omega, omega.T)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(4)

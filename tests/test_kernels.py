@@ -6,7 +6,7 @@ import pytest
 import oracles
 from conftest import random_config
 from vspline import (KernelConfig, eval_r0, eval_r1, eval_r1_ds, eval_r1_dsdt,
-                     eval_r1_dt)
+                     eval_r1_dt, rescale_domain)
 
 UNIFORM = KernelConfig.uniform()
 
@@ -107,6 +107,43 @@ class TestQuadratureAgreement:
                 want = reference(s, t, cfg)
                 got = closed(s, t, cfg)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+
+class TestIntervalLoopOracle:
+    """Prefix-sum accumulation equals the direct loop over weight intervals."""
+
+    KERNELS = (eval_r1, eval_r1_ds, eval_r1_dt, eval_r1_dsdt)
+
+    def test_knot_aligned_weights_at_cli_shape(self):
+        # the CLI's --weights layout: n + 1 intervals with a breakpoint at
+        # every rescaled knot, evaluated on the breakpoints themselves
+        rng = np.random.default_rng(17)
+        n = 300
+        t_raw = np.sort(rng.uniform(0.0, 40.0, n))
+        knots, _, _, _ = rescale_domain(t_raw, np.zeros(n), np.zeros(n))
+        cfg = random_config(rng, knots=knots)
+        assert cfg.weights.size == n + 1
+        on_breaks = cfg.breakpoints
+        cols = np.concatenate([on_breaks[rng.choice(n + 2, 40, replace=False)],
+                               rng.uniform(0.0, 1.0, 10), [0.0, 1.0]])
+        shapes = [
+            (on_breaks[:, None], cols[None, :]),
+            (cols[None, :], on_breaks[:, None]),
+            (on_breaks[:, None], 1.0),
+            (0.0, on_breaks[None, :]),
+            (on_breaks[:, None], on_breaks[rng.integers(n + 2)]),
+        ]
+        for s, t in shapes:
+            for got, want in zip((op(s, t, cfg) for op in self.KERNELS),
+                                 oracles.loop_kernels(s, t, cfg)):
+                assert np.shape(got) == np.shape(want)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        for s, t in [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, on_breaks[7]),
+                     (on_breaks[5], on_breaks[9]), (on_breaks[150], on_breaks[150])]:
+            for op, want in zip(self.KERNELS, oracles.loop_kernels(s, t, cfg)):
+                got = op(s, t, cfg)
+                assert isinstance(got, float)
+                assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 class TestSymmetryAndDefiniteness:
