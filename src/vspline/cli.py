@@ -23,7 +23,7 @@ from . import __version__
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import fit_vspline, rescale_domain
 from .gcv import CorrelationSpec, optimize_params
-from .hermite import build_design, fit_theta, hat_matrices, hat_matrices_correlated
+from .hermite import _fit_and_hats, build_design
 from .kernels import KernelConfig
 
 MARGIN = 0.05
@@ -156,12 +156,8 @@ def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
         cfg = KernelConfig.uniform()
 
     design = build_design(tu, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
-    if corr is not None:
-        theta = fit_theta(design, yu, vu, gamma, W=corr.W, Ucorr=corr.Ucorr)
-        hats = hat_matrices_correlated(design, gamma, corr.W, corr.Ucorr)
-    else:
-        theta = fit_theta(design, yu, vu, gamma)
-        hats = hat_matrices(design, gamma)
+    W, Ucorr = (None, None) if corr is None else (corr.W, corr.Ucorr)
+    theta, hats = _fit_and_hats(design, yu, vu, gamma, W, Ucorr)
 
     if corr is None and gamma > 0.0:
         # representer route; agrees with the basis fit and carries (d, c, b)

@@ -26,8 +26,7 @@ from scipy.linalg import cholesky, eigh
 
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import check_knots
-from .hermite import (build_design, fit_theta, hat_matrices,
-                      hat_matrices_correlated, _solve_penalized)
+from .hermite import _fit_and_hats, build_design, fit_theta
 from .kernels import KernelConfig
 
 __all__ = [
@@ -123,11 +122,11 @@ def _design_for(t, lam, cfg: KernelConfig):
 def cv_brute_force(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     """Leave-one-out score by literally refitting without each sample.
 
-    Each refit drops both observations of the left-out time but keeps the
-    penalty function and the 1/n normalization of the full objective, so
-    it solves the same problem the closed form describes.  Quadratic in n
-    on top of the per-fit solve; use :func:`cv_closed_form` for anything
-    but verification.
+    Each refit gives both observations of the left-out time zero weight
+    but keeps the penalty function and the 1/n normalization of the full
+    objective, so it solves the same problem the closed form describes.
+    Quadratic in n on top of the per-fit solve; use :func:`cv_closed_form`
+    for anything but verification.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
     n = t.size
@@ -136,9 +135,8 @@ def cv_brute_force(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     design = _design_for(t, lam, cfg)
     errors = np.empty(n)
     for i in range(n):
-        keep = np.arange(n) != i
-        theta = _solve_penalized(design.B[keep], design.C[keep], design.omega,
-                                 y[keep], v[keep], gamma, n_pen=n)
+        keep = np.diag((np.arange(n) != i).astype(float))
+        theta = fit_theta(design, y, v, gamma, W=keep, Ucorr=keep)
         errors[i] = y[i] - theta[i]
     return CvScore(value=float(np.mean(errors**2)), lam=lam, gamma=gamma)
 
@@ -168,10 +166,8 @@ def cv_closed_form(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     these squared.  Equals :func:`cv_brute_force` to rounding.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    design = _design_for(t, lam, cfg)
     n = t.size
-    theta = fit_theta(design, y, v, gamma)
-    hats = hat_matrices(design, gamma)
+    theta, hats = _fit_and_hats(_design_for(t, lam, cfg), y, v, gamma)
     r = theta[:n] - y
     rp = theta[n:] - v
     value = _cv_from_diagonals(r, rp, np.diag(hats.S), np.diag(hats.T),
@@ -179,16 +175,26 @@ def cv_closed_form(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     return CvScore(value=value, lam=lam, gamma=gamma)
 
 
-def _gcv_from_traces(r, rp, tr_s, tr_t, tr_u, tr_v, gamma, n):
-    """Trace-approximated score; exact when hat diagonals are constant."""
+def _trace_factors(tr_s, tr_t, tr_u, tr_v, gamma, n):
+    """``k = gamma tr T / tr(I - gamma V)`` and the denominator ``tr(I - S - k U)``.
+
+    The trace scores differ only in their numerators; both denominators
+    are checked here, the second one relative to ``n``.
+    """
     dv = n - gamma * tr_v
     if abs(dv) < _DENOM_FLOOR:
         raise DegenerateScoreError("velocity trace denominator tr(I - gamma V) vanished")
     k = gamma * tr_t / dv
-    den = (n - tr_s - k * tr_u) / n
-    if abs(den) < _DENOM_FLOOR:
+    den = n - tr_s - k * tr_u
+    if abs(den / n) < _DENOM_FLOOR:
         raise DegenerateScoreError("trace denominator tr(I - S - k U) vanished")
-    return float(np.mean((r + k * rp) ** 2) / den**2)
+    return k, den
+
+
+def _gcv_from_traces(r, rp, tr_s, tr_t, tr_u, tr_v, gamma, n):
+    """Trace-approximated score; exact when hat diagonals are constant."""
+    k, den = _trace_factors(tr_s, tr_t, tr_u, tr_v, gamma, n)
+    return float(np.mean((r + k * rp) ** 2) / (den / n) ** 2)
 
 
 def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
@@ -199,10 +205,8 @@ def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     :func:`cv_closed_form` exactly.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    design = _design_for(t, lam, cfg)
     n = t.size
-    theta = fit_theta(design, y, v, gamma)
-    hats = hat_matrices(design, gamma)
+    theta, hats = _fit_and_hats(_design_for(t, lam, cfg), y, v, gamma)
     r = theta[:n] - y
     rp = theta[n:] - v
     value = _gcv_from_traces(r, rp, np.trace(hats.S), np.trace(hats.T),
@@ -229,20 +233,12 @@ def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
     n = t.size
-    if corr.W.shape != (n, n):
-        raise ValueError(f"correlation matrices must be ({n}, {n})")
-    design = _design_for(t, lam, cfg)
-    theta = fit_theta(design, y, v, gamma, W=corr.W, Ucorr=corr.Ucorr)
-    hats = hat_matrices_correlated(design, gamma, corr.W, corr.Ucorr)
+    theta, hats = _fit_and_hats(_design_for(t, lam, cfg), y, v, gamma,
+                                corr.W, corr.Ucorr)
     r = theta[:n] - y
     rp = theta[n:] - v
-    dv = n - gamma * np.trace(hats.V)
-    if abs(dv) < _DENOM_FLOOR:
-        raise DegenerateScoreError("velocity trace denominator tr(I - gamma V) vanished")
-    k = gamma * np.trace(hats.T) / dv
-    den = n - np.trace(hats.S) - k * np.trace(hats.U)
-    if abs(den) < _DENOM_FLOOR:
-        raise DegenerateScoreError("trace denominator tr(I - S - k U) vanished")
+    k, den = _trace_factors(np.trace(hats.S), np.trace(hats.T), np.trace(hats.U),
+                            np.trace(hats.V), gamma, n)
     terms = _correlated_numerator_terms(r, rp, k, corr)
     return CvScore(value=float(n * sum(terms) / den**2), lam=lam, gamma=gamma)
 
@@ -352,22 +348,23 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
         gi = int(np.argmin(np.abs(log_gammas - np.log10(best_gamma))))
         lam_lo, lam_hi = log_lams[max(li - 1, 0)], log_lams[min(li + 1, lam_points - 1)]
         gam_lo, gam_hi = log_gammas[max(gi - 1, 0)], log_gammas[min(gi + 1, gamma_points - 1)]
+
+        def sweep_score(lam, gamma):
+            val = safe_score(lam, gamma)
+            return np.inf if np.isnan(val) else val
+
         for _ in range(2):
-            def over_lam(ll):
-                val = safe_score(10.0**ll, best_gamma)
-                return np.inf if np.isnan(val) else val
-
-            score, log_best = _golden_min(over_lam, lam_lo, lam_hi)
-            if np.isfinite(score) and score <= best_score:
-                best_lam, best_score = 10.0**log_best, score
-
-            def over_gamma(lg):
-                val = safe_score(best_lam, 10.0**lg)
-                return np.inf if np.isnan(val) else val
-
-            score, log_best = _golden_min(over_gamma, gam_lo, gam_hi)
-            if np.isfinite(score) and score <= best_score:
-                best_gamma, best_score = 10.0**log_best, score
+            # an axis whose bracket is a single point has nothing to refine
+            if lam_lo < lam_hi:
+                score, log_best = _golden_min(
+                    lambda ll: sweep_score(10.0**ll, best_gamma), lam_lo, lam_hi)
+                if np.isfinite(score) and score <= best_score:
+                    best_lam, best_score = 10.0**log_best, score
+            if gam_lo < gam_hi:
+                score, log_best = _golden_min(
+                    lambda lg: sweep_score(best_lam, 10.0**lg), gam_lo, gam_hi)
+                if np.isfinite(score) and score <= best_score:
+                    best_gamma, best_score = 10.0**log_best, score
 
     return SelectionResult(lam=float(best_lam), gamma=float(best_gamma),
                            score=float(best_score), criterion=criterion,

@@ -10,8 +10,9 @@ penalty sees only the interior and fitted curves have linear tails, which
 is exactly the shape of the penalized minimizer.
 
 Cardinality makes the value and derivative design matrices identity
-blocks, so hat matrices are plain sub-blocks of one inverse and the
-closed-form cross-validation identities of :mod:`vspline.gcv` come cheap.
+blocks, so they are never formed, and one factorization of the normal
+matrix yields the coefficients and the hat matrices (plain sub-blocks of
+its inverse): the cross-validation identities of :mod:`vspline.gcv` come cheap.
 """
 
 from __future__ import annotations
@@ -145,16 +146,13 @@ def penalty_gram(basis: HermiteBasis, lam_breakpoints, lam_values) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrices:
-    """Value/derivative design matrices and the penalty Gram matrix.
+    """The basis and penalty Gram matrix of one basis fit.
 
-    By cardinality ``B = [I | 0]`` and ``C = [0 | I]`` in the
-    (values-then-slopes) ordering; they are materialized anyway so the
-    normal equations below read like their formulas.
+    The design matrices ``B = [I | 0]`` and ``C = [0 | I]`` (values, then
+    slopes) are implied by cardinality and never formed.
     """
 
     basis: HermiteBasis
-    B: np.ndarray
-    C: np.ndarray
     omega: np.ndarray
     lam_breakpoints: np.ndarray
     lam_values: np.ndarray
@@ -165,7 +163,7 @@ class DesignMatrices:
 
 
 def build_design(knots, lam, lam_breakpoints=None) -> DesignMatrices:
-    """Design and penalty matrices for the basis fit.
+    """Basis and penalty matrix for the basis fit.
 
     ``lam`` is either a scalar (constant penalty) or ``n + 1`` values on
     the partition ``[0, t1], [t1, t2], ..., [tn, 1]`` induced by the
@@ -187,49 +185,61 @@ def build_design(knots, lam, lam_breakpoints=None) -> DesignMatrices:
         breaks = np.asarray(lam_breakpoints, dtype=float)
         values = np.asarray(lam, dtype=float)
     omega = penalty_gram(basis, breaks, values)
-    B = np.hstack([np.eye(n), np.zeros((n, n))])
-    C = np.hstack([np.zeros((n, n)), np.eye(n)])
-    return DesignMatrices(basis=basis, B=B, C=C, omega=omega,
+    return DesignMatrices(basis=basis, omega=omega,
                           lam_breakpoints=breaks, lam_values=values)
 
 
-def _solve_penalized(B, C, omega, y, v, gamma, n_pen, W=None, Ucorr=None):
-    """Solve (B'WB + gamma C'UC + n_pen * omega) theta = B'Wy + gamma C'Uv."""
-    BW = B.T if W is None else B.T @ W
-    CU = C.T if Ucorr is None else C.T @ Ucorr
-    A = BW @ B + gamma * (CU @ C) + n_pen * omega
-    rhs = BW @ y + gamma * (CU @ v)
+def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=None):
+    """Cholesky factor of ``A = blockdiag(W, gamma Ucorr) + n omega`` and,
+    given data, the right-hand side ``[W y; gamma Ucorr v]``.
+
+    The only assembly and factorization of ``A`` and the only argument
+    checks of the fits and hats below.  ``W``/``Ucorr`` default to the
+    identity, which is added on the diagonal rather than multiplied in.
+    """
+    n = design.n
+    gamma = float(gamma)
+    if gamma < 0.0 or not np.isfinite(gamma):
+        raise ValueError("gamma must be a finite, nonnegative number")
+    for name, mat in (("W", W), ("Ucorr", Ucorr)):
+        if mat is not None and np.shape(mat) != (n, n):
+            raise ValueError(f"{name} must be an ({n}, {n}) matrix")
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if y.shape != (n,) or v.shape != (n,):
+            raise ValueError(f"y and v must have shape ({n},)")
+    A = n * design.omega
+    diag = np.diag_indices(n)
+    if W is None:
+        A[:n, :n][diag] += 1.0
+    else:
+        A[:n, :n] += W
+    if Ucorr is None:
+        A[n:, n:][diag] += gamma
+    else:
+        A[n:, n:] += gamma * Ucorr
     try:
         cho = cho_factor(A, lower=True)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"penalized normal equations not positive definite: {exc}")
-    return cho_solve(cho, rhs)
+    if y is None:
+        return cho, None
+    return cho, np.concatenate([y if W is None else W @ y,
+                                gamma * (v if Ucorr is None else Ucorr @ v)])
 
 
-def fit_theta(design: DesignMatrices, y, v, gamma, n_pen=None,
-              W=None, Ucorr=None) -> np.ndarray:
+def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.ndarray:
     """Penalized least-squares coefficients for the basis fit.
 
     Minimizes the W-weighted position residual plus gamma times the
-    Ucorr-weighted velocity residual (both divided by ``n_pen``) plus the
-    curvature penalty ``theta' omega theta``.  ``n_pen`` defaults to the
-    sample count; passing a different value keeps an objective normalized
-    by another count, which the leave-one-out machinery relies on.
-    ``W``/``Ucorr`` default to identity (uncorrelated errors).
+    Ucorr-weighted velocity residual (both divided by the sample count)
+    plus the curvature penalty ``theta' omega theta``.  ``W``/``Ucorr``
+    default to identity (uncorrelated errors); zeroing a sample's weights
+    leaves it out while keeping the objective's normalization.
     """
-    n = design.n
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if y.shape != (n,) or v.shape != (n,):
-        raise ValueError(f"y and v must have shape ({n},)")
-    gamma = float(gamma)
-    if gamma < 0.0 or not np.isfinite(gamma):
-        raise ValueError("gamma must be a finite, nonnegative number")
-    n_pen = n if n_pen is None else float(n_pen)
-    for name, mat in (("W", W), ("Ucorr", Ucorr)):
-        if mat is not None and np.shape(mat) != (n, n):
-            raise ValueError(f"{name} must be an ({n}, {n}) matrix")
-    return _solve_penalized(design.B, design.C, design.omega, y, v, gamma, n_pen, W, Ucorr)
+    cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
+    return cho_solve(cho, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,40 +258,36 @@ class HatMatrices:
     V: np.ndarray
 
 
-def hat_matrices(design: DesignMatrices, gamma, n_pen=None) -> HatMatrices:
+def _hat_blocks(Ainv, W=None, Ucorr=None) -> HatMatrices:
+    """Hat blocks from ``A^-1``: its sub-blocks times the error weights."""
+    n = Ainv.shape[0] // 2
+    S, T, U, V = Ainv[:n, :n], Ainv[:n, n:], Ainv[n:, :n], Ainv[n:, n:]
+    if W is not None:
+        S, U = S @ W, U @ W
+    if Ucorr is not None:
+        T, V = T @ Ucorr, V @ Ucorr
+    return HatMatrices(S=S, T=T, U=U, V=V)
+
+
+def _fit_and_hats(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None):
+    """Coefficients and hat blocks from one ``cho_solve`` on ``[rhs | I]``
+    (a direct solve for the coefficients, never ``A^-1`` times the data)."""
+    cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
+    sol = cho_solve(cho, np.column_stack([rhs, np.eye(rhs.size)]))
+    return sol[:, 0], _hat_blocks(sol[:, 1:], W, Ucorr)
+
+
+def hat_matrices(design: DesignMatrices, gamma) -> HatMatrices:
     """Hat blocks for the uncorrelated fit at the design's penalty."""
-    n = design.n
-    gamma = float(gamma)
-    if gamma < 0.0 or not np.isfinite(gamma):
-        raise ValueError("gamma must be a finite, nonnegative number")
-    n_pen = n if n_pen is None else float(n_pen)
-    A = design.B.T @ design.B + gamma * (design.C.T @ design.C) + n_pen * design.omega
-    try:
-        cho = cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"penalized normal equations not positive definite: {exc}")
-    Ainv = cho_solve(cho, np.eye(2 * n))
-    # B, C are identity blocks, so B Ainv B' etc. are plain sub-blocks.
-    return HatMatrices(S=Ainv[:n, :n], T=Ainv[:n, n:],
-                       U=Ainv[n:, :n], V=Ainv[n:, n:])
+    cho, _ = _factor_normal(design, gamma)
+    return _hat_blocks(cho_solve(cho, np.eye(2 * design.n)))
 
 
-def hat_matrices_correlated(design: DesignMatrices, gamma, W, Ucorr,
-                            n_pen=None) -> HatMatrices:
+def hat_matrices_correlated(design: DesignMatrices, gamma, W, Ucorr) -> HatMatrices:
     """Hat blocks of the correlated-error fit: ``f = S y + gamma T v``.
 
     Same structure as :func:`hat_matrices` with the precision matrices
     inserted, so the blocks are no longer symmetric.
     """
-    n = design.n
-    gamma = float(gamma)
-    n_pen = n if n_pen is None else float(n_pen)
-    A = (design.B.T @ W @ design.B + gamma * (design.C.T @ Ucorr @ design.C)
-         + n_pen * design.omega)
-    try:
-        cho = cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"penalized normal equations not positive definite: {exc}")
-    Ainv = cho_solve(cho, np.eye(2 * n))
-    return HatMatrices(S=Ainv[:n, :n] @ W, T=Ainv[:n, n:] @ Ucorr,
-                       U=Ainv[n:, :n] @ W, V=Ainv[n:, n:] @ Ucorr)
+    cho, _ = _factor_normal(design, gamma, W=W, Ucorr=Ucorr)
+    return _hat_blocks(cho_solve(cho, np.eye(2 * design.n)), W, Ucorr)

@@ -142,6 +142,13 @@ class TestFiniteRhoPosterior:
         grid = np.linspace(0.01, 0.99, 30)
         var = post.variance(grid)
         assert np.all(var > 0.0)
+        # at large rho the variance converges like 1/rho, with no cancellation
+        big = [posterior_mean_finite_rho(t, y, v, GpPrior(1.0, rho, UNIFORM),
+                                         0.01, 1.0).variance(grid)
+               for rho in (1e6, 1e8)]
+        for var in big:
+            assert np.all(var >= 0.0)
+        np.testing.assert_allclose(big[0], big[1], rtol=1e-6)
 
 
 class TestLimitIdentities:

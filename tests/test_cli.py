@@ -149,7 +149,7 @@ class TestFit:
         def boom(*args, **kwargs):
             raise SingularSystemError("forced failure")
 
-        monkeypatch.setattr(cli_mod, "fit_theta", boom)
+        monkeypatch.setattr(cli_mod, "_fit_and_hats", boom)
         rc = main(["fit", str(data), "--lambda", "0.1",
                    "--out", str(tmp_path / "r.json")])
         assert rc == 3

@@ -6,8 +6,8 @@ import pytest
 import oracles
 from conftest import random_config, random_instance, random_knots
 from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
-                     cv_brute_force, cv_closed_form, gcv_correlated, gcv_score,
-                     optimize_params)
+                     build_design, cv_brute_force, cv_closed_form, gcv_correlated,
+                     gcv_score, hat_matrices_correlated, optimize_params)
 from vspline.gcv import (_correlated_numerator_terms, _cv_from_diagonals,
                          _gcv_from_traces, _golden_min, _psd_sqrt)
 
@@ -52,6 +52,28 @@ class TestClosedFormAgainstBruteForce:
         t = np.array([0.3, 0.7])
         with pytest.raises(ValueError):
             cv_brute_force(t, np.zeros(2), np.zeros(2), 0.1, 1.0, UNIFORM)
+
+
+class TestOneFactorization:
+    def test_each_score_factors_once(self, monkeypatch):
+        import vspline.hermite as hermite_mod
+        rng = np.random.default_rng(16)
+        t, y, v, cfg, lam, gamma = random_instance(rng, n_range=(6, 9))
+        corr = CorrelationSpec(W=_ar1(t.size, 0.3), Ucorr=_ar1(t.size, 0.1))
+        calls = []
+        real = hermite_mod.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hermite_mod, "cho_factor", counting)
+        for score in (lambda: cv_closed_form(t, y, v, lam, gamma, cfg),
+                      lambda: gcv_score(t, y, v, lam, gamma, cfg),
+                      lambda: gcv_correlated(t, y, v, lam, gamma, cfg, corr)):
+            calls.clear()
+            score()
+            assert len(calls) == 1
 
 
 class TestClassicalReduction:
@@ -109,6 +131,12 @@ class TestCorrelationSpec:
             CorrelationSpec(W=np.eye(2), Ucorr=np.array([[1.0, 0.5], [0.4, 1.0]]))
         spec = CorrelationSpec(W=_ar1(4, 0.5), Ucorr=np.eye(4))
         assert spec.W.shape == (4, 4)
+        # the hermite layer checks the same matrices and gamma
+        design = build_design(np.array([0.2, 0.5, 0.8]), 0.1)
+        with pytest.raises(ValueError, match="W must be"):
+            hat_matrices_correlated(design, 1.0, spec.W, np.eye(3))
+        with pytest.raises(ValueError, match="gamma must be"):
+            hat_matrices_correlated(design, -1.0, np.eye(3), np.eye(3))
 
 
 class TestCorrelatedGcv:
@@ -218,6 +246,26 @@ class TestOptimizeParams:
         with pytest.raises(DegenerateGridError):
             optimize_params(t, y, v, cfg, criterion="cv",
                             lam_points=4, gamma_points=3)
+
+    def test_one_point_axis_is_not_refined(self, monkeypatch):
+        from vspline import gcv as gcv_mod
+        t = np.linspace(0.05, 0.95, 20)
+        y = np.sin(2 * np.pi * t)
+        v = 2 * np.pi * np.cos(2 * np.pi * t)
+        calls = []
+        real = gcv_mod.cv_closed_form
+
+        def counting(*args, **kwargs):
+            calls.append(args[3:5])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gcv_mod, "cv_closed_form", counting)
+        res = optimize_params(t, y, v, UNIFORM, criterion="cv",
+                              lam_bounds=(1e-3, 1.0), lam_points=1, gamma_points=5)
+        # 5 grid points, then two golden sweeps of 44 scores over gamma only
+        assert len(calls) == 5 + 2 * 44
+        assert {lam for lam, _ in calls} == {1e-3}
+        assert res.lam == 1e-3
 
     def test_golden_min_finds_quadratic_minimum(self):
         score, x = _golden_min(lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 1.0)

@@ -28,12 +28,6 @@ class TestBasisCardinality:
             np.testing.assert_allclose(basis.evaluate(e, t), np.zeros(n), atol=1e-14)
             np.testing.assert_allclose(basis.evaluate_deriv(e, t), np.eye(n)[i], atol=1e-12)
 
-    def test_design_matrices_are_identity_blocks(self):
-        t = np.array([0.2, 0.5, 0.8])
-        design = build_design(t, 1.0)
-        np.testing.assert_array_equal(design.B, np.hstack([np.eye(3), np.zeros((3, 3))]))
-        np.testing.assert_array_equal(design.C, np.hstack([np.zeros((3, 3)), np.eye(3)]))
-
     def test_c1_continuity_at_knots(self):
         rng = np.random.default_rng(1)
         t = random_knots(rng, 6)

@@ -1,0 +1,76 @@
+"""Property tests of the basis route's shared fit/hat factorization."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_knots
+from vspline import (KernelConfig, build_design, cv_brute_force, cv_closed_form,
+                     fit_theta)
+
+# deterministic and small, so the suite's run time barely moves
+PROPERTY = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+
+
+def _spd(rng, n):
+    A = rng.standard_normal((n, n))
+    return A @ A.T / n + 0.5 * np.eye(n)
+
+
+@st.composite
+def problems(draw, correlated):
+    """Knots, knot-aligned weights in 0.3-3, (lam, gamma) and, if asked, SPD W/Ucorr."""
+    n = draw(st.integers(3, 12))
+    lam = 10.0 ** draw(st.floats(-4.0, 0.0))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(-2.0, 1.3).map(lambda e: 10.0**e)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = random_knots(rng, n)
+    cfg = KernelConfig.piecewise(np.concatenate([[0.0], t, [1.0]]),
+                                 rng.uniform(0.3, 3.0, n + 1))
+    mats = (_spd(rng, n), _spd(rng, n)) if correlated else (None, None)
+    data = rng.standard_normal((4, n))
+    return t, cfg, lam, gamma, mats, data
+
+
+def _design(t, cfg, lam):
+    return build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
+
+
+@pytest.mark.parametrize("correlated", [False, True])
+@PROPERTY
+@given(data=st.data())
+def test_affine_data_reproduced(correlated, data):
+    t, cfg, lam, gamma, (W, Ucorr), _ = data.draw(problems(correlated))
+    a = data.draw(st.floats(-10.0, 10.0))
+    b = data.draw(st.floats(-10.0, 10.0))
+    y = a + b * t
+    v = np.full(t.size, b)
+    theta = fit_theta(_design(t, cfg, lam), y, v, gamma, W=W, Ucorr=Ucorr)
+    scale = 1.0 + abs(a) + abs(b)
+    np.testing.assert_allclose(theta[:t.size], y, atol=1e-9 * scale)
+    np.testing.assert_allclose(theta[t.size:], v, atol=1e-8 * scale)
+
+
+@pytest.mark.parametrize("correlated", [False, True])
+@PROPERTY
+@given(data=st.data())
+def test_fit_is_linear_in_data(correlated, data):
+    t, cfg, lam, gamma, (W, Ucorr), (y1, v1, y2, v2) = data.draw(problems(correlated))
+    alpha = data.draw(st.floats(-5.0, 5.0))
+    beta = data.draw(st.floats(-5.0, 5.0))
+    design = _design(t, cfg, lam)
+    combined = fit_theta(design, alpha * y1 + beta * y2, alpha * v1 + beta * v2,
+                         gamma, W=W, Ucorr=Ucorr)
+    parts = (alpha * fit_theta(design, y1, v1, gamma, W=W, Ucorr=Ucorr)
+             + beta * fit_theta(design, y2, v2, gamma, W=W, Ucorr=Ucorr))
+    np.testing.assert_allclose(combined, parts, atol=1e-9 * (1.0 + np.abs(parts).max()))
+
+
+@PROPERTY
+@given(problem=problems(correlated=False))
+def test_closed_form_cv_equals_brute_force(problem):
+    t, cfg, lam, gamma, _, (y, v, _, _) = problem
+    brute = cv_brute_force(t, y, v, lam, gamma, cfg)
+    closed = cv_closed_form(t, y, v, lam, gamma, cfg)
+    assert closed.value == pytest.approx(brute.value, rel=1e-6)
