@@ -210,7 +210,7 @@ def limit_identities_check(T, M, rho: float) -> LimitIdentityGaps:
     sv = np.linalg.svd(T, compute_uv=False)
     if sv.size == 0 or sv[-1] <= 1e-12 * max(sv[0], 1.0):
         raise ValueError("T must have full column rank")
-    Minv = lu_solve(_lu_checked(M, "M"), np.eye(M.shape[0]))
+    Minv = lu_solve(_lu_checked(M, "M", hint=None), np.eye(M.shape[0]))
     left = Minv @ T
     right = T.T @ Minv
     mid = np.linalg.inv(T.T @ Minv @ T)

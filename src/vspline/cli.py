@@ -23,7 +23,7 @@ from . import __version__
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import fit_vspline, rescale_domain
 from .gcv import CorrelationSpec, optimize_params
-from .hermite import _fit_and_hats, build_design
+from .hermite import _fit_and_diagonals, build_design
 from .kernels import KernelConfig
 
 MARGIN = 0.05
@@ -157,7 +157,7 @@ def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
 
     design = build_design(tu, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
     W, Ucorr = (None, None) if corr is None else (corr.W, corr.Ucorr)
-    theta, hats = _fit_and_hats(design, yu, vu, gamma, W, Ucorr)
+    theta, (s_diag, _, _, v_diag) = _fit_and_diagonals(design, yu, vu, gamma, W, Ucorr)
 
     if corr is None and gamma > 0.0:
         # representer route; agrees with the basis fit and carries (d, c, b)
@@ -186,8 +186,8 @@ def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
         "weighted": weights is not None,
         "correlated": corr is not None,
         "method": "representer" if (corr is None and gamma > 0.0) else "hermite-basis",
-        "trace_s": float(np.trace(hats.S)),
-        "trace_v": float(np.trace(hats.V)),
+        "trace_s": float(np.sum(s_diag)),
+        "trace_v": float(np.sum(v_diag)),
         "coefficients": coefficients,
         "domain": {"t_min": float(t_raw[0]), "t_max": float(t_raw[-1]),
                    "margin": MARGIN},

@@ -213,13 +213,16 @@ class VSplineFit:
         return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _lu_checked(A, what: str):
+def _lu_checked(A, what: str,
+                hint: str | None = "check for coincident knots or a non-positive penalty"):
     """LU factors of ``A`` for ``lu_solve``, refused when ``A`` is singular.
 
     The reciprocal condition number is LAPACK's 1-norm estimate from the
     factors themselves (``dgecon``), so the check costs O(size) on top of
     the factorization the solve needs anyway.  This is the package's one
     conditioning check; every representer-system solve goes through it.
+    ``hint`` ends the error message; the default suits the fitting
+    systems, and a caller factoring an arbitrary matrix passes ``None``.
     """
     lu = np.array(A, dtype=float, order="F")  # factored in place below
     anorm = dlange("1", lu)
@@ -229,8 +232,8 @@ def _lu_checked(A, what: str):
         rcond, info = dgecon(lu, anorm, norm="1")
     if info != 0 or not rcond >= _RCOND_FLOOR:
         raise SingularSystemError(
-            f"{what} is numerically singular (rcond ~ {rcond:.2e}); "
-            "check for coincident knots or a non-positive penalty")
+            f"{what} is numerically singular (rcond ~ {rcond:.2e})"
+            + (f"; {hint}" if hint else ""))
     return lu, piv
 
 

@@ -11,22 +11,23 @@ golden-section sweeps.
 
 All scores are computed through the Hermite-basis formulation of
 :mod:`vspline.hermite`, which covers ``gamma = 0`` and interval-wise
-penalties.  Leave-one-out removes the whole observation pair (position
-and velocity) while keeping the penalty function and the objective
-normalization of the full problem, so the closed form and the brute force
-agree to rounding.
+penalties; the uncorrelated scores take its O(n) banded route.
+Leave-one-out removes the whole observation pair (position and velocity)
+while keeping the penalty function and the objective normalization of the
+full problem, so the closed form and the brute force agree to rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cholesky, eigh
 
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import check_knots
-from .hermite import _fit_and_hats, build_design, fit_theta
+from .hermite import _fit_and_diagonals, _scaled, build_design, fit_theta
 from .kernels import KernelConfig
 
 __all__ = [
@@ -119,6 +120,13 @@ def _design_for(t, lam, cfg: KernelConfig):
     return build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
 
 
+def _residuals(design, y, v, gamma, W=None, Ucorr=None):
+    """Fit residuals at the knots and the four hat diagonals."""
+    n = design.n
+    theta, diags = _fit_and_diagonals(design, y, v, gamma, W, Ucorr)
+    return theta[:n] - y, theta[n:] - v, diags
+
+
 def cv_brute_force(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     """Leave-one-out score by literally refitting without each sample.
 
@@ -166,13 +174,14 @@ def cv_closed_form(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     these squared.  Equals :func:`cv_brute_force` to rounding.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    n = t.size
-    theta, hats = _fit_and_hats(_design_for(t, lam, cfg), y, v, gamma)
-    r = theta[:n] - y
-    rp = theta[n:] - v
-    value = _cv_from_diagonals(r, rp, np.diag(hats.S), np.diag(hats.T),
-                               np.diag(hats.U), np.diag(hats.V), gamma)
+    value = _cv_value(_design_for(t, lam, cfg), y, v, 1.0, gamma)
     return CvScore(value=value, lam=lam, gamma=gamma)
+
+
+def _cv_value(design, y, v, lam, gamma):
+    """:func:`cv_closed_form` with the penalty of ``design`` times ``lam``."""
+    r, rp, diags = _residuals(_scaled(design, lam), y, v, gamma)
+    return _cv_from_diagonals(r, rp, *diags, gamma)
 
 
 def _trace_factors(tr_s, tr_t, tr_u, tr_v, gamma, n):
@@ -205,13 +214,14 @@ def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     :func:`cv_closed_form` exactly.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    n = t.size
-    theta, hats = _fit_and_hats(_design_for(t, lam, cfg), y, v, gamma)
-    r = theta[:n] - y
-    rp = theta[n:] - v
-    value = _gcv_from_traces(r, rp, np.trace(hats.S), np.trace(hats.T),
-                             np.trace(hats.U), np.trace(hats.V), gamma, n)
+    value = _gcv_value(_design_for(t, lam, cfg), y, v, 1.0, gamma)
     return CvScore(value=value, lam=lam, gamma=gamma)
+
+
+def _gcv_value(design, y, v, lam, gamma):
+    """:func:`gcv_score` with the penalty of ``design`` times ``lam``."""
+    r, rp, diags = _residuals(_scaled(design, lam), y, v, gamma)
+    return _gcv_from_traces(r, rp, *(np.sum(d) for d in diags), gamma, design.n)
 
 
 def _correlated_numerator_terms(r, rp, k, corr: CorrelationSpec):
@@ -232,15 +242,17 @@ def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
     :func:`gcv_score`.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    n = t.size
-    theta, hats = _fit_and_hats(_design_for(t, lam, cfg), y, v, gamma,
-                                corr.W, corr.Ucorr)
-    r = theta[:n] - y
-    rp = theta[n:] - v
-    k, den = _trace_factors(np.trace(hats.S), np.trace(hats.T), np.trace(hats.U),
-                            np.trace(hats.V), gamma, n)
+    value = _gcv_correlated_value(_design_for(t, lam, cfg), y, v, 1.0, gamma, corr)
+    return CvScore(value=value, lam=lam, gamma=gamma)
+
+
+def _gcv_correlated_value(design, y, v, lam, gamma, corr: CorrelationSpec):
+    """:func:`gcv_correlated` with the penalty of ``design`` times ``lam``."""
+    n = design.n
+    r, rp, diags = _residuals(_scaled(design, lam), y, v, gamma, corr.W, corr.Ucorr)
+    k, den = _trace_factors(*(np.sum(d) for d in diags), gamma, n)
     terms = _correlated_numerator_terms(r, rp, k, corr)
-    return CvScore(value=float(n * sum(terms) / den**2), lam=lam, gamma=gamma)
+    return float(n * sum(terms) / den**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +300,7 @@ def _golden_min(f, lo, hi, iters=40):
 
 
 def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = None,
-                    criterion: str = "auto",
+                    criterion: str = "cv",
                     lam_bounds=(1e-8, 1e2), gamma_bounds=(1e-4, 1e4),
                     lam_points: int = 15, gamma_points: int = 13,
                     refine: bool = True) -> SelectionResult:
@@ -297,32 +309,29 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     A log-spaced coarse grid is scored first; the best point is then
     refined by two sweeps of golden-section search per coordinate, each
     confined between the neighboring grid points.  Deterministic for
-    fixed inputs.  ``criterion`` may be "cv" (closed-form leave-one-out),
-    "gcv", "gcv-corr" (requires ``corr``), or "auto", which uses the
-    closed form up to 500 samples and the trace form beyond.
+    fixed inputs.  ``criterion`` may be "cv" (closed-form leave-one-out,
+    the default), "gcv", or "gcv-corr" (requires ``corr``).
+
+    The penalty is linear in lam, so the unit-lam penalty is assembled
+    once and scaled for each score.  Without ``corr`` every score is O(n)
+    (banded route); "gcv-corr" is dense, O(n^3) per score.
     """
     t, y, v, _, _ = _check_inputs(t, y, v, 1.0, 1.0)
-    n = t.size
-    if criterion == "auto":
-        criterion = "cv" if n <= 500 else "gcv"
     if criterion == "cv":
-        def score_at(lam, gamma):
-            return cv_closed_form(t, y, v, lam, gamma, cfg).value
+        score_of = _cv_value
     elif criterion == "gcv":
-        def score_at(lam, gamma):
-            return gcv_score(t, y, v, lam, gamma, cfg).value
+        score_of = _gcv_value
     elif criterion == "gcv-corr":
         if corr is None:
             raise ValueError("criterion 'gcv-corr' requires a CorrelationSpec")
-
-        def score_at(lam, gamma):
-            return gcv_correlated(t, y, v, lam, gamma, cfg, corr).value
+        score_of = partial(_gcv_correlated_value, corr=corr)
     else:
-        raise ValueError("criterion must be 'cv', 'gcv', 'gcv-corr', or 'auto'")
+        raise ValueError("criterion must be 'cv', 'gcv', or 'gcv-corr'")
+    unit = _design_for(t, 1.0, cfg)
 
     def safe_score(lam, gamma):
         try:
-            return score_at(lam, gamma)
+            return score_of(unit, y, v, lam, gamma)
         except (DegenerateScoreError, SingularSystemError):
             return np.nan
 

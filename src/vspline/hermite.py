@@ -10,9 +10,16 @@ penalty sees only the interior and fitted curves have linear tails, which
 is exactly the shape of the penalized minimizer.
 
 Cardinality makes the value and derivative design matrices identity
-blocks, so they are never formed, and one factorization of the normal
-matrix yields the coefficients and the hat matrices (plain sub-blocks of
-its inverse): the cross-validation identities of :mod:`vspline.gcv` come cheap.
+blocks, so they are never formed, and the hat matrices are plain
+sub-blocks of the inverse normal matrix ``A``.  With the unknowns
+interleaved as (value_0, slope_0, value_1, ...) each knot interval couples
+four consecutive unknowns, so ``A`` has bandwidth 3.  Without error
+weights (``W = Ucorr = None``) the fit and the hat diagonals that the
+cross-validation identities of :mod:`vspline.gcv` need come from one
+banded Cholesky factorization and the selected-inverse recursion on its
+band: O(n) time and memory, no 2n-by-2n matrix.  General ``W``/``Ucorr``
+fill ``A`` in, so that route, and the full hat blocks of
+:func:`hat_matrices`, stay dense.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
 
 from .errors import SingularSystemError
 from .fit import check_knots
@@ -100,17 +107,22 @@ class HermiteBasis:
         return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def penalty_gram(basis: HermiteBasis, lam_breakpoints, lam_values) -> np.ndarray:
-    """Exact penalty Gram matrix: integral of lam(t) Ni''(t) Nj''(t).
+def _penalty_band(basis: HermiteBasis, lam_breakpoints, lam_values) -> np.ndarray:
+    """Exact penalty Gram, integral of lam(t) Ni''(t) Nj''(t), as a band.
 
     ``lam(t)`` is piecewise constant on ``lam_breakpoints`` (which must
     cover [0, 1]) with values ``lam_values``.  The knot range is cut at
     the knots and at the interior breakpoints; on each piece lam is
     constant and the basis second derivatives are linear, so a two-point
     Gauss rule per piece integrates the products exactly.  All pieces are
-    evaluated at once and their 4x4 blocks scattered into the matrix.
+    evaluated at once and their 4x4 blocks scattered into the band.
     Intervals outside the knot range contribute nothing because the basis
     is linear there.
+
+    With the unknowns interleaved as (value_0, slope_0, value_1, ...) the
+    Gram has bandwidth 3; row ``r`` of the returned (4, 2n) array holds its
+    r-th subdiagonal, ``band[r, j] = omega[j + r, j]`` (scipy's lower
+    banded layout, zero past the end of each row).
     """
     breaks = np.asarray(lam_breakpoints, dtype=float)
     values = np.asarray(lam_values, dtype=float)
@@ -120,7 +132,6 @@ def penalty_gram(basis: HermiteBasis, lam_breakpoints, lam_values) -> np.ndarray
         raise ValueError("penalty breakpoints must be increasing and cover [0, 1]")
     if np.any(values < 0.0) or not np.all(np.isfinite(values)):
         raise ValueError("penalty values must be finite and nonnegative")
-    n = basis.n
     knots = basis.knots
     cuts = np.union1d(knots, breaks[(breaks > knots[0]) & (breaks < knots[-1])])
     lo, hi = cuts[:-1], cuts[1:]
@@ -138,28 +149,59 @@ def penalty_gram(basis: HermiteBasis, lam_breakpoints, lam_values) -> np.ndarray
                        (6 - 12 * x) / h**2,
                        (6 * x - 2) / h], axis=1)
         blocks += (d2[:, :, None] * d2[:, None, :]) * (lam * 0.5 * (hi - lo))[:, None, None]
-    dofs = np.stack([k, n + k, k + 1, n + k + 1], axis=1)
-    omega = np.zeros((2 * n, 2 * n))
-    np.add.at(omega, (dofs[:, :, None], dofs[:, None, :]), blocks)
-    return omega
+    # a piece on knot interval k couples the unknowns 2k .. 2k + 3
+    rows, cols = np.tril_indices(4)
+    band = np.zeros((4, 2 * basis.n))
+    np.add.at(band, (rows - cols, 2 * k[:, None] + cols), blocks[:, rows, cols])
+    return band
+
+
+def _dense_from_band(band) -> np.ndarray:
+    """The symmetric matrix of a lower band, reordered to values, then slopes."""
+    size = band.shape[1]
+    j = np.arange(size)
+    pos = j // 2 + (size // 2) * (j % 2)
+    out = np.zeros((size, size))
+    for r in range(band.shape[0]):
+        lower, upper = pos[r:], pos[:size - r]
+        out[lower, upper] = out[upper, lower] = band[r, :size - r]
+    return out
+
+
+def penalty_gram(basis: HermiteBasis, lam_breakpoints, lam_values) -> np.ndarray:
+    """Exact penalty Gram matrix: integral of lam(t) Ni''(t) Nj''(t).
+
+    ``lam(t)`` is piecewise constant on ``lam_breakpoints`` (which must
+    cover [0, 1]) with values ``lam_values``.  The dense (2n, 2n) form,
+    values then slopes, of the exactly integrated band that the fits use.
+    """
+    return _dense_from_band(_penalty_band(basis, lam_breakpoints, lam_values))
 
 
 @dataclass(frozen=True, eq=False)
 class DesignMatrices:
-    """The basis and penalty Gram matrix of one basis fit.
+    """The basis and penalty of one basis fit.
 
-    The design matrices ``B = [I | 0]`` and ``C = [0 | I]`` (values, then
-    slopes) are implied by cardinality and never formed.
+    ``band`` is the penalty Gram in the banded, interleaved layout of
+    :func:`_penalty_band` (4 by 2n), the only form stored; ``omega``
+    expands it on each access to the dense (2n, 2n) matrix, values then
+    slopes, for inspection.  The design matrices ``B = [I | 0]`` and
+    ``C = [0 | I]`` (values, then slopes) are implied by cardinality and
+    never formed.
     """
 
     basis: HermiteBasis
-    omega: np.ndarray
+    band: np.ndarray
     lam_breakpoints: np.ndarray
     lam_values: np.ndarray
 
     @property
     def n(self) -> int:
         return self.basis.n
+
+    @property
+    def omega(self) -> np.ndarray:
+        return _dense_from_band(self.band)
 
 
 def build_design(knots, lam, lam_breakpoints=None) -> DesignMatrices:
@@ -184,20 +226,23 @@ def build_design(knots, lam, lam_breakpoints=None) -> DesignMatrices:
     else:
         breaks = np.asarray(lam_breakpoints, dtype=float)
         values = np.asarray(lam, dtype=float)
-    omega = penalty_gram(basis, breaks, values)
-    return DesignMatrices(basis=basis, omega=omega,
+    return DesignMatrices(basis=basis, band=_penalty_band(basis, breaks, values),
                           lam_breakpoints=breaks, lam_values=values)
 
 
-def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=None):
-    """Cholesky factor of ``A = blockdiag(W, gamma Ucorr) + n omega`` and,
-    given data, the right-hand side ``[W y; gamma Ucorr v]``.
+def _scaled(design: DesignMatrices, factor: float) -> DesignMatrices:
+    """``design`` with its penalty multiplied by ``factor``.
 
-    The only assembly and factorization of ``A`` and the only argument
-    checks of the fits and hats below.  ``W``/``Ucorr`` default to the
-    identity, which is added on the diagonal rather than multiplied in.
+    The penalty Gram is linear in lam, so a parameter search assembles the
+    unit penalty once and scales it for each score.
     """
-    n = design.n
+    return DesignMatrices(basis=design.basis, band=factor * design.band,
+                          lam_breakpoints=design.lam_breakpoints,
+                          lam_values=factor * design.lam_values)
+
+
+def _check_normal_args(n, gamma, y=None, v=None, W=None, Ucorr=None):
+    """The argument checks of every fit and hat computation below."""
     gamma = float(gamma)
     if gamma < 0.0 or not np.isfinite(gamma):
         raise ValueError("gamma must be a finite, nonnegative number")
@@ -209,7 +254,25 @@ def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=
         v = np.asarray(v, dtype=float)
         if y.shape != (n,) or v.shape != (n,):
             raise ValueError(f"y and v must have shape ({n},)")
-    A = n * design.omega
+    return gamma, y, v
+
+
+def _not_positive_definite(exc):
+    return SingularSystemError(f"penalized normal equations not positive definite: {exc}")
+
+
+def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=None):
+    """Dense Cholesky factor of ``A = blockdiag(W, gamma Ucorr) + n omega``
+    (values, then slopes) and, given data, the right-hand side
+    ``[W y; gamma Ucorr v]``.
+
+    The dense route: correlated errors and the full hat blocks.
+    ``W``/``Ucorr`` default to the identity, which is added on the
+    diagonal rather than multiplied in.
+    """
+    n = design.n
+    gamma, y, v = _check_normal_args(n, gamma, y, v, W, Ucorr)
+    A = _dense_from_band(n * design.band)
     diag = np.diag_indices(n)
     if W is None:
         A[:n, :n][diag] += 1.0
@@ -222,11 +285,65 @@ def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=
     try:
         cho = cho_factor(A, lower=True)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"penalized normal equations not positive definite: {exc}")
+        raise _not_positive_definite(exc)
     if y is None:
         return cho, None
     return cho, np.concatenate([y if W is None else W @ y,
                                 gamma * (v if Ucorr is None else Ucorr @ v)])
+
+
+def _normal_band(design: DesignMatrices, gamma: float) -> np.ndarray:
+    """Lower band of the uncorrelated ``A = diag(1, gamma, 1, gamma, ...) + n omega``."""
+    ab = design.n * design.band
+    ab[0, 0::2] += 1.0
+    ab[0, 1::2] += gamma
+    return ab
+
+
+def _banded_fit(design: DesignMatrices, y, v, gamma):
+    """Uncorrelated fit by banded Cholesky: the coefficients (values, then
+    slopes) and the band of the factor ``L``, ``A = L L'``."""
+    n = design.n
+    gamma, y, v = _check_normal_args(n, gamma, y, v)
+    try:
+        L = cholesky_banded(_normal_band(design, gamma), lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise _not_positive_definite(exc)
+    rhs = np.empty(2 * n)
+    rhs[0::2] = y
+    rhs[1::2] = gamma * v
+    x = cho_solve_banded((L, True), rhs)
+    return np.concatenate([x[0::2], x[1::2]]), L
+
+
+def _band_inverse_diagonals(L):
+    """Diagonal and first subdiagonal of ``Z = A^-1`` from the band of ``L``.
+
+    The selected-inverse recursion (Takahashi, Fagan & Chin 1973;
+    Hutchinson & de Hoog 1985): ``L' Z = L^-1`` gives, for
+    ``j <= i <= j + 3``,
+
+        Z[i, j] = delta_ij / L[j, j]^2 - sum_{k=j+1..j+3} (L[k, j] / L[j, j]) Z[i, k]
+
+    which reads ``Z`` only inside the band of the three later columns.
+    One backward sweep over the columns carries those six entries, so the
+    cost is O(size) scalar operations and no inverse is formed.  The band
+    must be zero past the end of each row, as every band here is.
+    """
+    inv = 1.0 / L[0]
+    ratios = L[1:] * inv
+    diag, sub = [], []
+    # z_ab = Z[j + a, j + b] for the three columns after column j
+    z11 = z21 = z31 = z22 = z32 = z33 = 0.0
+    for l1, l2, l3, w in zip(*ratios[:, ::-1].tolist(), (inv[::-1] ** 2).tolist()):
+        a1 = -(l1 * z11 + l2 * z21 + l3 * z31)
+        a2 = -(l1 * z21 + l2 * z22 + l3 * z32)
+        a3 = -(l1 * z31 + l2 * z32 + l3 * z33)
+        z = w - (l1 * a1 + l2 * a2 + l3 * a3)
+        diag.append(z)
+        sub.append(a1)
+        z11, z21, z31, z22, z32, z33 = z, a1, a2, z11, z21, z22
+    return np.array(diag[::-1]), np.array(sub[::-1])
 
 
 def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.ndarray:
@@ -235,9 +352,12 @@ def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.nda
     Minimizes the W-weighted position residual plus gamma times the
     Ucorr-weighted velocity residual (both divided by the sample count)
     plus the curvature penalty ``theta' omega theta``.  ``W``/``Ucorr``
-    default to identity (uncorrelated errors); zeroing a sample's weights
-    leaves it out while keeping the objective's normalization.
+    default to identity (uncorrelated errors), solved in O(n) by banded
+    Cholesky; zeroing a sample's weights leaves it out while keeping the
+    objective's normalization.
     """
+    if W is None and Ucorr is None:
+        return _banded_fit(design, y, v, gamma)[0]
     cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
     return cho_solve(cho, rhs)
 
@@ -269,16 +389,31 @@ def _hat_blocks(Ainv, W=None, Ucorr=None) -> HatMatrices:
     return HatMatrices(S=S, T=T, U=U, V=V)
 
 
-def _fit_and_hats(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None):
-    """Coefficients and hat blocks from one ``cho_solve`` on ``[rhs | I]``
-    (a direct solve for the coefficients, never ``A^-1`` times the data)."""
+def _fit_and_diagonals(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None):
+    """Coefficients and the hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` from
+    one factorization of ``A``.
+
+    Without error weights: banded Cholesky plus the selected inverse, O(n)
+    (``U_ii = T_ii`` there).  With ``W``/``Ucorr``: one dense ``cho_solve``
+    on ``[rhs | I]`` (a direct solve for the coefficients, never ``A^-1``
+    times the data).
+    """
+    if W is None and Ucorr is None:
+        theta, L = _banded_fit(design, y, v, gamma)
+        z, z_sub = _band_inverse_diagonals(L)
+        return theta, (z[0::2], z_sub[0::2], z_sub[0::2], z[1::2])
     cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
     sol = cho_solve(cho, np.column_stack([rhs, np.eye(rhs.size)]))
-    return sol[:, 0], _hat_blocks(sol[:, 1:], W, Ucorr)
+    hats = _hat_blocks(sol[:, 1:], W, Ucorr)
+    return sol[:, 0], tuple(np.diagonal(h) for h in (hats.S, hats.T, hats.U, hats.V))
 
 
 def hat_matrices(design: DesignMatrices, gamma) -> HatMatrices:
-    """Hat blocks for the uncorrelated fit at the design's penalty."""
+    """Hat blocks for the uncorrelated fit at the design's penalty.
+
+    Dense, from the full inverse; the fits and scores need only the
+    diagonals, which the banded route computes without it.
+    """
     cho, _ = _factor_normal(design, gamma)
     return _hat_blocks(cho_solve(cho, np.eye(2 * design.n)))
 

@@ -29,6 +29,16 @@ def random_knots(rng, n, lo=0.05, hi=0.95, min_gap=None):
             return t
 
 
+def jittered_knots(rng, n, lo=0.05, hi=0.95):
+    """A uniform knot grid on [lo, hi], interior knots moved by up to 0.3 spacings.
+
+    Gaps stay above 0.4 spacings for any n, in one draw.
+    """
+    t = np.linspace(lo, hi, n)
+    t[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * (hi - lo) / (n - 1)
+    return t
+
+
 def random_instance(rng, n_range=(4, 16), lam_range=(1e-3, 1.0),
                     gamma_range=(0.05, 20.0), weighted=None):
     """A random fitting problem: smooth signal plus noise at random knots."""

@@ -230,3 +230,41 @@ def gp_joint_posterior(t, y, v, t_eval, cfg, beta, rho, lam, gamma):
         [eval_r1(x, x, cfg) for x in t_eval])
     var = prior_var - np.einsum("ij,ji->i", Kstar, np.linalg.solve(D, Kstar.T))
     return mean, var
+
+
+def mp_band_inverse_diagonals(ab, digits=40):
+    """Diagonal and first subdiagonal of ``A^-1`` for a symmetric band matrix.
+
+    ``ab`` is the lower band in scipy's layout (row ``r`` holds the r-th
+    subdiagonal).  Its double-precision entries are taken exactly, then
+    factored by banded Cholesky and inverted inside the band by the
+    selected-inverse recursion, all in ``digits``-digit mpmath arithmetic,
+    so the result is the exact answer for that band up to the final
+    rounding to double.
+    """
+    import mpmath
+
+    p, size = ab.shape[0] - 1, ab.shape[1]
+    with mpmath.workdps(digits):
+        A = {(j + r, j): mpmath.mpf(float(ab[r, j]))
+             for r in range(p + 1) for j in range(size - r)}
+        L = {}
+        for j in range(size):
+            first = max(0, j - p)
+            L[j, j] = mpmath.sqrt(A[j, j] - mpmath.fsum(L[j, k] ** 2 for k in range(first, j)))
+            for i in range(j + 1, min(size, j + p + 1)):
+                dot = mpmath.fsum(L[i, k] * L[j, k] for k in range(max(0, i - p), j))
+                L[i, j] = (A[i, j] - dot) / L[j, j]
+        Z = {}
+
+        def z(i, k):
+            return Z[i, k] if i >= k else Z[k, i]
+
+        for j in range(size - 1, -1, -1):
+            later = range(j + 1, min(size, j + p + 1))
+            for i in later:
+                Z[i, j] = -mpmath.fsum(L[k, j] * z(i, k) for k in later) / L[j, j]
+            Z[j, j] = (1 / L[j, j] - mpmath.fsum(L[k, j] * Z[k, j] for k in later)) / L[j, j]
+        diag = np.array([float(Z[j, j]) for j in range(size)])
+        sub = np.array([float(Z[j + 1, j]) for j in range(size - 1)])
+    return diag, sub

@@ -187,8 +187,10 @@ class TestLimitIdentities:
         rng = np.random.default_rng(9)
         T = rng.standard_normal((6, 2))
         M = np.zeros((6, 6))
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError, match="M is numerically singular") as err:
             limit_identities_check(T, M, 10.0)
+        # a general M says nothing about knots or penalties
+        assert "knots" not in str(err.value)
 
     def test_vspline_system_satisfies_identities(self):
         # the fitting matrices themselves, treated as a general (T, M) pair

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import oracles
-from vspline import SingularSystemError
 from vspline.cli import main, simulate_dataset
 from vspline.errors import DegenerateGridError
 from vspline.fit import rescale_domain
@@ -144,12 +143,13 @@ class TestFit:
         data = tmp_path / "d.csv"
         main(["simulate", "--kind", "sine", "--n", "8", "--noise", "0.1",
               "--seed", "2", "--out", str(data)])
-        import vspline.cli as cli_mod
+        import vspline.hermite as hermite_mod
 
         def boom(*args, **kwargs):
-            raise SingularSystemError("forced failure")
+            raise np.linalg.LinAlgError("forced failure")
 
-        monkeypatch.setattr(cli_mod, "_fit_and_hats", boom)
+        # the uncorrelated basis route turns this into SingularSystemError
+        monkeypatch.setattr(hermite_mod, "cholesky_banded", boom)
         rc = main(["fit", str(data), "--lambda", "0.1",
                    "--out", str(tmp_path / "r.json")])
         assert rc == 3

@@ -1,13 +1,15 @@
 """Cross-validation identities, GCV reductions, and parameter search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import random_config, random_instance, random_knots
 from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
-                     build_design, cv_brute_force, cv_closed_form, gcv_correlated,
-                     gcv_score, hat_matrices_correlated, optimize_params)
+                     build_design, cv_brute_force, cv_closed_form, fit_theta,
+                     gcv_correlated, gcv_score, hat_matrices_correlated, optimize_params)
 from vspline.gcv import (_correlated_numerator_terms, _cv_from_diagonals,
                          _gcv_from_traces, _golden_min, _psd_sqrt)
 
@@ -56,24 +58,47 @@ class TestClosedFormAgainstBruteForce:
 
 class TestOneFactorization:
     def test_each_score_factors_once(self, monkeypatch):
+        # the uncorrelated scores run on the banded route only, the
+        # correlated one on the dense route only
         import vspline.hermite as hermite_mod
         rng = np.random.default_rng(16)
         t, y, v, cfg, lam, gamma = random_instance(rng, n_range=(6, 9))
         corr = CorrelationSpec(W=_ar1(t.size, 0.3), Ucorr=_ar1(t.size, 0.1))
         calls = []
-        real = hermite_mod.cho_factor
+        for name in ("cho_factor", "cholesky_banded"):
+            def counting(*args, _name=name, _real=getattr(hermite_mod, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(hermite_mod, "cho_factor", counting)
-        for score in (lambda: cv_closed_form(t, y, v, lam, gamma, cfg),
-                      lambda: gcv_score(t, y, v, lam, gamma, cfg),
-                      lambda: gcv_correlated(t, y, v, lam, gamma, cfg, corr)):
+            monkeypatch.setattr(hermite_mod, name, counting)
+        for score, expect in (
+                (lambda: cv_closed_form(t, y, v, lam, gamma, cfg), ["cholesky_banded"]),
+                (lambda: gcv_score(t, y, v, lam, gamma, cfg), ["cholesky_banded"]),
+                (lambda: gcv_correlated(t, y, v, lam, gamma, cfg, corr), ["cho_factor"])):
             calls.clear()
             score()
-            assert len(calls) == 1
+            assert calls == expect
+
+
+class TestBandedMemory:
+    def test_uncorrelated_route_allocates_no_dense_matrix(self):
+        # one float64 2n-by-2n array would be 800 MB at n = 5000
+        n = 5000
+        t = np.linspace(0.05, 0.95, n)
+        y = np.sin(6 * t)
+        v = 6 * np.cos(6 * t)
+        dense_bytes = 8 * (2 * n) ** 2
+        for run in (lambda: cv_closed_form(t, y, v, 1e-6, 1.0, UNIFORM).value,
+                    lambda: gcv_score(t, y, v, 1e-6, 1.0, UNIFORM).value,
+                    lambda: fit_theta(build_design(t, 1e-6), y, v, 1.0)):
+            tracemalloc.start()
+            try:
+                out = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.all(np.isfinite(out))
+            assert peak < dense_bytes / 100
 
 
 class TestClassicalReduction:
@@ -242,7 +267,7 @@ class TestOptimizeParams:
         def always_degenerate(*args, **kwargs):
             raise DegenerateScoreError("forced")
 
-        monkeypatch.setattr(gcv_mod, "cv_closed_form", always_degenerate)
+        monkeypatch.setattr(gcv_mod, "_cv_value", always_degenerate)
         with pytest.raises(DegenerateGridError):
             optimize_params(t, y, v, cfg, criterion="cv",
                             lam_points=4, gamma_points=3)
@@ -253,13 +278,13 @@ class TestOptimizeParams:
         y = np.sin(2 * np.pi * t)
         v = 2 * np.pi * np.cos(2 * np.pi * t)
         calls = []
-        real = gcv_mod.cv_closed_form
+        real = gcv_mod._cv_value  # the search's score, (design, y, v, lam, gamma)
 
         def counting(*args, **kwargs):
             calls.append(args[3:5])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(gcv_mod, "cv_closed_form", counting)
+        monkeypatch.setattr(gcv_mod, "_cv_value", counting)
         res = optimize_params(t, y, v, UNIFORM, criterion="cv",
                               lam_bounds=(1e-3, 1.0), lam_points=1, gamma_points=5)
         # 5 grid points, then two golden sweeps of 44 scores over gamma only

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_instance, random_knots
-from vspline import (HermiteBasis, KernelConfig, build_design, build_gram,
-                     fit_theta, fit_vspline, hat_matrices,
+from conftest import jittered_knots, random_config, random_instance, random_knots
+from vspline import (HermiteBasis, KernelConfig, SingularSystemError, build_design,
+                     build_gram, fit_theta, fit_vspline, hat_matrices,
                      hat_matrices_correlated, penalty_gram, solve_coefficients)
+from vspline.hermite import _fit_and_diagonals, _normal_band
 
 UNIFORM = KernelConfig.uniform()
 
@@ -254,3 +255,57 @@ class TestKeystoneEquivalence:
             n = t.size
             np.testing.assert_allclose(theta[:n], vfit.evaluate(t), atol=1e-6)
             np.testing.assert_allclose(theta[n:], vfit.evaluate_deriv(t), atol=1e-6)
+
+
+def _max_rel(got, want):
+    """Largest deviation relative to the largest reference entry."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestBandedEngine:
+    """The O(n) route of the uncorrelated fit against the dense route and
+    against a 40-digit evaluation of the same band."""
+
+    def test_matches_dense_route(self):
+        rng = np.random.default_rng(16)
+        for weighted in (False, True):
+            for _ in range(25):
+                n = int(rng.integers(4, 41))
+                t = jittered_knots(rng, n)
+                cfg = random_config(rng, knots=t) if weighted else UNIFORM
+                lam = 10.0 ** rng.uniform(-4.0, 0.0)
+                gamma = 10.0 ** rng.uniform(np.log10(0.05), np.log10(20.0))
+                y = np.sin(2 * np.pi * t) + 0.15 * rng.standard_normal(n)
+                v = 2 * np.pi * np.cos(2 * np.pi * t) + 0.15 * rng.standard_normal(n)
+                design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
+                theta, diags = _fit_and_diagonals(design, y, v, gamma)
+                np.testing.assert_array_equal(fit_theta(design, y, v, gamma), theta)
+                eye = np.eye(n)  # explicit identity weights take the dense route
+                assert _max_rel(theta, fit_theta(design, y, v, gamma, W=eye, Ucorr=eye)) < 1e-7
+                hats = hat_matrices(design, gamma)
+                for got, block in zip(diags, (hats.S, hats.T, hats.U, hats.V)):
+                    assert _max_rel(got, np.diag(block)) < 1e-7
+
+    def test_diagonals_match_high_precision_oracle(self):
+        rng = np.random.default_rng(17)
+        n = 300
+        t = jittered_knots(rng, n)
+        breaks = np.concatenate([[0.0], t, [1.0]])
+        weights = rng.uniform(0.3, 3.0, n + 1)
+        y, v = rng.standard_normal((2, n))
+        for lam in (1e-4, 1e-2):
+            design = build_design(t, lam * weights, lam_breakpoints=breaks)
+            z, z_sub = oracles.mp_band_inverse_diagonals(_normal_band(design, 1.0))
+            _, (s_diag, t_diag, u_diag, v_diag) = _fit_and_diagonals(design, y, v, 1.0)
+            np.testing.assert_allclose(s_diag, z[0::2], rtol=1e-6)
+            np.testing.assert_allclose(v_diag, z[1::2], rtol=1e-6)
+            assert _max_rel(t_diag, z_sub[0::2]) < 1e-6
+            np.testing.assert_array_equal(u_diag, t_diag)
+
+    def test_singular_band_raises_singular_system_error(self):
+        # no penalty and no velocity weight leaves the slopes undetermined
+        design = build_design(np.array([0.2, 0.5, 0.8]), 0.0)
+        with pytest.raises(SingularSystemError):
+            fit_theta(design, np.zeros(3), np.zeros(3), 0.0)
+        with pytest.raises(SingularSystemError):
+            _fit_and_diagonals(design, np.zeros(3), np.zeros(3), 0.0)
