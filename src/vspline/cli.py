@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import fit_vspline, rescale_domain
-from .gcv import CorrelationSpec, optimize_params
-from .hermite import _fit_and_diagonals, build_design
+from .gcv import CorrelationSpec, _basis_fit, optimize_params
+from .hermite import build_design
 from .kernels import KernelConfig
 
 MARGIN = 0.05
@@ -156,8 +156,7 @@ def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
         cfg = KernelConfig.uniform()
 
     design = build_design(tu, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
-    W, Ucorr = (None, None) if corr is None else (corr.W, corr.Ucorr)
-    theta, (s_diag, _, _, v_diag) = _fit_and_diagonals(design, yu, vu, gamma, W, Ucorr)
+    theta, (s_diag, _, _, v_diag) = _basis_fit(design, yu, vu, gamma, corr)
 
     if corr is None and gamma > 0.0:
         # representer route; agrees with the basis fit and carries (d, c, b)
@@ -248,6 +247,12 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _at_bound(value, lo, hi, steps):
+    """Whether a searched axis (more than one grid step) ended on a bound."""
+    return steps > 1 and bool(np.isclose(value, lo, rtol=1e-9, atol=0.0)
+                              or np.isclose(value, hi, rtol=1e-9, atol=0.0))
+
+
 def cmd_select(args) -> int:
     _check_range("lambda", args.lambda_min, args.lambda_max, args.lambda_steps)
     _check_range("gamma", args.gamma_min, args.gamma_max, args.gamma_steps)
@@ -274,12 +279,24 @@ def cmd_select(args) -> int:
         raise CliError(3, "selecting parameters", str(exc))
     surface_file = _surface_path(args.out)
     _write_rows(surface_file, ["lambda", "gamma", "score"], result.surface)
+    selected = {"lambda": result.lam, "gamma": result.gamma}
+    at_bound = {
+        "lambda": _at_bound(result.lam, args.lambda_min, args.lambda_max, args.lambda_steps),
+        "gamma": _at_bound(result.gamma, args.gamma_min, args.gamma_max, args.gamma_steps),
+    }
+    hits = [name for name, hit in at_bound.items() if hit]
+    if hits:
+        values = ", ".join(f"{name}={selected[name]:.6g}" for name in hits)
+        flags = ", ".join(f"--{name}-min/--{name}-max" for name in hits)
+        print(f"warning: selected {values} on the search bound; the minimum may lie "
+              f"outside the range ({flags})", file=sys.stderr)
     selection = {
         "criterion": result.criterion,
         "lambda": result.lam,
         "gamma": result.gamma,
         "score": result.score,
         "degenerate_grid_points": result.degenerate_count,
+        "at_bound": at_bound,
         "surface_file": surface_file,
     }
     try:

@@ -11,7 +11,8 @@ golden-section sweeps.
 
 All scores are computed through the Hermite-basis formulation of
 :mod:`vspline.hermite`, which covers ``gamma = 0`` and interval-wise
-penalties; the uncorrelated scores take its O(n) banded route.
+penalties; the uncorrelated scores, and the correlated one with at most
+tridiagonal precision matrices, take its O(n) banded route.
 Leave-one-out removes the whole observation pair (position and velocity)
 while keeping the penalty function and the objective normalization of the
 full problem, so the closed form and the brute force agree to rounding.
@@ -27,7 +28,7 @@ from scipy.linalg import cholesky, eigh
 
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import check_knots
-from .hermite import _fit_and_diagonals, _scaled, build_design, fit_theta
+from .hermite import _error_bands, _fit_and_diagonals, _scaled, build_design, fit_theta
 from .kernels import KernelConfig
 
 __all__ = [
@@ -65,29 +66,37 @@ class CorrelationSpec:
     """Known precision structures of the two error channels.
 
     ``W`` weights position residuals, ``Ucorr`` velocity residuals; both
-    must be symmetric positive definite (checked by factorization).  The
+    must be symmetric positive definite (checked by factorization).  Each
+    is stored as ``(M + M') / 2``, so every route reads the same exactly
+    symmetric matrix (bit-identical for exactly symmetric input).  The
     name ``Ucorr`` keeps the correlation matrix distinct from the hat
     block ``U`` of :class:`vspline.hermite.HatMatrices`.  ``cross`` is
     the coupling ``W^(1/2) Ucorr^(1/2)`` of the correlated GCV numerator,
-    formed once here from the symmetric PSD square roots.
+    formed once here from the symmetric PSD square roots.  ``_bands``
+    holds the tridiagonal bands of both matrices, or ``None`` when either
+    is wider; it picks the banded or the dense route once for every score.
     """
 
     W: np.ndarray
     Ucorr: np.ndarray
     cross: np.ndarray = field(init=False, repr=False)
+    _bands: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        W = np.array(self.W, dtype=float, copy=True)
-        U = np.array(self.Ucorr, dtype=float, copy=True)
-        for name, mat in (("W", W), ("Ucorr", U)):
+        mats = []
+        for name, raw in (("W", self.W), ("Ucorr", self.Ucorr)):
+            mat = np.asarray(raw, dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be square")
             if not np.allclose(mat, mat.T, atol=1e-10):
                 raise ValueError(f"{name} must be symmetric")
+            mat = (mat + mat.T) / 2
             try:
                 cholesky(mat, lower=True)
             except np.linalg.LinAlgError:
                 raise ValueError(f"{name} must be positive definite")
+            mats.append(mat)
+        W, U = mats
         if W.shape != U.shape:
             raise ValueError("W and Ucorr must have the same size")
         cross = _psd_sqrt(W) @ _psd_sqrt(U)
@@ -96,6 +105,7 @@ class CorrelationSpec:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "Ucorr", U)
         object.__setattr__(self, "cross", cross)
+        object.__setattr__(self, "_bands", _error_bands(W, U, W.shape[0]))
 
 
 def _check_inputs(t, y, v, lam, gamma):
@@ -120,10 +130,17 @@ def _design_for(t, lam, cfg: KernelConfig):
     return build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
 
 
-def _residuals(design, y, v, gamma, W=None, Ucorr=None):
+def _basis_fit(design, y, v, gamma, corr: CorrelationSpec | None = None):
+    """Coefficients and the four hat diagonals, with the error weights of
+    ``corr`` if given (on the route its bandwidth picked)."""
+    errors = () if corr is None else (corr.W, corr.Ucorr, corr._bands)
+    return _fit_and_diagonals(design, y, v, gamma, *errors)
+
+
+def _residuals(design, y, v, gamma, corr: CorrelationSpec | None = None):
     """Fit residuals at the knots and the four hat diagonals."""
     n = design.n
-    theta, diags = _fit_and_diagonals(design, y, v, gamma, W, Ucorr)
+    theta, diags = _basis_fit(design, y, v, gamma, corr)
     return theta[:n] - y, theta[n:] - v, diags
 
 
@@ -239,7 +256,9 @@ def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
     weights the position residuals by ``W``, the velocity residuals by
     ``Ucorr``, and couples them through the symmetric PSD square roots
     ``W^(1/2) Ucorr^(1/2)``.  Identity matrices reduce this exactly to
-    :func:`gcv_score`.
+    :func:`gcv_score`.  With at most tridiagonal ``W``/``Ucorr`` (AR(1)
+    precisions) the fit and traces are O(n) by the banded route and the
+    numerator's ``cross`` product O(n^2); wider matrices are O(n^3).
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
     value = _gcv_correlated_value(_design_for(t, lam, cfg), y, v, 1.0, gamma, corr)
@@ -249,7 +268,7 @@ def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
 def _gcv_correlated_value(design, y, v, lam, gamma, corr: CorrelationSpec):
     """:func:`gcv_correlated` with the penalty of ``design`` times ``lam``."""
     n = design.n
-    r, rp, diags = _residuals(_scaled(design, lam), y, v, gamma, corr.W, corr.Ucorr)
+    r, rp, diags = _residuals(_scaled(design, lam), y, v, gamma, corr)
     k, den = _trace_factors(*(np.sum(d) for d in diags), gamma, n)
     terms = _correlated_numerator_terms(r, rp, k, corr)
     return float(n * sum(terms) / den**2)
@@ -314,7 +333,10 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
 
     The penalty is linear in lam, so the unit-lam penalty is assembled
     once and scaled for each score.  Without ``corr`` every score is O(n)
-    (banded route); "gcv-corr" is dense, O(n^3) per score.
+    (banded route).  "gcv-corr" takes the banded route too when ``W`` and
+    ``Ucorr`` are at most tridiagonal (plus the O(n^2) ``cross`` product
+    of its numerator) and is dense, O(n^3) per score, only for wider
+    matrices.
     """
     t, y, v, _, _ = _check_inputs(t, y, v, 1.0, 1.0)
     if criterion == "cv":

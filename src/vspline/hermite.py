@@ -13,13 +13,15 @@ Cardinality makes the value and derivative design matrices identity
 blocks, so they are never formed, and the hat matrices are plain
 sub-blocks of the inverse normal matrix ``A``.  With the unknowns
 interleaved as (value_0, slope_0, value_1, ...) each knot interval couples
-four consecutive unknowns, so ``A`` has bandwidth 3.  Without error
-weights (``W = Ucorr = None``) the fit and the hat diagonals that the
-cross-validation identities of :mod:`vspline.gcv` need come from one
-banded Cholesky factorization and the selected-inverse recursion on its
-band: O(n) time and memory, no 2n-by-2n matrix.  General ``W``/``Ucorr``
-fill ``A`` in, so that route, and the full hat blocks of
-:func:`hat_matrices`, stay dense.
+four consecutive unknowns, so ``A`` has bandwidth 3.  Error weights
+``W``/``Ucorr`` that are at most tridiagonal (none, diagonal weights, or
+AR(1) precisions) keep that bandwidth, and then the fit and the hat
+diagonals that the cross-validation identities of :mod:`vspline.gcv`
+need come from one banded Cholesky factorization and the
+selected-inverse recursion on its band: O(n) time and memory, no
+2n-by-2n matrix.  Wider ``W``/``Ucorr`` fill ``A`` in, so that route,
+and the full hat blocks of :func:`hat_matrices` and
+:func:`hat_matrices_correlated`, stay dense.
 """
 
 from __future__ import annotations
@@ -266,9 +268,9 @@ def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=
     (values, then slopes) and, given data, the right-hand side
     ``[W y; gamma Ucorr v]``.
 
-    The dense route: correlated errors and the full hat blocks.
-    ``W``/``Ucorr`` default to the identity, which is added on the
-    diagonal rather than multiplied in.
+    The dense route: ``W``/``Ucorr`` wider than tridiagonal, and the full
+    hat blocks.  ``W``/``Ucorr`` default to the identity, which is added
+    on the diagonal rather than multiplied in.
     """
     n = design.n
     gamma, y, v = _check_normal_args(n, gamma, y, v, W, Ucorr)
@@ -292,32 +294,91 @@ def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=
                                 gamma * (v if Ucorr is None else Ucorr @ v)])
 
 
-def _normal_band(design: DesignMatrices, gamma: float) -> np.ndarray:
-    """Lower band of the uncorrelated ``A = diag(1, gamma, 1, gamma, ...) + n omega``."""
+def _tridiagonal_band(M, n):
+    """The (2, n) lower band of a symmetric tridiagonal ``M``: its diagonal,
+    then its first subdiagonal (last entry zero).
+
+    The identity for ``None``; ``None`` when ``M`` is not exactly
+    symmetric or has a nonzero entry beyond its first sub- and
+    superdiagonal.
+    """
+    band = np.zeros((2, n))
+    if M is None:
+        band[0] = 1.0
+        return band
+    M = np.asarray(M, dtype=float)
+    band[0] = np.diagonal(M)
+    band[1, :-1] = np.diagonal(M, -1)
+    if not np.array_equal(np.diagonal(M, 1), band[1, :-1]):
+        return None
+    # every nonzero of M must lie on the three diagonals just read
+    if np.count_nonzero(M) != np.count_nonzero(band[0]) + 2 * np.count_nonzero(band[1]):
+        return None
+    return band
+
+
+def _error_bands(W, Ucorr, n):
+    """The tridiagonal bands of ``W`` and ``Ucorr`` (identity for ``None``),
+    or ``None`` when either is wider, which leaves only the dense route.
+
+    O(n^2) to detect, so a caller that scores one pair of matrices many
+    times detects once and passes the result on.
+    """
+    bands = (_tridiagonal_band(W, n), _tridiagonal_band(Ucorr, n))
+    return None if bands[0] is None or bands[1] is None else bands
+
+
+def _band_matvec(band, x):
+    """``M x`` for the symmetric tridiagonal ``M`` of a (2, n) lower band."""
+    out = band[0] * x
+    out[1:] += band[1, :-1] * x[:-1]
+    out[:-1] += band[1, :-1] * x[1:]
+    return out
+
+
+def _normal_band(design: DesignMatrices, gamma: float, bands=None) -> np.ndarray:
+    """Lower band of ``A = blockdiag(W, gamma Ucorr) + n omega``, interleaved.
+
+    ``bands`` are the tridiagonal bands of ``W`` and ``Ucorr``; ``None``
+    means both are the identity.  Value ``i`` is unknown ``2i`` and slope
+    ``i`` is ``2i + 1``, so ``W[i, i]`` and ``W[i + 1, i]`` land on band
+    rows 0 and 2 of the even columns and ``gamma Ucorr`` on the same rows
+    of the odd columns: ``A`` keeps the penalty's bandwidth 3.
+    """
     ab = design.n * design.band
-    ab[0, 0::2] += 1.0
-    ab[0, 1::2] += gamma
+    if bands is None:
+        ab[0, 0::2] += 1.0
+        ab[0, 1::2] += gamma
+        return ab
+    w, u = bands
+    ab[0::2, 0::2] += w
+    ab[0::2, 1::2] += gamma * u
     return ab
 
 
-def _banded_fit(design: DesignMatrices, y, v, gamma):
-    """Uncorrelated fit by banded Cholesky: the coefficients (values, then
-    slopes) and the band of the factor ``L``, ``A = L L'``."""
+def _banded_fit(design: DesignMatrices, y, v, gamma, bands=None):
+    """Fit by banded Cholesky for ``W``/``Ucorr`` with tridiagonal ``bands``
+    (identity for ``None``; checked arguments): the coefficients (values,
+    then slopes) and the band of the factor ``L``, ``A = L L'``."""
     n = design.n
-    gamma, y, v = _check_normal_args(n, gamma, y, v)
     try:
-        L = cholesky_banded(_normal_band(design, gamma), lower=True)
+        L = cholesky_banded(_normal_band(design, gamma, bands), lower=True)
     except np.linalg.LinAlgError as exc:
         raise _not_positive_definite(exc)
     rhs = np.empty(2 * n)
-    rhs[0::2] = y
-    rhs[1::2] = gamma * v
+    if bands is None:
+        rhs[0::2] = y
+        rhs[1::2] = gamma * v
+    else:
+        rhs[0::2] = _band_matvec(bands[0], y)
+        rhs[1::2] = gamma * _band_matvec(bands[1], v)
     x = cho_solve_banded((L, True), rhs)
     return np.concatenate([x[0::2], x[1::2]]), L
 
 
 def _band_inverse_diagonals(L):
-    """Diagonal and first subdiagonal of ``Z = A^-1`` from the band of ``L``.
+    """The band of ``Z = A^-1`` from the band of ``L``, in the same layout:
+    row ``r`` of the returned (4, size) array holds ``Z[j + r, j]``.
 
     The selected-inverse recursion (Takahashi, Fagan & Chin 1973;
     Hutchinson & de Hoog 1985): ``L' Z = L^-1`` gives, for
@@ -327,8 +388,12 @@ def _band_inverse_diagonals(L):
 
     which reads ``Z`` only inside the band of the three later columns.
     One backward sweep over the columns carries those six entries, so the
-    cost is O(size) scalar operations and no inverse is formed.  The band
-    must be zero past the end of each row, as every band here is.
+    cost is O(size) scalar operations and no inverse is formed.  The sweep
+    keeps the diagonal and first subdiagonal; the second and third
+    subdiagonals follow from the same formula afterwards, vectorized, with
+    the same operations in the same order as inside the sweep.  The band
+    must be zero past the end of each row, as every band here is; the
+    returned band is zero there too.
     """
     inv = 1.0 / L[0]
     ratios = L[1:] * inv
@@ -343,7 +408,44 @@ def _band_inverse_diagonals(L):
         diag.append(z)
         sub.append(a1)
         z11, z21, z31, z22, z32, z33 = z, a1, a2, z11, z21, z22
-    return np.array(diag[::-1]), np.array(sub[::-1])
+    size = L.shape[1]
+    zb = np.zeros((4, size + 3))   # zero padding stands for Z past the end
+    zb[0, :size] = diag[::-1]
+    zb[1, :size] = sub[::-1]
+    l1, l2, l3 = ratios
+    zb[2, :size] = -(l1 * zb[1, 1:size + 1] + l2 * zb[0, 2:size + 2] + l3 * zb[1, 2:size + 2])
+    zb[3, :size] = -(l1 * zb[2, 1:size + 1] + l2 * zb[1, 2:size + 2] + l3 * zb[0, 3:size + 3])
+    return zb[:, :size]
+
+
+def _hat_diagonals(zb, bands):
+    """The hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` from the band ``zb`` of
+    ``Z = A^-1`` and the tridiagonal bands of ``W`` and ``Ucorr``.
+
+    With ``Zvv``, ``Zvs``, ``Zsv``, ``Zss`` the value/slope blocks of
+    ``Z``, the hat blocks are ``S = Zvv W``, ``T = Zvs Ucorr``,
+    ``U = Zsv W`` and ``V = Zss Ucorr``.  A tridiagonal weight reaches only
+    the neighbouring knots, so each diagonal entry sums three products,
+    e.g. ``S_ii = Zvv[i, i] W[i, i] + Zvv[i, i-1] W[i-1, i] +
+    Zvv[i, i+1] W[i+1, i]``, all inside the band of ``Z``.
+    """
+    (w0, w1), (u0, u1) = bands
+    zvv, zss = zb[0, 0::2], zb[0, 1::2]            # Z[v_i, v_i], Z[s_i, s_i]
+    zsv = zb[1, 0::2]                              # Z[s_i, v_i]
+    zvs_next = zb[1, 1::2]                         # Z[v_i+1, s_i]
+    zvv_next, zss_next = zb[2, 0::2], zb[2, 1::2]  # Z[v_i+1, v_i], Z[s_i+1, s_i]
+    zsv_next = zb[3, 0::2]                         # Z[s_i+1, v_i]
+
+    def diagonal(own, weight, after, before, sub):
+        # own_i weight_i + after_i sub_i + before_(i-1) sub_(i-1)
+        out = own * weight + after * sub
+        out[1:] += before[:-1] * sub[:-1]
+        return out
+
+    return (diagonal(zvv, w0, zvv_next, zvv_next, w1),
+            diagonal(zsv, u0, zsv_next, zvs_next, u1),
+            diagonal(zsv, w0, zvs_next, zsv_next, w1),
+            diagonal(zss, u0, zss_next, zss_next, u1))
 
 
 def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.ndarray:
@@ -352,12 +454,18 @@ def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.nda
     Minimizes the W-weighted position residual plus gamma times the
     Ucorr-weighted velocity residual (both divided by the sample count)
     plus the curvature penalty ``theta' omega theta``.  ``W``/``Ucorr``
-    default to identity (uncorrelated errors), solved in O(n) by banded
-    Cholesky; zeroing a sample's weights leaves it out while keeping the
-    objective's normalization.
+    default to identity (uncorrelated errors).  When both are at most
+    tridiagonal (diagonal weights, AR(1) precisions) the fit is O(n) by
+    banded Cholesky; wider matrices take the dense O(n^3) route.  Zeroing
+    a sample's weights leaves it out while keeping the objective's
+    normalization.
     """
+    gamma, y, v = _check_normal_args(design.n, gamma, y, v, W, Ucorr)
     if W is None and Ucorr is None:
         return _banded_fit(design, y, v, gamma)[0]
+    bands = _error_bands(W, Ucorr, design.n)
+    if bands is not None:
+        return _banded_fit(design, y, v, gamma, bands)[0]
     cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
     return cho_solve(cho, rhs)
 
@@ -389,19 +497,28 @@ def _hat_blocks(Ainv, W=None, Ucorr=None) -> HatMatrices:
     return HatMatrices(S=S, T=T, U=U, V=V)
 
 
-def _fit_and_diagonals(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None):
+def _fit_and_diagonals(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None,
+                       bands=None):
     """Coefficients and the hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` from
     one factorization of ``A``.
 
-    Without error weights: banded Cholesky plus the selected inverse, O(n)
-    (``U_ii = T_ii`` there).  With ``W``/``Ucorr``: one dense ``cho_solve``
-    on ``[rhs | I]`` (a direct solve for the coefficients, never ``A^-1``
-    times the data).
+    Banded, O(n), when ``W`` and ``Ucorr`` are both ``None`` (identity) or
+    the caller passes ``bands``, their tridiagonal bands from
+    :func:`_error_bands`: banded Cholesky, the selected inverse, and the
+    diagonals from the band of ``A^-1``.  Otherwise dense: one
+    ``cho_solve`` on ``[rhs | I]`` (a direct solve for the coefficients,
+    never ``A^-1`` times the data).
     """
+    gamma, y, v = _check_normal_args(design.n, gamma, y, v, W, Ucorr)
     if W is None and Ucorr is None:
+        # identity weights: the hat diagonals are entries of A^-1 itself, so
+        # the weighted sums of _hat_diagonals (same values) are skipped
         theta, L = _banded_fit(design, y, v, gamma)
-        z, z_sub = _band_inverse_diagonals(L)
-        return theta, (z[0::2], z_sub[0::2], z_sub[0::2], z[1::2])
+        zb = _band_inverse_diagonals(L)
+        return theta, (zb[0, 0::2], zb[1, 0::2], zb[1, 0::2], zb[0, 1::2])
+    if bands is not None:
+        theta, L = _banded_fit(design, y, v, gamma, bands)
+        return theta, _hat_diagonals(_band_inverse_diagonals(L), bands)
     cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
     sol = cho_solve(cho, np.column_stack([rhs, np.eye(rhs.size)]))
     hats = _hat_blocks(sol[:, 1:], W, Ucorr)

@@ -39,6 +39,22 @@ def jittered_knots(rng, n, lo=0.05, hi=0.95):
     return t
 
 
+def ar1_precision(n, phi):
+    """Precision matrix of a unit-variance AR(1) sequence: tridiagonal SPD."""
+    P = np.diag(np.full(n, 1.0 + phi * phi))
+    P[0, 0] = P[-1, -1] = 1.0
+    i = np.arange(n - 1)
+    P[i + 1, i] = P[i, i + 1] = -phi
+    return P / (1.0 - phi * phi)
+
+
+def random_tridiagonal_spd(rng, n):
+    """An AR(1) precision with random phi, rescaled by a random positive diagonal."""
+    d = np.sqrt(rng.uniform(0.3, 3.0, n))
+    M = d[:, None] * ar1_precision(n, rng.uniform(-0.9, 0.9)) * d[None, :]
+    return (M + M.T) / 2   # the products above round differently across the diagonal
+
+
 def random_instance(rng, n_range=(4, 16), lam_range=(1e-3, 1.0),
                     gamma_range=(0.05, 20.0), weighted=None):
     """A random fitting problem: smooth signal plus noise at random knots."""

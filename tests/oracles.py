@@ -233,14 +233,15 @@ def gp_joint_posterior(t, y, v, t_eval, cfg, beta, rho, lam, gamma):
 
 
 def mp_band_inverse_diagonals(ab, digits=40):
-    """Diagonal and first subdiagonal of ``A^-1`` for a symmetric band matrix.
+    """All ``p + 1`` band rows of ``A^-1`` for a symmetric band matrix.
 
     ``ab`` is the lower band in scipy's layout (row ``r`` holds the r-th
-    subdiagonal).  Its double-precision entries are taken exactly, then
-    factored by banded Cholesky and inverted inside the band by the
-    selected-inverse recursion, all in ``digits``-digit mpmath arithmetic,
-    so the result is the exact answer for that band up to the final
-    rounding to double.
+    subdiagonal), and so is the result: ``out[r, j] = A^-1[j + r, j]``,
+    zero past the end of each row.  The double-precision entries of ``ab``
+    are taken exactly, then factored by banded Cholesky and inverted
+    inside the band by the selected-inverse recursion, all in
+    ``digits``-digit mpmath arithmetic, so the result is the exact answer
+    for that band up to the final rounding to double.
     """
     import mpmath
 
@@ -265,6 +266,7 @@ def mp_band_inverse_diagonals(ab, digits=40):
             for i in later:
                 Z[i, j] = -mpmath.fsum(L[k, j] * z(i, k) for k in later) / L[j, j]
             Z[j, j] = (1 / L[j, j] - mpmath.fsum(L[k, j] * Z[k, j] for k in later)) / L[j, j]
-        diag = np.array([float(Z[j, j]) for j in range(size)])
-        sub = np.array([float(Z[j + 1, j]) for j in range(size - 1)])
-    return diag, sub
+        out = np.zeros((p + 1, size))
+        for r in range(p + 1):
+            out[r, :size - r] = [float(Z[j + r, j]) for j in range(size - r)]
+    return out

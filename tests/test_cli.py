@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import ar1_precision
 from vspline.cli import main, simulate_dataset
 from vspline.errors import DegenerateGridError
 from vspline.fit import rescale_domain
@@ -183,6 +184,33 @@ class TestFit:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["method"] == "hermite-basis"
 
+    def test_tridiagonal_corr_file_runs_banded(self, tmp_path, monkeypatch):
+        # AR(1) precision blocks: fit and select factor only banded
+        import vspline.hermite as hermite_mod
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "12", "--noise", "0.1",
+              "--seed", "4", "--out", str(data)])
+        corr = tmp_path / "c.csv"
+        np.savetxt(corr, np.vstack([ar1_precision(12, 0.5), ar1_precision(12, 0.3)]),
+                   delimiter=",")
+        calls = []
+        for name in ("cho_factor", "cholesky_banded"):
+            def counting(*args, _name=name, _real=getattr(hermite_mod, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(hermite_mod, name, counting)
+        assert main(["fit", str(data), "--lambda", "0.01", "--gamma", "1",
+                     "--corr", str(corr), "--out", str(tmp_path / "f.json")]) == 0
+        assert main(["select", str(data), "--criterion", "gcv-corr", "--corr", str(corr),
+                     "--lambda-steps", "3", "--gamma-steps", "3",
+                     "--out", str(tmp_path / "s.json")]) == 0
+        assert calls and set(calls) == {"cholesky_banded"}
+        fit = json.loads((tmp_path / "f.json").read_text())
+        sel = json.loads((tmp_path / "s.json").read_text())
+        assert fit["method"] == sel["method"] == "hermite-basis"
+        assert set(sel) - set(fit) == {"selection"}
+
 
 class TestSelect:
     def test_pipeline_interior_minimum_and_determinism(self, tmp_path):
@@ -202,6 +230,26 @@ class TestSelect:
         assert 1e-7 <= lam <= 10.0  # interior of the default 1e-8..1e2 grid
         _, surface = _read_csv(rep1["selection"]["surface_file"])
         assert surface.shape == (15 * 13, 3)
+        assert rep1["selection"]["at_bound"]["lambda"] is False
+
+    def test_selection_on_a_bound_is_reported_and_warned(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "30", "--noise", "0.05",
+              "--seed", "3", "--out", str(data)])
+        capsys.readouterr()
+        out = tmp_path / "sel.json"
+        # low noise wants far less smoothing than lambda >= 1 allows
+        assert main(["select", str(data), "--lambda-min", "1", "--lambda-max", "100",
+                     "--lambda-steps", "3", "--gamma-steps", "1", "--grid", "20",
+                     "--out", str(out)]) == 0
+        selection = json.loads(out.read_text())["selection"]
+        assert selection["lambda"] == 1.0
+        # a one-point axis is not searched, so it is never on a bound
+        assert selection["at_bound"] == {"lambda": True, "gamma": False}
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("warning: selected lambda=1 on the search bound")
+        assert "--lambda-min/--lambda-max" in err and "gamma" not in err
 
     def test_cv_close_to_gcv_on_equispaced_case(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_config, random_instance, random_knots
+from conftest import ar1_precision, random_config, random_instance, random_knots
 from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
                      build_design, cv_brute_force, cv_closed_form, fit_theta,
                      gcv_correlated, gcv_score, hat_matrices_correlated, optimize_params)
-from vspline.gcv import (_correlated_numerator_terms, _cv_from_diagonals,
-                         _gcv_from_traces, _golden_min, _psd_sqrt)
+from vspline.gcv import (_correlated_numerator_terms, _cv_from_diagonals, _design_for,
+                         _gcv_correlated_value, _gcv_from_traces, _golden_min,
+                         _psd_sqrt)
 
 UNIFORM = KernelConfig.uniform()
 
@@ -78,6 +79,19 @@ class TestOneFactorization:
             calls.clear()
             score()
             assert calls == expect
+        # AR(1) precision blocks are tridiagonal: the correlated route, the
+        # correlated fit and the zero-weight refits stay banded
+        n = t.size
+        prec = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
+        design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
+        for score, expect in (
+                (lambda: gcv_correlated(t, y, v, lam, gamma, cfg, prec), ["cholesky_banded"]),
+                (lambda: fit_theta(design, y, v, gamma, prec.W, prec.Ucorr),
+                 ["cholesky_banded"]),
+                (lambda: cv_brute_force(t, y, v, lam, gamma, cfg), ["cholesky_banded"] * n)):
+            calls.clear()
+            score()
+            assert calls == expect
 
 
 class TestBandedMemory:
@@ -99,6 +113,25 @@ class TestBandedMemory:
                 tracemalloc.stop()
             assert np.all(np.isfinite(out))
             assert peak < dense_bytes / 100
+
+    def test_tridiagonal_correlated_route_allocates_no_dense_matrix(self):
+        # the spec itself holds n-by-n matrices; a score and a fit may not
+        # allocate even one more (a quarter of one 2n-by-2n array)
+        n = 600
+        t = np.linspace(0.05, 0.95, n)
+        y = np.sin(6 * t)
+        v = 6 * np.cos(6 * t)
+        corr = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
+        for run in (lambda: gcv_correlated(t, y, v, 1e-6, 1.0, UNIFORM, corr).value,
+                    lambda: fit_theta(build_design(t, 1e-6), y, v, 1.0, corr.W, corr.Ucorr)):
+            tracemalloc.start()
+            try:
+                out = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.all(np.isfinite(out))
+            assert peak < 8 * n * n
 
 
 class TestClassicalReduction:
@@ -156,6 +189,8 @@ class TestCorrelationSpec:
             CorrelationSpec(W=np.eye(2), Ucorr=np.array([[1.0, 0.5], [0.4, 1.0]]))
         spec = CorrelationSpec(W=_ar1(4, 0.5), Ucorr=np.eye(4))
         assert spec.W.shape == (4, 4)
+        # exactly symmetric input is stored bit-identically
+        np.testing.assert_array_equal(spec.W, _ar1(4, 0.5))
         # the hermite layer checks the same matrices and gamma
         design = build_design(np.array([0.2, 0.5, 0.8]), 0.1)
         with pytest.raises(ValueError, match="W must be"):
@@ -164,7 +199,45 @@ class TestCorrelationSpec:
             hat_matrices_correlated(design, -1.0, np.eye(3), np.eye(3))
 
 
+    def test_small_asymmetry_stored_symmetric(self):
+        # an accepted 1e-12 asymmetry is averaged away, so the dense route
+        # (which reads the lower triangle of A but all of W for W y) and the
+        # banded route (which reads the lower band) see one matrix
+        rng = np.random.default_rng(20)
+        n = 12
+        t = random_knots(rng, n)
+        y, v = rng.standard_normal((2, n))
+        W, U = ar1_precision(n, 0.5), ar1_precision(n, 0.3)
+        W_skew = W.copy()
+        W_skew[2, 3] += 1e-12
+        spec = CorrelationSpec(W=W_skew, Ucorr=U)
+        np.testing.assert_array_equal(spec.W, spec.W.T)
+        np.testing.assert_array_equal(spec.W, (W_skew + W_skew.T) / 2)
+        assert spec._bands is not None
+        design = build_design(t, 0.01)
+        banded = fit_theta(design, y, v, 0.7, spec.W, spec.Ucorr)
+        dense = fit_theta(design, y, v, 0.7, W_skew, U)   # wider than its band: dense
+        np.testing.assert_allclose(banded, dense, rtol=1e-9, atol=1e-12)
+
+
 class TestCorrelatedGcv:
+    def test_banded_and_dense_scores_agree(self):
+        # the same AR(1) precision spec scored on both routes, lam <= 1
+        rng = np.random.default_rng(21)
+        n = 40
+        t = np.linspace(0.05, 0.95, n)
+        y = np.sin(2 * np.pi * t) + 0.1 * rng.standard_normal(n)
+        v = 2 * np.pi * np.cos(2 * np.pi * t) + 0.1 * rng.standard_normal(n)
+        banded = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
+        dense = CorrelationSpec(W=banded.W, Ucorr=banded.Ucorr)
+        object.__setattr__(dense, "_bands", None)   # force the dense route
+        unit = _design_for(t, 1.0, UNIFORM)
+        for lam in np.geomspace(1e-8, 1.0, 9):
+            for gamma in np.geomspace(1e-4, 1e4, 9):
+                got = _gcv_correlated_value(unit, y, v, lam, gamma, banded)
+                want = _gcv_correlated_value(unit, y, v, lam, gamma, dense)
+                assert got == pytest.approx(want, rel=1e-8)
+
     def test_identity_matrices_reduce_to_plain_gcv(self):
         rng = np.random.default_rng(6)
         t, y, v, cfg, lam, gamma = random_instance(rng, weighted=False)

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import jittered_knots, random_config, random_instance, random_knots
+from scipy.linalg import cho_solve, cholesky_banded
+
+from conftest import (ar1_precision, jittered_knots, random_config, random_instance,
+                      random_knots, random_tridiagonal_spd)
 from vspline import (HermiteBasis, KernelConfig, SingularSystemError, build_design,
                      build_gram, fit_theta, fit_vspline, hat_matrices,
                      hat_matrices_correlated, penalty_gram, solve_coefficients)
-from vspline.hermite import _fit_and_diagonals, _normal_band
+from vspline.hermite import (_band_inverse_diagonals, _error_bands, _factor_normal,
+                             _fit_and_diagonals, _normal_band)
 
 UNIFORM = KernelConfig.uniform()
 
@@ -262,9 +266,16 @@ def _max_rel(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+def _dense_theta(design, y, v, gamma, W=None, Ucorr=None):
+    """The coefficients by dense Cholesky, whatever the bandwidth of W/Ucorr."""
+    cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
+    return cho_solve(cho, rhs)
+
+
 class TestBandedEngine:
-    """The O(n) route of the uncorrelated fit against the dense route and
-    against a 40-digit evaluation of the same band."""
+    """The O(n) route, without error weights and with tridiagonal ones,
+    against the dense route and against a 40-digit evaluation of the same
+    band."""
 
     def test_matches_dense_route(self):
         rng = np.random.default_rng(16)
@@ -280,8 +291,7 @@ class TestBandedEngine:
                 design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
                 theta, diags = _fit_and_diagonals(design, y, v, gamma)
                 np.testing.assert_array_equal(fit_theta(design, y, v, gamma), theta)
-                eye = np.eye(n)  # explicit identity weights take the dense route
-                assert _max_rel(theta, fit_theta(design, y, v, gamma, W=eye, Ucorr=eye)) < 1e-7
+                assert _max_rel(theta, _dense_theta(design, y, v, gamma)) < 1e-7
                 hats = hat_matrices(design, gamma)
                 for got, block in zip(diags, (hats.S, hats.T, hats.U, hats.V)):
                     assert _max_rel(got, np.diag(block)) < 1e-7
@@ -295,12 +305,71 @@ class TestBandedEngine:
         y, v = rng.standard_normal((2, n))
         for lam in (1e-4, 1e-2):
             design = build_design(t, lam * weights, lam_breakpoints=breaks)
-            z, z_sub = oracles.mp_band_inverse_diagonals(_normal_band(design, 1.0))
+            zb = oracles.mp_band_inverse_diagonals(_normal_band(design, 1.0))
+            z, z_sub = zb[0], zb[1]
             _, (s_diag, t_diag, u_diag, v_diag) = _fit_and_diagonals(design, y, v, 1.0)
             np.testing.assert_allclose(s_diag, z[0::2], rtol=1e-6)
             np.testing.assert_allclose(v_diag, z[1::2], rtol=1e-6)
             assert _max_rel(t_diag, z_sub[0::2]) < 1e-6
             np.testing.assert_array_equal(u_diag, t_diag)
+
+    def test_tridiagonal_weights_match_dense_route(self):
+        # AR(1) precisions with random phi and scale, the diagonal
+        # zero-weight matrices of a leave-one-out refit, and W alone
+        rng = np.random.default_rng(18)
+        for case in range(80):
+            n = int(rng.integers(4, 41))
+            t = jittered_knots(rng, n)
+            cfg = random_config(rng, knots=t) if case % 8 >= 4 else UNIFORM
+            lam = 10.0 ** rng.uniform(-4.0, 0.0)
+            gamma = 10.0 ** rng.uniform(np.log10(0.05), np.log10(20.0))
+            y = np.sin(2 * np.pi * t) + 0.15 * rng.standard_normal(n)
+            v = 2 * np.pi * np.cos(2 * np.pi * t) + 0.15 * rng.standard_normal(n)
+            if case % 4 == 2:
+                W = Ucorr = np.diag((np.arange(n) != rng.integers(n)).astype(float))
+            elif case % 4 == 3:
+                W, Ucorr = random_tridiagonal_spd(rng, n), None
+            else:
+                W, Ucorr = random_tridiagonal_spd(rng, n), random_tridiagonal_spd(rng, n)
+            design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
+            bands = _error_bands(W, Ucorr, n)
+            assert bands is not None
+            theta, diags = _fit_and_diagonals(design, y, v, gamma, W, Ucorr, bands)
+            np.testing.assert_array_equal(fit_theta(design, y, v, gamma, W, Ucorr), theta)
+            assert _max_rel(theta, _dense_theta(design, y, v, gamma, W, Ucorr)) < 1e-7
+            hats = hat_matrices_correlated(design, gamma, W, Ucorr)
+            for got, block in zip(diags, (hats.S, hats.T, hats.U, hats.V)):
+                assert _max_rel(got, np.diag(block)) < 1e-7
+
+    def test_wider_weights_take_dense_route(self):
+        n = 6
+        P = ar1_precision(n, 0.5)
+        assert _error_bands(P, np.eye(n), n) is not None
+        assert _error_bands(None, np.diag(np.arange(1.0, n + 1)), n) is not None
+        wide = P.copy()
+        wide[3, 0] = wide[0, 3] = 0.1
+        assert _error_bands(wide, P, n) is None
+        skew = P.copy()
+        skew[1, 0] += 1e-12   # not exactly symmetric: the dense route, as given
+        assert _error_bands(P, skew, n) is None
+
+    def test_band_rows_match_high_precision_oracle(self):
+        # all four band rows of A^-1 with AR(1) precision weights, n = 300
+        rng = np.random.default_rng(19)
+        n = 300
+        t = jittered_knots(rng, n)
+        breaks = np.concatenate([[0.0], t, [1.0]])
+        weights = rng.uniform(0.3, 3.0, n + 1)
+        bands = _error_bands(ar1_precision(n, 0.5), ar1_precision(n, 0.3), n)
+        for lam, gamma in ((1e-4, 1.0), (1e-2, 0.2)):
+            design = build_design(t, lam * weights, lam_breakpoints=breaks)
+            ab = _normal_band(design, gamma, bands)
+            want = oracles.mp_band_inverse_diagonals(ab)
+            got = _band_inverse_diagonals(cholesky_banded(ab, lower=True))
+            assert got.shape == want.shape == (4, 2 * n)
+            for r in range(4):
+                assert _max_rel(got[r], want[r]) < 1e-6
+                assert not np.any(got[r, 2 * n - r:])
 
     def test_singular_band_raises_singular_system_error(self):
         # no penalty and no velocity weight leaves the slopes undetermined

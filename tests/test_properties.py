@@ -1,13 +1,19 @@
-"""Property tests of the basis route's shared fit/hat factorization."""
+"""Property tests of the basis route's shared fit/hat factorization and of
+the command line's raw time axis."""
+
+import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_knots
+from conftest import random_knots, random_tridiagonal_spd
 from vspline import (KernelConfig, build_design, cv_brute_force, cv_closed_form,
                      fit_theta)
+from vspline.cli import main
 
 # deterministic and small, so the suite's run time barely moves
 PROPERTY = settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -20,7 +26,8 @@ def _spd(rng, n):
 
 @st.composite
 def problems(draw, correlated):
-    """Knots, knot-aligned weights in 0.3-3, (lam, gamma) and, if asked, SPD W/Ucorr."""
+    """Knots, knot-aligned weights in 0.3-3, (lam, gamma) and, if asked, SPD
+    W/Ucorr: dense (the dense route) or tridiagonal (the banded route)."""
     n = draw(st.integers(3, 12))
     lam = 10.0 ** draw(st.floats(-4.0, 0.0))
     gamma = draw(st.one_of(st.just(0.0), st.floats(-2.0, 1.3).map(lambda e: 10.0**e)))
@@ -28,7 +35,12 @@ def problems(draw, correlated):
     t = random_knots(rng, n)
     cfg = KernelConfig.piecewise(np.concatenate([[0.0], t, [1.0]]),
                                  rng.uniform(0.3, 3.0, n + 1))
-    mats = (_spd(rng, n), _spd(rng, n)) if correlated else (None, None)
+    if not correlated:
+        mats = (None, None)
+    elif draw(st.booleans()):
+        mats = (random_tridiagonal_spd(rng, n), random_tridiagonal_spd(rng, n))
+    else:
+        mats = (_spd(rng, n), _spd(rng, n))
     data = rng.standard_normal((4, n))
     return t, cfg, lam, gamma, mats, data
 
@@ -74,3 +86,44 @@ def test_closed_form_cv_equals_brute_force(problem):
     brute = cv_brute_force(t, y, v, lam, gamma, cfg)
     closed = cv_closed_form(t, y, v, lam, gamma, cfg)
     assert closed.value == pytest.approx(brute.value, rel=1e-6)
+
+
+def _cli_fit(tmp, name, s, y, v, lam, gamma, weights):
+    """Run ``vspline fit`` on raw samples; the report and the curve rows."""
+    data = os.path.join(tmp, name + ".csv")
+    with open(data, "w") as fh:
+        fh.write("t,y,v\n")
+        fh.writelines(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in zip(s, y, v))
+    wfile = os.path.join(tmp, name + ".w")
+    np.savetxt(wfile, weights, fmt="%.17g")
+    out = os.path.join(tmp, name + ".json")
+    assert main(["fit", data, "--lambda", repr(lam), "--gamma", repr(gamma),
+                 "--weights", wfile, "--grid", "25", "--out", out]) == 0
+    with open(out) as fh:
+        report = json.load(fh)
+    return report, np.loadtxt(report["curve_file"], delimiter=",", skiprows=1)
+
+
+@PROPERTY
+@given(problem=problems(correlated=False), shift=st.floats(-100.0, 100.0),
+       log_scale=st.floats(-2.0, 2.0))
+def test_raw_axis_fit_invariant_under_time_shift_and_scale(problem, shift, log_scale):
+    # the command line maps raw times onto the unit axis, so moving and
+    # stretching the raw axis (velocities in raw units) changes no fitted value
+    t, cfg, lam, gamma, _, (y, v, _, _) = problem
+    scale = 10.0 ** log_scale
+    with tempfile.TemporaryDirectory() as tmp:
+        base, base_curve = _cli_fit(tmp, "base", t, y, v, lam, gamma, cfg.weights)
+        moved, moved_curve = _cli_fit(tmp, "moved", shift + scale * t, y, v / scale,
+                                      lam, gamma, cfg.weights)
+    size = 1.0 + np.abs(base["knot_fit"]["f"]).max()
+    np.testing.assert_allclose(moved["knot_fit"]["f"], base["knot_fit"]["f"],
+                               atol=1e-9 * size)
+    np.testing.assert_allclose(scale * np.array(moved["knot_fit"]["df_raw"]),
+                               base["knot_fit"]["df_raw"], atol=1e-8 * size)
+    np.testing.assert_allclose(moved_curve[:, 1], base_curve[:, 1], atol=1e-9 * size)
+    np.testing.assert_allclose(scale * moved_curve[:, 2], base_curve[:, 2],
+                               atol=1e-8 * size)
+    for key in ("trace_s", "trace_v"):
+        assert moved[key] == pytest.approx(base[key], rel=1e-9)
+    assert moved["method"] == base["method"]
