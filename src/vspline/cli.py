@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
-from .fit import fit_vspline, rescale_domain
+from .fit import rescale_domain
 from .gcv import CorrelationSpec, _basis_fit, optimize_params
 from .hermite import build_design
 from .kernels import KernelConfig
@@ -147,7 +147,12 @@ def _surface_path(out_path: str) -> str:
 
 def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
                 selection=None):
-    """Fit at fixed parameters and write the report and curve files."""
+    """Fit at fixed parameters and write the report and curve files.
+
+    Every report comes from the banded Hermite-basis fit: one factorization
+    gives the knot values and slopes and the hat diagonals, and the curve
+    is the cubic Hermite interpolant of that knot fit.
+    """
     tu, yu, vu, scale = rescale_domain(t_raw, y, v, margin=MARGIN)
     n = tu.size
     if weights is not None:
@@ -158,21 +163,10 @@ def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
     design = build_design(tu, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
     theta, (s_diag, _, _, v_diag) = _basis_fit(design, yu, vu, gamma, corr)
 
-    if corr is None and gamma > 0.0:
-        # representer route; agrees with the basis fit and carries (d, c, b)
-        vfit = fit_vspline(tu, yu, vu, cfg, lam, gamma)
-        coefficients = {"d": vfit.d.tolist(), "c": vfit.c.tolist(), "b": vfit.b.tolist()}
-        eval_f = vfit.evaluate
-        eval_fp = vfit.evaluate_deriv
-    else:
-        coefficients = {"values": theta[:n].tolist(), "slopes": theta[n:].tolist()}
-        eval_f = lambda tt: design.basis.evaluate(theta, tt)
-        eval_fp = lambda tt: design.basis.evaluate_deriv(theta, tt)
-
     grid_raw = np.linspace(t_raw[0], t_raw[-1], grid)
     grid_unit = scale.to_unit(grid_raw)
-    f_curve = np.asarray(eval_f(grid_unit))
-    df_curve = np.asarray(eval_fp(grid_unit)) / scale.time_factor
+    f_curve = design.basis.evaluate(theta, grid_unit)
+    df_curve = design.basis.evaluate_deriv(theta, grid_unit) / scale.time_factor
 
     curve_file = _curve_path(out_path)
     _write_rows(curve_file, ["t", "f", "df"],
@@ -184,10 +178,10 @@ def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
         "gamma": float(gamma),
         "weighted": weights is not None,
         "correlated": corr is not None,
-        "method": "representer" if (corr is None and gamma > 0.0) else "hermite-basis",
+        "method": "hermite-basis",
         "trace_s": float(np.sum(s_diag)),
         "trace_v": float(np.sum(v_diag)),
-        "coefficients": coefficients,
+        "coefficients": {"values": theta[:n].tolist(), "slopes": theta[n:].tolist()},
         "domain": {"t_min": float(t_raw[0]), "t_max": float(t_raw[-1]),
                    "margin": MARGIN},
         "curve_file": curve_file,

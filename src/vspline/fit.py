@@ -11,7 +11,9 @@ kernel Gram matrices at the knots; the ridge couples the position penalty
 the vague-prior limit of the Gaussian-process posterior mean (see
 :mod:`vspline.bayes`), and the fitted values agree with the direct
 Hermite-basis regression of :mod:`vspline.hermite`; the test suite checks
-all three routes against each other.
+all three routes against each other.  The command line reports the
+basis fit only; this O(n^3) route is a library function and the
+reference the basis fit is checked against.
 """
 
 from __future__ import annotations

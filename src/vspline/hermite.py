@@ -63,23 +63,25 @@ class HermiteBasis:
     def n(self) -> int:
         return self.knots.size
 
-    def _pieces(self, t):
-        """Interval index, local coordinate, and length for each t."""
-        k = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, self.n - 2)
-        h = self.knots[k + 1] - self.knots[k]
-        x = (t - self.knots[k]) / h
-        return k, x, h
-
-    def evaluate(self, theta, t):
-        """Value of the combination ``theta`` at ``t`` in [0, 1]."""
+    def _locate(self, theta, t):
+        """Checked ``theta`` and points, the knot values and slopes, and the
+        interval index, local coordinate and length of each point."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (2 * self.n,):
             raise ValueError(f"theta must have shape ({2 * self.n},)")
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(tt < 0.0) or np.any(tt > 1.0) or not np.all(np.isfinite(tt)):
             raise ValueError("evaluation points must lie in [0, 1]")
-        vals, slopes = theta[:self.n], theta[self.n:]
-        k, x, h = self._pieces(tt)
+        k = np.clip(np.searchsorted(self.knots, tt, side="right") - 1, 0, self.n - 2)
+        h = self.knots[k + 1] - self.knots[k]
+        return tt, theta[:self.n], theta[self.n:], k, (tt - self.knots[k]) / h, h
+
+    def evaluate(self, theta, t):
+        """Value of the combination ``theta`` at ``t`` in [0, 1].
+
+        O(log n) per point: each point finds its knot interval by bisection.
+        """
+        tt, vals, slopes, k, x, h = self._locate(theta, t)
         cubic = (vals[k] * (2 * x**3 - 3 * x**2 + 1)
                  + slopes[k] * h * (x**3 - 2 * x**2 + x)
                  + vals[k + 1] * (-2 * x**3 + 3 * x**2)
@@ -92,14 +94,7 @@ class HermiteBasis:
 
     def evaluate_deriv(self, theta, t):
         """First derivative of the combination ``theta`` at ``t``."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (2 * self.n,):
-            raise ValueError(f"theta must have shape ({2 * self.n},)")
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(tt < 0.0) or np.any(tt > 1.0) or not np.all(np.isfinite(tt)):
-            raise ValueError("evaluation points must lie in [0, 1]")
-        vals, slopes = theta[:self.n], theta[self.n:]
-        k, x, h = self._pieces(tt)
+        tt, vals, slopes, k, x, h = self._locate(theta, t)
         cubic = (vals[k] * (6 * x**2 - 6 * x) / h
                  + slopes[k] * (3 * x**2 - 4 * x + 1)
                  + vals[k + 1] * (6 * x - 6 * x**2) / h
@@ -257,6 +252,21 @@ def _check_normal_args(n, gamma, y=None, v=None, W=None, Ucorr=None):
         if y.shape != (n,) or v.shape != (n,):
             raise ValueError(f"y and v must have shape ({n},)")
     return gamma, y, v
+
+
+def _symmetric(M):
+    """The symmetric part ``(M + M') / 2`` of an error-weight matrix
+    (``None`` stays ``None``).
+
+    The dense factorization reads only the lower triangle while ``W @ y``
+    reads all of ``W``, and the banded route is detected only for exact
+    symmetry; on the symmetric part every route solves the same problem.
+    Exactly symmetric input is returned as it is, without a copy.
+    """
+    if M is None:
+        return None
+    M = np.asarray(M, dtype=float)
+    return M if np.array_equal(M, M.T) else (M + M.T) / 2
 
 
 def _not_positive_definite(exc):
@@ -456,13 +466,15 @@ def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.nda
     plus the curvature penalty ``theta' omega theta``.  ``W``/``Ucorr``
     default to identity (uncorrelated errors).  When both are at most
     tridiagonal (diagonal weights, AR(1) precisions) the fit is O(n) by
-    banded Cholesky; wider matrices take the dense O(n^3) route.  Zeroing
-    a sample's weights leaves it out while keeping the objective's
-    normalization.
+    banded Cholesky; wider matrices take the dense O(n^3) route.  Both
+    are read as their symmetric part ``(M + M') / 2``, so rounding
+    asymmetry does not change the route.  Zeroing a sample's weights
+    leaves it out while keeping the objective's normalization.
     """
     gamma, y, v = _check_normal_args(design.n, gamma, y, v, W, Ucorr)
     if W is None and Ucorr is None:
         return _banded_fit(design, y, v, gamma)[0]
+    W, Ucorr = _symmetric(W), _symmetric(Ucorr)
     bands = _error_bands(W, Ucorr, design.n)
     if bands is not None:
         return _banded_fit(design, y, v, gamma, bands)[0]
@@ -505,7 +517,8 @@ def _fit_and_diagonals(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None,
     Banded, O(n), when ``W`` and ``Ucorr`` are both ``None`` (identity) or
     the caller passes ``bands``, their tridiagonal bands from
     :func:`_error_bands`: banded Cholesky, the selected inverse, and the
-    diagonals from the band of ``A^-1``.  Otherwise dense: one
+    diagonals from the band of ``A^-1``.  Otherwise dense, on the
+    symmetric parts ``(M + M') / 2`` of ``W`` and ``Ucorr``: one
     ``cho_solve`` on ``[rhs | I]`` (a direct solve for the coefficients,
     never ``A^-1`` times the data).
     """
@@ -519,6 +532,7 @@ def _fit_and_diagonals(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None,
     if bands is not None:
         theta, L = _banded_fit(design, y, v, gamma, bands)
         return theta, _hat_diagonals(_band_inverse_diagonals(L), bands)
+    W, Ucorr = _symmetric(W), _symmetric(Ucorr)
     cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
     sol = cho_solve(cho, np.column_stack([rhs, np.eye(rhs.size)]))
     hats = _hat_blocks(sol[:, 1:], W, Ucorr)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import oracles
 from conftest import ar1_precision
 from vspline.cli import main, simulate_dataset
+from vspline import KernelConfig, build_gram, fitted_knot_values, solve_coefficients
 from vspline.errors import DegenerateGridError
 from vspline.fit import rescale_domain
 
@@ -84,6 +86,26 @@ class TestSimulate:
             assert "error while parsing flags" in capsys.readouterr().err, flags
         assert not (tmp_path / "r.json").exists()
         assert not (tmp_path / "r.curve.csv").exists()
+
+
+def _hermite_curve(knots, f, df, x):
+    """Cubic Hermite interpolant of values ``f`` and slopes ``df`` at the
+    knots, and its derivative, at ``x`` within the knot range."""
+    k = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2)
+    h = knots[k + 1] - knots[k]
+    s = (x - knots[k]) / h
+    val = (f[k] * (2 * s**3 - 3 * s**2 + 1) + df[k] * h * (s**3 - 2 * s**2 + s)
+           + f[k + 1] * (3 * s**2 - 2 * s**3) + df[k + 1] * h * (s**3 - s**2))
+    der = ((f[k] - f[k + 1]) * (6 * s**2 - 6 * s) / h
+           + df[k] * (3 * s**2 - 4 * s + 1) + df[k + 1] * (3 * s**2 - 2 * s))
+    return val, der
+
+
+def _write_dataset(path, t, y, v):
+    with open(path, "w") as fh:
+        fh.write("t,y,v\n")
+        for row in zip(t, y, v):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 class TestFit:
@@ -210,6 +232,86 @@ class TestFit:
         sel = json.loads((tmp_path / "s.json").read_text())
         assert fit["method"] == sel["method"] == "hermite-basis"
         assert set(sel) - set(fit) == {"selection"}
+
+
+    def test_every_report_comes_from_the_basis_route(self, tmp_path, monkeypatch):
+        # gamma > 0 without --corr, weighted and not, and a select: no Gram
+        # and no representer solve; the curve is the knot fit's cubic
+        import vspline.fit as fit_mod
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "25", "--noise", "0.1",
+              "--seed", "12", "--out", str(data)])
+        wfile = tmp_path / "w.txt"
+        weights = np.random.default_rng(12).uniform(0.3, 3.0, 26)
+        wfile.write_text("".join(repr(float(w)) + "\n" for w in weights))
+        calls = []
+        for name in ("build_gram", "solve_coefficients"):
+            def counting(*args, _name=name, _real=getattr(fit_mod, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(fit_mod, name, counting)
+        runs = {
+            "fit": ["fit", str(data), "--lambda", "1e-3", "--gamma", "1"],
+            "weighted": ["fit", str(data), "--lambda", "1e-3", "--gamma", "1",
+                         "--weights", str(wfile)],
+            "select": ["select", str(data), "--criterion", "cv",
+                       "--lambda-steps", "3", "--gamma-steps", "3"],
+        }
+        _, raw = _read_csv(data)
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.json"
+            assert main(argv + ["--grid", "57", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["method"] == "hermite-basis"
+            assert set(report["coefficients"]) == {"values", "slopes"}
+            _, curve = _read_csv(report["curve_file"])
+            val, der = _hermite_curve(raw[:, 0], np.array(report["knot_fit"]["f"]),
+                                      np.array(report["knot_fit"]["df_raw"]), curve[:, 0])
+            np.testing.assert_allclose(curve[:, 1], val, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(curve[:, 2], der, rtol=0.0, atol=1e-12)
+        assert calls == []
+
+    def test_report_matches_independent_representer_fit(self, tmp_path):
+        # acceptance criterion 5 on the report: knot-aligned weights, n = 300
+        rng = np.random.default_rng(31)
+        n = 300
+        t = 10.0 * (np.arange(n) + 0.5 + rng.uniform(-0.3, 0.3, n)) / n
+        y = np.sin(1.3 * t) + 0.1 * rng.standard_normal(n)
+        v = 1.3 * np.cos(1.3 * t) + 0.1 * rng.standard_normal(n)
+        weights = rng.uniform(0.3, 3.0, n + 1)
+        data, wfile = tmp_path / "d.csv", tmp_path / "w.txt"
+        _write_dataset(data, t, y, v)
+        wfile.write_text("".join(repr(float(w)) + "\n" for w in weights))
+        tu, yu, vu, scale = rescale_domain(t, y, v, margin=0.05)
+        cfg = KernelConfig.piecewise(np.concatenate([[0.0], tu, [1.0]]), weights)
+        for lam in (1e-4, 1e-3, 1e-2):
+            out = tmp_path / "r.json"
+            assert main(["fit", str(data), "--lambda", repr(lam), "--weights", str(wfile),
+                         "--out", str(out)]) == 0
+            knot_fit = json.loads(out.read_text())["knot_fit"]
+            gram = build_gram(tu, cfg, lam, 1.0)
+            vfit = solve_coefficients(gram, yu, vu)
+            f, fp = fitted_knot_values(gram, vfit.d, vfit.c, vfit.b)
+            np.testing.assert_allclose(knot_fit["f"], f, rtol=0.0, atol=1e-6)
+            np.testing.assert_allclose(np.array(knot_fit["df_raw"]) * scale.time_factor, fp,
+                                       rtol=0.0, atol=1e-6)
+
+    def test_report_allocates_no_dense_matrix(self, tmp_path):
+        # one float64 2n-by-2n array would be 800 MB at n = 5000
+        n = 5000
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", str(n), "--noise", "0.1",
+              "--seed", "5", "--out", str(data)])
+        tracemalloc.start()
+        try:
+            rc = main(["fit", str(data), "--lambda", "1e-3", "--gamma", "1",
+                       "--out", str(tmp_path / "r.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 8 * (2 * n) ** 2 / 100
 
 
 class TestSelect:

@@ -353,6 +353,36 @@ class TestBandedEngine:
         skew[1, 0] += 1e-12   # not exactly symmetric: the dense route, as given
         assert _error_bands(P, skew, n) is None
 
+    def test_rounding_asymmetric_weights_take_banded_route(self, monkeypatch):
+        # a rescaled AR(1) precision d_i P_ij d_j rounds differently across
+        # the diagonal; fit_theta reads its symmetric part, which is banded
+        import vspline.hermite as hermite_mod
+        rng = np.random.default_rng(20)
+        n = 40
+        t = jittered_knots(rng, n)
+        y, v = rng.standard_normal((2, n))
+        d = np.sqrt(rng.uniform(0.3, 3.0, n))
+        W = ar1_precision(n, 0.6)
+        Ucorr = d[:, None] * ar1_precision(n, -0.4) * d[None, :]
+        assert not np.array_equal(Ucorr, Ucorr.T)
+        sym = (Ucorr + Ucorr.T) / 2
+        design = build_design(t, 1e-3)
+        calls = []
+        for name in ("cho_factor", "cholesky_banded"):
+            def counting(*args, _name=name, _real=getattr(hermite_mod, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(hermite_mod, name, counting)
+        theta = fit_theta(design, y, v, 0.7, W, Ucorr)
+        assert calls == ["cholesky_banded"]
+        assert _max_rel(theta, _dense_theta(design, y, v, 0.7, W, sym)) < 1e-10
+        # exactly symmetric input is used as it is: bit-identical
+        np.testing.assert_array_equal(fit_theta(design, y, v, 0.7, W, sym), theta)
+        # the dense route of _fit_and_diagonals reads the symmetric part too
+        dense, _ = _fit_and_diagonals(design, y, v, 0.7, W, Ucorr)
+        np.testing.assert_array_equal(dense, _fit_and_diagonals(design, y, v, 0.7, W, sym)[0])
+
     def test_band_rows_match_high_precision_oracle(self):
         # all four band rows of A^-1 with AR(1) precision weights, n = 300
         rng = np.random.default_rng(19)
