@@ -7,7 +7,8 @@ approximation that replaces each diagonal with its average.  A correlated
 variant accepts known precision structures for the two observation
 channels.  :func:`optimize_params` grid-searches the penalty and the
 velocity weight on log scales and then refines each coordinate with
-golden-section sweeps.
+golden-section sweeps; it scores the grid in batched chunks and no
+(lam, gamma) twice.
 
 All scores are computed through the Hermite-basis formulation of
 :mod:`vspline.hermite`, which covers ``gamma = 0`` and interval-wise
@@ -21,14 +22,14 @@ full problem, so the closed form and the brute force agree to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.linalg import cholesky, eigh
 
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import check_knots
-from .hermite import _error_bands, _fit_and_diagonals, _scaled, build_design, fit_theta
+from .hermite import (_batch_fit_and_diagonals, _error_bands, _fit_and_diagonals, _scaled,
+                      build_design, fit_theta)
 from .kernels import KernelConfig
 
 __all__ = [
@@ -43,6 +44,15 @@ __all__ = [
 ]
 
 _DENOM_FLOOR = 1e-12
+
+# A search scores its coarse grid in chunks of _GRID_CHUNK to
+# 2 * _GRID_CHUNK - 1 points, each through one batched selected-inverse
+# sweep.  That sweep pays a fixed cost per column for the whole chunk, so
+# it beats per-point sweeps only from about _BATCH_MIN points on (measured
+# at n = 60 and n = 5000); smaller grids, the golden-section points and
+# the dense route are scored one at a time.
+_GRID_CHUNK = 64
+_BATCH_MIN = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +147,6 @@ def _basis_fit(design, y, v, gamma, corr: CorrelationSpec | None = None):
     return _fit_and_diagonals(design, y, v, gamma, *errors)
 
 
-def _residuals(design, y, v, gamma, corr: CorrelationSpec | None = None):
-    """Fit residuals at the knots and the four hat diagonals."""
-    n = design.n
-    theta, diags = _basis_fit(design, y, v, gamma, corr)
-    return theta[:n] - y, theta[n:] - v, diags
-
-
 def cv_brute_force(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     """Leave-one-out score by literally refitting without each sample.
 
@@ -191,14 +194,8 @@ def cv_closed_form(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     these squared.  Equals :func:`cv_brute_force` to rounding.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    value = _cv_value(_design_for(t, lam, cfg), y, v, 1.0, gamma)
+    value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "cv")
     return CvScore(value=value, lam=lam, gamma=gamma)
-
-
-def _cv_value(design, y, v, lam, gamma):
-    """:func:`cv_closed_form` with the penalty of ``design`` times ``lam``."""
-    r, rp, diags = _residuals(_scaled(design, lam), y, v, gamma)
-    return _cv_from_diagonals(r, rp, *diags, gamma)
 
 
 def _trace_factors(tr_s, tr_t, tr_u, tr_v, gamma, n):
@@ -231,14 +228,8 @@ def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     :func:`cv_closed_form` exactly.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    value = _gcv_value(_design_for(t, lam, cfg), y, v, 1.0, gamma)
+    value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv")
     return CvScore(value=value, lam=lam, gamma=gamma)
-
-
-def _gcv_value(design, y, v, lam, gamma):
-    """:func:`gcv_score` with the penalty of ``design`` times ``lam``."""
-    r, rp, diags = _residuals(_scaled(design, lam), y, v, gamma)
-    return _gcv_from_traces(r, rp, *(np.sum(d) for d in diags), gamma, design.n)
 
 
 def _correlated_numerator_terms(r, rp, k, corr: CorrelationSpec):
@@ -261,17 +252,68 @@ def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
     numerator's ``cross`` product O(n^2); wider matrices are O(n^3).
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    value = _gcv_correlated_value(_design_for(t, lam, cfg), y, v, 1.0, gamma, corr)
+    value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv-corr", corr)
     return CvScore(value=value, lam=lam, gamma=gamma)
 
 
-def _gcv_correlated_value(design, y, v, lam, gamma, corr: CorrelationSpec):
-    """:func:`gcv_correlated` with the penalty of ``design`` times ``lam``."""
-    n = design.n
-    r, rp, diags = _residuals(_scaled(design, lam), y, v, gamma, corr)
+def _gcv_correlated_from_fit(r, rp, diags, gamma, corr: CorrelationSpec):
+    n = r.size
     k, den = _trace_factors(*(np.sum(d) for d in diags), gamma, n)
     terms = _correlated_numerator_terms(r, rp, k, corr)
     return float(n * sum(terms) / den**2)
+
+
+# criterion -> its score from the fit residuals r, rp and the hat diagonals
+_CRITERIA = {
+    "cv": lambda r, rp, diags, gamma, corr: _cv_from_diagonals(r, rp, *diags, gamma),
+    "gcv": lambda r, rp, diags, gamma, corr: _gcv_from_traces(
+        r, rp, *(np.sum(d) for d in diags), gamma, r.size),
+    "gcv-corr": _gcv_correlated_from_fit,
+}
+
+
+def _score_of_fit(criterion, fit, y, v, gamma, corr):
+    theta, diags = fit
+    n = y.size
+    return _CRITERIA[criterion](theta[:n] - y, theta[n:] - v, diags, gamma, corr)
+
+
+def _score(design, y, v, lam, gamma, criterion, corr: CorrelationSpec | None = None):
+    """The score ``criterion`` of the fit with the penalty of ``design`` times
+    ``lam`` (checked arguments)."""
+    fit = _basis_fit(_scaled(design, lam), y, v, gamma, corr)
+    return _score_of_fit(criterion, fit, y, v, gamma, corr)
+
+
+def _scores(unit, y, v, lams, gammas, criterion, corr: CorrelationSpec | None = None):
+    """Scores at the points ``(lams[i], gammas[i])`` with the penalty of
+    ``unit`` times lam, NaN where the criterion is degenerate or the system
+    singular.
+
+    Every score of :func:`optimize_params` comes from here.  With at least
+    ``_BATCH_MIN`` points on the banded route the points run in chunks
+    through :func:`vspline.hermite._batch_fit_and_diagonals`; otherwise one
+    at a time.  The two give the same bits.
+    """
+    count = len(lams)
+    out = np.full(count, np.nan)
+    bands = None if corr is None else corr._bands
+    if count < _BATCH_MIN or (corr is not None and bands is None):
+        for i in range(count):
+            try:
+                out[i] = _score(unit, y, v, lams[i], gammas[i], criterion, corr)
+            except (DegenerateScoreError, SingularSystemError):
+                pass
+        return out
+    for chunk in np.array_split(np.arange(count), max(1, count // _GRID_CHUNK)):
+        fits = _batch_fit_and_diagonals(unit, y, v, lams[chunk], gammas[chunk], bands)
+        for i, fit in zip(chunk, fits):
+            if fit is not None:
+                try:
+                    out[i] = _score_of_fit(criterion, fit, y, v, gammas[i], corr)
+                except DegenerateScoreError:
+                    pass
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,36 +378,37 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     (banded route).  "gcv-corr" takes the banded route too when ``W`` and
     ``Ucorr`` are at most tridiagonal (plus the O(n^2) ``cross`` product
     of its numerator) and is dense, O(n^3) per score, only for wider
-    matrices.
+    matrices.  On the banded route a grid of a few dozen points or more
+    is scored in chunks, each chunk through one batched selected-inverse
+    sweep; the golden-section points are scored one at a time.  No
+    (lam, gamma) pair is scored twice in one search: a point that a
+    sweep revisits, which the second round does whenever the first moved
+    nothing, takes the score already computed.  Scores and selection are
+    the same bits as scoring every point on its own.
     """
     t, y, v, _, _ = _check_inputs(t, y, v, 1.0, 1.0)
-    if criterion == "cv":
-        score_of = _cv_value
-    elif criterion == "gcv":
-        score_of = _gcv_value
-    elif criterion == "gcv-corr":
-        if corr is None:
-            raise ValueError("criterion 'gcv-corr' requires a CorrelationSpec")
-        score_of = partial(_gcv_correlated_value, corr=corr)
-    else:
+    if criterion not in _CRITERIA:
         raise ValueError("criterion must be 'cv', 'gcv', or 'gcv-corr'")
+    if criterion == "gcv-corr" and corr is None:
+        raise ValueError("criterion 'gcv-corr' requires a CorrelationSpec")
+    if criterion != "gcv-corr":
+        corr = None
     unit = _design_for(t, 1.0, cfg)
-
-    def safe_score(lam, gamma):
-        try:
-            return score_of(unit, y, v, lam, gamma)
-        except (DegenerateScoreError, SingularSystemError):
-            return np.nan
 
     lams = np.geomspace(lam_bounds[0], lam_bounds[1], lam_points)
     gammas = np.geomspace(gamma_bounds[0], gamma_bounds[1], gamma_points)
-    surface = np.empty((lam_points * gamma_points, 3))
-    row = 0
-    for lam in lams:
-        for gamma in gammas:
-            surface[row] = (lam, gamma, safe_score(lam, gamma))
-            row += 1
-    scores = surface[:, 2]
+    grid_lams, grid_gammas = (g.ravel() for g in np.meshgrid(lams, gammas, indexing="ij"))
+    scores = _scores(unit, y, v, grid_lams, grid_gammas, criterion, corr)
+    surface = np.column_stack([grid_lams, grid_gammas, scores])
+    memo = dict(zip(zip(grid_lams.tolist(), grid_gammas.tolist()), scores.tolist()))
+
+    def sweep_score(lam, gamma):
+        key = (float(lam), float(gamma))
+        if key not in memo:
+            memo[key] = _scores(unit, y, v, [lam], [gamma], criterion, corr)[0]
+        val = memo[key]
+        return np.inf if np.isnan(val) else val
+
     degenerate = int(np.sum(np.isnan(scores)))
     if degenerate == surface.shape[0]:
         raise DegenerateGridError("every grid point produced a degenerate score")
@@ -379,11 +422,6 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
         gi = int(np.argmin(np.abs(log_gammas - np.log10(best_gamma))))
         lam_lo, lam_hi = log_lams[max(li - 1, 0)], log_lams[min(li + 1, lam_points - 1)]
         gam_lo, gam_hi = log_gammas[max(gi - 1, 0)], log_gammas[min(gi + 1, gamma_points - 1)]
-
-        def sweep_score(lam, gamma):
-            val = safe_score(lam, gamma)
-            return np.inf if np.isnan(val) else val
-
         for _ in range(2):
             # an axis whose bracket is a single point has nothing to refine
             if lam_lo < lam_hi:

@@ -19,7 +19,9 @@ AR(1) precisions) keep that bandwidth, and then the fit and the hat
 diagonals that the cross-validation identities of :mod:`vspline.gcv`
 need come from one banded Cholesky factorization and the
 selected-inverse recursion on its band: O(n) time and memory, no
-2n-by-2n matrix.  Wider ``W``/``Ucorr`` fill ``A`` in, so that route,
+2n-by-2n matrix.  A parameter search runs that recursion for many
+(lam, gamma) at once, vectorized over the points
+(:func:`_batch_fit_and_diagonals`), with the same bits.  Wider ``W``/``Ucorr`` fill ``A`` in, so that route,
 and the full hat blocks of :func:`hat_matrices` and
 :func:`hat_matrices_correlated`, stay dense.
 """
@@ -29,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SingularSystemError
 from .fit import check_knots
@@ -239,7 +242,11 @@ def _scaled(design: DesignMatrices, factor: float) -> DesignMatrices:
 
 
 def _check_normal_args(n, gamma, y=None, v=None, W=None, Ucorr=None):
-    """The argument checks of every fit and hat computation below."""
+    """The argument checks of every fit and hat computation below.
+
+    Non-finite data are rejected here, so a non-finite system further on
+    can only come from overflow (:func:`_factor_band`, :func:`_solve_band`).
+    """
     gamma = float(gamma)
     if gamma < 0.0 or not np.isfinite(gamma):
         raise ValueError("gamma must be a finite, nonnegative number")
@@ -251,6 +258,8 @@ def _check_normal_args(n, gamma, y=None, v=None, W=None, Ucorr=None):
         v = np.asarray(v, dtype=float)
         if y.shape != (n,) or v.shape != (n,):
             raise ValueError(f"y and v must have shape ({n},)")
+        if not (np.isfinite(y).all() and np.isfinite(v).all()):
+            raise ValueError("y and v must be finite")
     return gamma, y, v
 
 
@@ -271,6 +280,11 @@ def _symmetric(M):
 
 def _not_positive_definite(exc):
     return SingularSystemError(f"penalized normal equations not positive definite: {exc}")
+
+
+def _overflowed(what):
+    return SingularSystemError(f"penalized normal equations overflowed: non-finite {what} "
+                               "(lambda or gamma too large)")
 
 
 def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=None):
@@ -294,6 +308,8 @@ def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=
         A[n:, n:][diag] += gamma
     else:
         A[n:, n:] += gamma * Ucorr
+    if not np.all(np.isfinite(A)):
+        raise _overflowed("matrix")
     try:
         cho = cho_factor(A, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -350,39 +366,83 @@ def _normal_band(design: DesignMatrices, gamma: float, bands=None) -> np.ndarray
     """Lower band of ``A = blockdiag(W, gamma Ucorr) + n omega``, interleaved.
 
     ``bands`` are the tridiagonal bands of ``W`` and ``Ucorr``; ``None``
-    means both are the identity.  Value ``i`` is unknown ``2i`` and slope
-    ``i`` is ``2i + 1``, so ``W[i, i]`` and ``W[i + 1, i]`` land on band
-    rows 0 and 2 of the even columns and ``gamma Ucorr`` on the same rows
-    of the odd columns: ``A`` keeps the penalty's bandwidth 3.
+    means both are the identity.
     """
-    ab = design.n * design.band
+    return _add_error_weights(design.n * design.band, gamma, bands)
+
+
+def _add_error_weights(ab, gamma, bands=None):
+    """``ab``, the band of ``n omega`` or a stack of them, plus
+    ``blockdiag(W, gamma Ucorr)``, in place; for a stack, ``gamma`` has
+    shape (count, 1, 1).
+
+    Value ``i`` is unknown ``2i`` and slope ``i`` is ``2i + 1``, so
+    ``W[i, i]`` and ``W[i + 1, i]`` land on band rows 0 and 2 of the even
+    columns and ``gamma Ucorr`` on the same rows of the odd columns: ``A``
+    keeps the penalty's bandwidth 3.
+    """
     if bands is None:
-        ab[0, 0::2] += 1.0
-        ab[0, 1::2] += gamma
+        ab[..., :1, 0::2] += 1.0
+        ab[..., :1, 1::2] += gamma
         return ab
     w, u = bands
-    ab[0::2, 0::2] += w
-    ab[0::2, 1::2] += gamma * u
+    ab[..., 0::2, 0::2] += w
+    ab[..., 0::2, 1::2] += gamma * u
     return ab
 
 
-def _banded_fit(design: DesignMatrices, y, v, gamma, bands=None):
-    """Fit by banded Cholesky for ``W``/``Ucorr`` with tridiagonal ``bands``
-    (identity for ``None``; checked arguments): the coefficients (values,
-    then slopes) and the band of the factor ``L``, ``A = L L'``."""
-    n = design.n
-    try:
-        L = cholesky_banded(_normal_band(design, gamma, bands), lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise _not_positive_definite(exc)
-    rhs = np.empty(2 * n)
+def _factor_band(ab):
+    """Lower banded Cholesky factor ``L`` of the band ``ab``, ``A = L L'``.
+
+    The one factorization of the banded route, per score and per grid
+    point alike.  It calls LAPACK ``dpbtrf`` directly, the routine that
+    ``scipy.linalg.cholesky_banded`` calls (same bits), without that
+    wrapper's overhead; a Fortran-ordered ``ab`` is factored in place.  A
+    non-finite band (lam or gamma so large that ``A`` overflowed) and a
+    matrix that is not positive definite raise
+    :class:`SingularSystemError`.
+    """
+    if not np.isfinite(ab).all():
+        raise _overflowed("band")
+    L, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise _not_positive_definite(f"{info}-th leading minor")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+    return L
+
+
+def _solve_band(L, rhs):
+    """``A^-1 rhs`` from the factor of :func:`_factor_band` (LAPACK
+    ``dpbtrs``, as ``scipy.linalg.cho_solve_banded``).  A right-hand side
+    that overflowed raises :class:`SingularSystemError`."""
+    if not np.isfinite(rhs).all():
+        raise _overflowed("right-hand side")
+    x, info = dpbtrs(L, rhs, lower=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+    return x
+
+
+def _band_rhs(y, v, gamma, bands=None):
+    """The interleaved right-hand side ``[W y; gamma Ucorr v]`` for the
+    tridiagonal ``bands`` of ``W`` and ``Ucorr`` (identity for ``None``)."""
+    rhs = np.empty(2 * y.size)
     if bands is None:
         rhs[0::2] = y
         rhs[1::2] = gamma * v
     else:
         rhs[0::2] = _band_matvec(bands[0], y)
         rhs[1::2] = gamma * _band_matvec(bands[1], v)
-    x = cho_solve_banded((L, True), rhs)
+    return rhs
+
+
+def _banded_fit(design: DesignMatrices, y, v, gamma, bands=None):
+    """Fit by banded Cholesky for ``W``/``Ucorr`` with tridiagonal ``bands``
+    (identity for ``None``; checked arguments): the coefficients (values,
+    then slopes) and the band of the factor ``L``, ``A = L L'``."""
+    L = _factor_band(_normal_band(design, gamma, bands))
+    x = _solve_band(L, _band_rhs(y, v, gamma, bands))
     return np.concatenate([x[0::2], x[1::2]]), L
 
 
@@ -428,9 +488,57 @@ def _band_inverse_diagonals(L):
     return zb[:, :size]
 
 
-def _hat_diagonals(zb, bands):
+# Per point, the batched sweep keeps 13 rows at column j: the symmetric
+# block M = Z[j+1..j+3, j+1..j+3] that the column reads (row-major), then
+# z, a1, a2, a3.  The block that column j - 1 reads,
+# [[z, a1, a2], [a1, M00, M01], [a2, M10, M11]], is these rows of them:
+_NEXT_BLOCK = [9, 10, 11, 10, 0, 1, 11, 1, 4]
+
+
+def _band_inverse_diagonals_batch(L):
+    """:func:`_band_inverse_diagonals` of a stack of factor bands ``L[p]``
+    (shape (count, 4, size)) in one sweep: the stack of bands of the
+    inverses, ``out[p]`` in the layout of the scalar result (a view).
+
+    Every operation of the scalar sweep runs, in the same order, on a
+    vector over the points, so each band is bit-identical to the scalar
+    one; the Python loop over the columns is paid once per stack instead
+    of once per point.  The sweep's ``a2`` and ``a3`` are the second and
+    third subdiagonals, which the scalar sweep recomputes after it by the
+    same formula.
+    """
+    count, _, size = L.shape
+    # column j holds (w, l1, l2, l3) of column j, then the band of Z there
+    zb = np.empty((size, 4, count))
+    inv = 1.0 / L[:, 0].T
+    np.square(inv, out=zb[:, 0])
+    np.multiply(L[:, 1:].transpose(2, 1, 0), inv[:, None], out=zb[:, 1:])
+    states = np.zeros((2, 13, count))
+    views = [(st, st[:9].reshape(3, 3, count), st[9], st[10:]) for st in states]
+    prod, lz, acc = np.empty((3, 3, count)), np.empty((3, count)), np.empty(count)
+    for j in range(size - 1, -1, -1):
+        state, block, z, a = views[j & 1]
+        col = zb[j]
+        ratios = col[1:]
+        np.multiply(block, ratios, out=prod)      # prod[k, m] = z_(k+1)(m+1) l_(m+1)
+        np.add(prod[:, 0], prod[:, 1], out=a)
+        a += prod[:, 2]
+        np.negative(a, out=a)
+        np.multiply(ratios, a, out=lz)
+        np.add(lz[0], lz[1], out=acc)
+        acc += lz[2]
+        np.subtract(col[0], acc, out=z)
+        col[...] = state[9:]
+        np.take(state, _NEXT_BLOCK, axis=0, out=views[~j & 1][0][:9])
+    return zb.transpose(2, 1, 0)
+
+
+def _hat_diagonals(zb, bands=None):
     """The hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` from the band ``zb`` of
     ``Z = A^-1`` and the tridiagonal bands of ``W`` and ``Ucorr``.
+
+    For identity weights (``bands`` is ``None``) they are entries of
+    ``A^-1`` itself, returned as views without the weighted sums below.
 
     With ``Zvv``, ``Zvs``, ``Zsv``, ``Zss`` the value/slope blocks of
     ``Z``, the hat blocks are ``S = Zvv W``, ``T = Zvs Ucorr``,
@@ -439,6 +547,8 @@ def _hat_diagonals(zb, bands):
     e.g. ``S_ii = Zvv[i, i] W[i, i] + Zvv[i, i-1] W[i-1, i] +
     Zvv[i, i+1] W[i+1, i]``, all inside the band of ``Z``.
     """
+    if bands is None:
+        return zb[0, 0::2], zb[1, 0::2], zb[1, 0::2], zb[0, 1::2]
     (w0, w1), (u0, u1) = bands
     zvv, zss = zb[0, 0::2], zb[0, 1::2]            # Z[v_i, v_i], Z[s_i, s_i]
     zsv = zb[1, 0::2]                              # Z[s_i, v_i]
@@ -523,13 +633,7 @@ def _fit_and_diagonals(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None,
     never ``A^-1`` times the data).
     """
     gamma, y, v = _check_normal_args(design.n, gamma, y, v, W, Ucorr)
-    if W is None and Ucorr is None:
-        # identity weights: the hat diagonals are entries of A^-1 itself, so
-        # the weighted sums of _hat_diagonals (same values) are skipped
-        theta, L = _banded_fit(design, y, v, gamma)
-        zb = _band_inverse_diagonals(L)
-        return theta, (zb[0, 0::2], zb[1, 0::2], zb[1, 0::2], zb[0, 1::2])
-    if bands is not None:
+    if (W is None and Ucorr is None) or bands is not None:
         theta, L = _banded_fit(design, y, v, gamma, bands)
         return theta, _hat_diagonals(_band_inverse_diagonals(L), bands)
     W, Ucorr = _symmetric(W), _symmetric(Ucorr)
@@ -537,6 +641,43 @@ def _fit_and_diagonals(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None,
     sol = cho_solve(cho, np.column_stack([rhs, np.eye(rhs.size)]))
     hats = _hat_blocks(sol[:, 1:], W, Ucorr)
     return sol[:, 0], tuple(np.diagonal(h) for h in (hats.S, hats.T, hats.U, hats.V))
+
+
+def _batch_fit_and_diagonals(design: DesignMatrices, y, v, lams, gammas, bands=None):
+    """:func:`_fit_and_diagonals` on the banded route at many points at
+    once: point ``p`` has the penalty of ``design`` times ``lams[p]`` and
+    the velocity weight ``gammas[p]``; ``bands`` are the tridiagonal bands
+    of ``W`` and ``Ucorr`` (identity for ``None``; checked arguments).
+
+    Yields, point by point, the coefficients and the hat diagonals, or
+    ``None`` where the point raised :class:`SingularSystemError`.  The
+    bands of all points are assembled in one broadcast with the rounding
+    of :func:`_scaled` and :func:`_normal_band`, each is factored and
+    solved by the helpers of the scalar route, and one selected-inverse
+    sweep serves them all, so every result is bit-identical to
+    :func:`_fit_and_diagonals` at that point.  Memory is O(points x n).
+    """
+    n, count = design.n, len(lams)
+    # point p's (4, 2n) band is Fortran-ordered, so dpbtrf factors it in place
+    ab = np.empty((count, 2 * n, 4)).transpose(0, 2, 1)
+    np.multiply(design.band, np.reshape(lams, (count, 1, 1)), out=ab)
+    ab *= n
+    _add_error_weights(ab, np.reshape(gammas, (count, 1, 1)), bands)
+    thetas = []
+    for p in range(count):
+        try:
+            ab[p] = _factor_band(ab[p])
+            x = _solve_band(ab[p], _band_rhs(y, v, gammas[p], bands))
+        except SingularSystemError:
+            ab[p] = 0.0
+            ab[p, 0] = 1.0   # sweeps the identity in its place; the result is dropped
+            thetas.append(None)
+        else:
+            thetas.append(np.concatenate([x[0::2], x[1::2]]))
+    inverses = _band_inverse_diagonals_batch(ab)
+    del ab   # the factors are not needed while the points are consumed
+    for theta, zb in zip(thetas, inverses):
+        yield None if theta is None else (theta, _hat_diagonals(zb, bands))
 
 
 def hat_matrices(design: DesignMatrices, gamma) -> HatMatrices:

@@ -168,15 +168,28 @@ class TestFit:
               "--seed", "2", "--out", str(data)])
         import vspline.hermite as hermite_mod
 
-        def boom(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced failure")
+        def not_positive_definite(ab, **kwargs):
+            return ab, 1   # LAPACK: the first leading minor is not positive
 
-        # the uncorrelated basis route turns this into SingularSystemError
-        monkeypatch.setattr(hermite_mod, "cholesky_banded", boom)
+        # the banded factorization turns this into SingularSystemError
+        monkeypatch.setattr(hermite_mod, "dpbtrf", not_positive_definite)
         rc = main(["fit", str(data), "--lambda", "0.1",
                    "--out", str(tmp_path / "r.json")])
         assert rc == 3
         assert "fitting" in capsys.readouterr().err
+
+    def test_overflowing_lambda_exit_3(self, tmp_path, capsys):
+        # n * lambda * omega overflows: a numerical failure with the
+        # documented exit code, not a ValueError about infs or NaNs
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "30", "--seed", "1", "--out", str(data)])
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["fit", str(data), "--lambda", "1e305", "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error while fitting: ") and "overflowed" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_weights_file(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -216,7 +229,7 @@ class TestFit:
         np.savetxt(corr, np.vstack([ar1_precision(12, 0.5), ar1_precision(12, 0.3)]),
                    delimiter=",")
         calls = []
-        for name in ("cho_factor", "cholesky_banded"):
+        for name in ("cho_factor", "_factor_band"):
             def counting(*args, _name=name, _real=getattr(hermite_mod, name), **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
@@ -224,10 +237,12 @@ class TestFit:
             monkeypatch.setattr(hermite_mod, name, counting)
         assert main(["fit", str(data), "--lambda", "0.01", "--gamma", "1",
                      "--corr", str(corr), "--out", str(tmp_path / "f.json")]) == 0
-        assert main(["select", str(data), "--criterion", "gcv-corr", "--corr", str(corr),
-                     "--lambda-steps", "3", "--gamma-steps", "3",
-                     "--out", str(tmp_path / "s.json")]) == 0
-        assert calls and set(calls) == {"cholesky_banded"}
+        # a 3 x 3 grid is scored point by point, an 8 x 6 grid batched
+        for steps in ("3", "6"), ("8", "6"):
+            assert main(["select", str(data), "--criterion", "gcv-corr", "--corr", str(corr),
+                         "--lambda-steps", steps[0], "--gamma-steps", steps[1],
+                         "--out", str(tmp_path / "s.json")]) == 0
+        assert calls and set(calls) == {"_factor_band"}
         fit = json.loads((tmp_path / "f.json").read_text())
         sel = json.loads((tmp_path / "s.json").read_text())
         assert fit["method"] == sel["method"] == "hermite-basis"
@@ -363,6 +378,31 @@ class TestSelect:
         cv = cv_closed_form(tu, yu, vu, 0.01, 1.0, KernelConfig.uniform()).value
         gcv = gcv_score(tu, yu, vu, 0.01, 1.0, KernelConfig.uniform()).value
         assert abs(cv - gcv) / cv <= 0.1
+
+    def test_overflowing_grid_points_are_degenerate(self, tmp_path, capsys):
+        # grid points whose normal matrix overflows score NaN; the search
+        # goes on, and exits 4 only when every point overflowed
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "30", "--seed", "1", "--out", str(data)])
+        capsys.readouterr()
+        out = tmp_path / "sel.json"
+        with np.errstate(over="ignore"):
+            rc = main(["select", str(data), "--lambda-max", "1e305", "--out", str(out)])
+        assert rc == 0
+        selection = json.loads(out.read_text())["selection"]
+        _, surface = _read_csv(selection["surface_file"])
+        overflowed = surface[:, 0] == 1e305
+        assert overflowed.sum() == 13 and np.all(np.isnan(surface[overflowed, 2]))
+        assert selection["degenerate_grid_points"] >= 13
+        assert np.isfinite(selection["score"])
+        with np.errstate(over="ignore"):
+            rc = main(["select", str(data), "--lambda-min", "1e304", "--lambda-max", "1e305",
+                       "--out", str(tmp_path / "all.json")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == ("error while selecting parameters: "
+                                        "every grid point produced a degenerate score")
 
     def test_all_degenerate_exit_4(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "d.csv"

@@ -10,9 +10,10 @@ from conftest import ar1_precision, random_config, random_instance, random_knots
 from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
                      build_design, cv_brute_force, cv_closed_form, fit_theta,
                      gcv_correlated, gcv_score, hat_matrices_correlated, optimize_params)
-from vspline.gcv import (_correlated_numerator_terms, _cv_from_diagonals, _design_for,
-                         _gcv_correlated_value, _gcv_from_traces, _golden_min,
-                         _psd_sqrt)
+from vspline.gcv import (_BATCH_MIN, _GRID_CHUNK, _correlated_numerator_terms,
+                         _cv_from_diagonals, _design_for, _gcv_from_traces, _golden_min,
+                         _psd_sqrt, _score, _scores)
+from vspline.errors import DegenerateScoreError, SingularSystemError
 
 UNIFORM = KernelConfig.uniform()
 
@@ -66,15 +67,15 @@ class TestOneFactorization:
         t, y, v, cfg, lam, gamma = random_instance(rng, n_range=(6, 9))
         corr = CorrelationSpec(W=_ar1(t.size, 0.3), Ucorr=_ar1(t.size, 0.1))
         calls = []
-        for name in ("cho_factor", "cholesky_banded"):
+        for name in ("cho_factor", "_factor_band"):
             def counting(*args, _name=name, _real=getattr(hermite_mod, name), **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(hermite_mod, name, counting)
         for score, expect in (
-                (lambda: cv_closed_form(t, y, v, lam, gamma, cfg), ["cholesky_banded"]),
-                (lambda: gcv_score(t, y, v, lam, gamma, cfg), ["cholesky_banded"]),
+                (lambda: cv_closed_form(t, y, v, lam, gamma, cfg), ["_factor_band"]),
+                (lambda: gcv_score(t, y, v, lam, gamma, cfg), ["_factor_band"]),
                 (lambda: gcv_correlated(t, y, v, lam, gamma, cfg, corr), ["cho_factor"])):
             calls.clear()
             score()
@@ -85,10 +86,10 @@ class TestOneFactorization:
         prec = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
         design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
         for score, expect in (
-                (lambda: gcv_correlated(t, y, v, lam, gamma, cfg, prec), ["cholesky_banded"]),
+                (lambda: gcv_correlated(t, y, v, lam, gamma, cfg, prec), ["_factor_band"]),
                 (lambda: fit_theta(design, y, v, gamma, prec.W, prec.Ucorr),
-                 ["cholesky_banded"]),
-                (lambda: cv_brute_force(t, y, v, lam, gamma, cfg), ["cholesky_banded"] * n)):
+                 ["_factor_band"]),
+                (lambda: cv_brute_force(t, y, v, lam, gamma, cfg), ["_factor_band"] * n)):
             calls.clear()
             score()
             assert calls == expect
@@ -113,6 +114,26 @@ class TestBandedMemory:
                 tracemalloc.stop()
             assert np.all(np.isfinite(out))
             assert peak < dense_bytes / 100
+
+    def test_search_allocates_no_dense_matrix(self):
+        # the 5 x 5 grid of a search at n = 5000 runs batched (25 points) and
+        # stays below a tenth of one 2n-by-2n array (800 MB); the golden-
+        # section points are single scores, bounded by the test above (and
+        # slow to trace: the scalar sweep allocates a float per entry)
+        n = 5000
+        t = np.linspace(0.05, 0.95, n)
+        y = np.sin(6 * t)
+        v = 6 * np.cos(6 * t)
+        assert 25 >= _BATCH_MIN
+        tracemalloc.start()
+        try:
+            res = optimize_params(t, y, v, UNIFORM, lam_bounds=(1e-8, 1e-2),
+                                  lam_points=5, gamma_points=5, refine=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(res.score) and res.degenerate_count == 0
+        assert peak < 8 * (2 * n) ** 2 / 10
 
     def test_tridiagonal_correlated_route_allocates_no_dense_matrix(self):
         # the spec itself holds n-by-n matrices; a score and a fit may not
@@ -234,8 +255,8 @@ class TestCorrelatedGcv:
         unit = _design_for(t, 1.0, UNIFORM)
         for lam in np.geomspace(1e-8, 1.0, 9):
             for gamma in np.geomspace(1e-4, 1e4, 9):
-                got = _gcv_correlated_value(unit, y, v, lam, gamma, banded)
-                want = _gcv_correlated_value(unit, y, v, lam, gamma, dense)
+                got = _score(unit, y, v, lam, gamma, "gcv-corr", banded)
+                want = _score(unit, y, v, lam, gamma, "gcv-corr", dense)
                 assert got == pytest.approx(want, rel=1e-8)
 
     def test_identity_matrices_reduce_to_plain_gcv(self):
@@ -340,10 +361,12 @@ class TestOptimizeParams:
         def always_degenerate(*args, **kwargs):
             raise DegenerateScoreError("forced")
 
-        monkeypatch.setattr(gcv_mod, "_cv_value", always_degenerate)
-        with pytest.raises(DegenerateGridError):
-            optimize_params(t, y, v, cfg, criterion="cv",
-                            lam_points=4, gamma_points=3)
+        # the cv score of every fit, scored one at a time (4 x 3) or batched (8 x 8)
+        monkeypatch.setattr(gcv_mod, "_cv_from_diagonals", always_degenerate)
+        for lam_points, gamma_points in ((4, 3), (8, 8)):
+            with pytest.raises(DegenerateGridError):
+                optimize_params(t, y, v, cfg, criterion="cv",
+                                lam_points=lam_points, gamma_points=gamma_points)
 
     def test_one_point_axis_is_not_refined(self, monkeypatch):
         from vspline import gcv as gcv_mod
@@ -351,19 +374,69 @@ class TestOptimizeParams:
         y = np.sin(2 * np.pi * t)
         v = 2 * np.pi * np.cos(2 * np.pi * t)
         calls = []
-        real = gcv_mod._cv_value  # the search's score, (design, y, v, lam, gamma)
+        real = gcv_mod._scores  # every score of the search, (unit, y, v, lams, gammas, ...)
 
-        def counting(*args, **kwargs):
-            calls.append(args[3:5])
-            return real(*args, **kwargs)
+        def counting(unit, y, v, lams, gammas, *args, **kwargs):
+            calls.extend(zip(np.asarray(lams).tolist(), np.asarray(gammas).tolist()))
+            return real(unit, y, v, lams, gammas, *args, **kwargs)
 
-        monkeypatch.setattr(gcv_mod, "_cv_value", counting)
+        monkeypatch.setattr(gcv_mod, "_scores", counting)
         res = optimize_params(t, y, v, UNIFORM, criterion="cv",
                               lam_bounds=(1e-3, 1.0), lam_points=1, gamma_points=5)
-        # 5 grid points, then two golden sweeps of 44 scores over gamma only
-        assert len(calls) == 5 + 2 * 44
+        # 5 grid points, then one golden sweep of 44 points over gamma only;
+        # its bracket ends are grid points (10**log10(g) == g for these
+        # decades), and the second sweep revisits the first's points, so
+        # neither scores anything again
+        assert len(calls) == 5 + 44 - 2
+        assert len(set(calls)) == len(calls)
         assert {lam for lam, _ in calls} == {1e-3}
         assert res.lam == 1e-3
+
+    @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
+    def test_batched_grid_is_bitwise_the_per_point_scores(self, criterion, monkeypatch):
+        # chunks of a grid that is no multiple of the chunk size, on random
+        # instances with and without interval weights; a point with no
+        # penalty and no velocity weight is not positive definite and is
+        # NaN, alone
+        import vspline.gcv as gcv_mod
+        rng = np.random.default_rng(24)
+        count = 2 * _GRID_CHUNK + 7
+        chunks = []
+        real = gcv_mod._batch_fit_and_diagonals
+
+        def spy(unit, y, v, lams, gammas, bands=None):
+            chunks.append(len(lams))
+            return real(unit, y, v, lams, gammas, bands)
+
+        monkeypatch.setattr(gcv_mod, "_batch_fit_and_diagonals", spy)
+        for weighted in (False, True, True):
+            t, y, v, cfg, _, _ = random_instance(rng, n_range=(8, 30), weighted=weighted)
+            n = t.size
+            corr = None
+            if criterion == "gcv-corr":
+                corr = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, -0.3))
+            unit = _design_for(t, 1.0, cfg)
+            lams = 10.0 ** rng.uniform(-8, 2, count)
+            gammas = 10.0 ** rng.uniform(-4, 4, count)
+            lams[17], gammas[17] = 0.0, 0.0
+            chunks.clear()
+            got = _scores(unit, y, v, lams, gammas, criterion, corr)
+            assert sorted(chunks) == [count // 2, count - count // 2]
+            want = np.full(count, np.nan)
+            for i in range(count):
+                try:
+                    want[i] = _score(unit, y, v, lams[i], gammas[i], criterion, corr)
+                except (DegenerateScoreError, SingularSystemError):
+                    pass
+            np.testing.assert_array_equal(got, want)
+            assert np.flatnonzero(np.isnan(got)).tolist() == [17]
+            # the search's surface is the same batched computation
+            res = optimize_params(t, y, v, cfg, corr=corr, criterion=criterion,
+                                  lam_points=9, gamma_points=count // 9, refine=False)
+            lam_col, gamma_col, score_col = res.surface.T
+            per_point = [_score(unit, y, v, lam, gamma, criterion, corr)
+                         for lam, gamma in zip(lam_col, gamma_col)]
+            np.testing.assert_array_equal(score_col, per_point)
 
     def test_golden_min_finds_quadratic_minimum(self):
         score, x = _golden_min(lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 1.0)

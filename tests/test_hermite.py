@@ -11,8 +11,9 @@ from conftest import (ar1_precision, jittered_knots, random_config, random_insta
 from vspline import (HermiteBasis, KernelConfig, SingularSystemError, build_design,
                      build_gram, fit_theta, fit_vspline, hat_matrices,
                      hat_matrices_correlated, penalty_gram, solve_coefficients)
-from vspline.hermite import (_band_inverse_diagonals, _error_bands, _factor_normal,
-                             _fit_and_diagonals, _normal_band)
+from vspline.hermite import (_band_inverse_diagonals, _band_inverse_diagonals_batch,
+                             _error_bands, _factor_band, _factor_normal, _fit_and_diagonals,
+                             _normal_band)
 
 UNIFORM = KernelConfig.uniform()
 
@@ -368,14 +369,14 @@ class TestBandedEngine:
         sym = (Ucorr + Ucorr.T) / 2
         design = build_design(t, 1e-3)
         calls = []
-        for name in ("cho_factor", "cholesky_banded"):
+        for name in ("cho_factor", "_factor_band"):
             def counting(*args, _name=name, _real=getattr(hermite_mod, name), **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(hermite_mod, name, counting)
         theta = fit_theta(design, y, v, 0.7, W, Ucorr)
-        assert calls == ["cholesky_banded"]
+        assert calls == ["_factor_band"]
         assert _max_rel(theta, _dense_theta(design, y, v, 0.7, W, sym)) < 1e-10
         # exactly symmetric input is used as it is: bit-identical
         np.testing.assert_array_equal(fit_theta(design, y, v, 0.7, W, sym), theta)
@@ -400,6 +401,41 @@ class TestBandedEngine:
             for r in range(4):
                 assert _max_rel(got[r], want[r]) < 1e-6
                 assert not np.any(got[r, 2 * n - r:])
+
+    def test_batched_sweep_is_bitwise_the_scalar_sweep(self):
+        # one sweep over a stack of factors gives each point's band exactly,
+        # signed zeros past the end of each row included
+        rng = np.random.default_rng(23)
+        n = 37
+        t = jittered_knots(rng, n)
+        breaks = np.concatenate([[0.0], t, [1.0]])
+        design = build_design(t, rng.uniform(0.3, 3.0, n + 1), lam_breakpoints=breaks)
+        for bands in (None, _error_bands(random_tridiagonal_spd(rng, n),
+                                         ar1_precision(n, -0.4), n)):
+            factors = np.stack([
+                _factor_band(_normal_band(design, gamma, bands))
+                for gamma in np.geomspace(1e-4, 1e4, 29)])
+            factors[::3, 1:] *= np.geomspace(1e-6, 1e2, 10)[:, None, None]  # vary the ratios
+            got = _band_inverse_diagonals_batch(factors)
+            assert got.shape == factors.shape
+            for L, zb in zip(factors, got):
+                want = _band_inverse_diagonals(L)
+                np.testing.assert_array_equal(zb, want)
+                np.testing.assert_array_equal(np.signbit(zb), np.signbit(want))
+
+    def test_overflowing_band_raises_singular_system_error(self):
+        # lam so large that n * lam * omega overflows: a numerical failure,
+        # not scipy's "must not contain infs or NaNs"
+        t = np.linspace(0.1, 0.9, 12)
+        y, v = np.sin(t), np.cos(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            design = build_design(t, 1e305)
+            with pytest.raises(SingularSystemError, match="overflowed"):
+                fit_theta(design, y, v, 1.0)
+            with pytest.raises(SingularSystemError, match="overflowed"):
+                _fit_and_diagonals(design, y, v, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            fit_theta(build_design(t, 1e-3), np.full(12, np.nan), v, 1.0)
 
     def test_singular_band_raises_singular_system_error(self):
         # no penalty and no velocity weight leaves the slopes undetermined
