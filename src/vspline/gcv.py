@@ -7,8 +7,10 @@ approximation that replaces each diagonal with its average.  A correlated
 variant accepts known precision structures for the two observation
 channels.  :func:`optimize_params` grid-searches the penalty and the
 velocity weight on log scales and then refines each coordinate with
-golden-section sweeps; it scores the grid in batched chunks and no
-(lam, gamma) twice.
+golden-section sweeps.  One scorer per search holds everything that no
+(lam, gamma) changes and evaluates the criterion as whole-array
+operations over a stack of points (a chunk of the grid, or one
+golden-section point); no (lam, gamma) is scored twice.
 
 All scores are computed through the Hermite-basis formulation of
 :mod:`vspline.hermite`, which covers ``gamma = 0`` and interval-wise
@@ -28,8 +30,10 @@ from scipy.linalg import cholesky, eigh
 
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import check_knots
-from .hermite import (_batch_fit_and_diagonals, _error_bands, _fit_and_diagonals, _scaled,
-                      build_design, fit_theta)
+from .hermite import (_band_inverse_diagonals, _band_inverse_diagonals_batch, _band_matvec,
+                      _dense_diagonals, _error_bands, _factor_normal, _factor_solve_stack,
+                      _fit_and_diagonals, _hat_diagonals, _normal_stack, build_design,
+                      fit_theta)
 from .kernels import KernelConfig
 
 __all__ = [
@@ -45,12 +49,22 @@ __all__ = [
 
 _DENOM_FLOOR = 1e-12
 
+# per criterion, the messages of its velocity and its position denominator
+# test (see _criterion)
+_DEGENERATE = {
+    "cv": ("velocity hat denominator 1 - gamma*V_ii vanished",
+           "position hat denominator vanished; the fit interpolates (penalty too small)"),
+    "gcv": ("velocity trace denominator tr(I - gamma V) vanished",
+            "trace denominator tr(I - S - k U) vanished"),
+}
+_DEGENERATE["gcv-corr"] = _DEGENERATE["gcv"]
+
 # A search scores its coarse grid in chunks of _GRID_CHUNK to
 # 2 * _GRID_CHUNK - 1 points, each through one batched selected-inverse
 # sweep.  That sweep pays a fixed cost per column for the whole chunk, so
 # it beats per-point sweeps only from about _BATCH_MIN points on (measured
 # at n = 60 and n = 5000); smaller grids, the golden-section points and
-# the dense route are scored one at a time.
+# the dense route sweep one point at a time.
 _GRID_CHUNK = 64
 _BATCH_MIN = 24
 
@@ -90,7 +104,7 @@ class CorrelationSpec:
     W: np.ndarray
     Ucorr: np.ndarray
     cross: np.ndarray = field(init=False, repr=False)
-    _bands: tuple | None = field(init=False, repr=False)
+    _bands: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = []
@@ -169,17 +183,131 @@ def cv_brute_force(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     return CvScore(value=float(np.mean(errors**2)), lam=lam, gamma=gamma)
 
 
-def _cv_from_diagonals(r, rp, s_diag, t_diag, u_diag, v_diag, gamma):
-    """Closed-form leave-one-out score from residuals and hat diagonals."""
-    dv = 1.0 - gamma * v_diag
-    if np.any(np.abs(dv) < _DENOM_FLOOR):
-        raise DegenerateScoreError("velocity hat denominator 1 - gamma*V_ii vanished")
-    k = gamma * t_diag / dv
-    den = 1.0 - s_diag - k * u_diag
-    if np.any(np.abs(den) < _DENOM_FLOOR):
-        raise DegenerateScoreError(
-            "position hat denominator vanished; the fit interpolates (penalty too small)")
-    return float(np.mean(((r + k * rp) / den) ** 2))
+def _correlated_numerator_terms(r, rp, k, corr: CorrelationSpec):
+    """The three quadratic-form terms of the correlated GCV numerator at a
+    stack of points (residuals of shape (count, n), ``k`` per point).
+
+    One matrix-vector product per point and form: a product of the whole
+    stack would round differently from a single point's.  ``cross`` needs
+    an O(n^2) product anyway; banded forms for ``W``/``Ucorr`` were slower
+    per golden-section point at n = 60 (numpy call overhead).
+    """
+    forms = np.array([(x @ corr.W @ x, x @ corr.cross @ xp, xp @ corr.Ucorr @ xp)
+                      for x, xp in zip(r, rp)])
+    return forms[:, 0], 2.0 * k * forms[:, 1], k * k * forms[:, 2]
+
+
+def _criterion(criterion, r, rp, diags, gammas, corr: CorrelationSpec | None = None):
+    """The score ``criterion`` at a stack of points, from each point's fit:
+    the residuals ``r`` and ``rp`` of its values and slopes, (count, n),
+    and its hat diagonals ``(S_ii, T_ii, U_ii, V_ii)``, the C-ordered
+    (4, count, n) array ``diags``, at the velocity weights ``gammas``.
+    The formulas are those of :func:`cv_closed_form`, :func:`gcv_score`
+    and :func:`gcv_correlated`.
+
+    Returns the scores and the masks of the points whose velocity and
+    whose position denominator is degenerate (below ``_DENOM_FLOOR``; the
+    trace denominator relative to ``n``), where the score is NaN.
+    Every operation is elementwise or reduces one point's row, so a
+    point's score has the same bits in any stack.
+    """
+    n = r.shape[1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if criterion == "cv":
+            s_diag, t_diag, u_diag, v_diag = diags
+            g = gammas[:, None]
+            dv = 1.0 - g * v_diag
+            k = g * t_diag / dv
+            den = 1.0 - s_diag - k * u_diag
+            scores = (((r + k * rp) / den) ** 2).sum(axis=1) / n   # np.mean's bits
+            bad_dv = (np.abs(dv) < _DENOM_FLOOR).any(axis=1)
+            bad_den = (np.abs(den) < _DENOM_FLOOR).any(axis=1)
+        else:
+            tr_s, tr_t, tr_u, tr_v = diags.sum(axis=2)
+            dv = n - gammas * tr_v
+            k = gammas * tr_t / dv
+            den = n - tr_s - k * tr_u
+            bad_dv = np.abs(dv) < _DENOM_FLOOR
+            bad_den = np.abs(den / n) < _DENOM_FLOOR
+            if criterion == "gcv":
+                scores = ((r + k[:, None] * rp) ** 2).sum(axis=1) / n / (den / n) ** 2
+            else:
+                rwr, cross, rur = _correlated_numerator_terms(r, rp, k, corr)
+                scores = n * (rwr + cross + rur) / den**2
+    scores[bad_dv | bad_den] = np.nan
+    return scores, (bad_dv, bad_den)
+
+
+class _Scorer:
+    """One criterion of one problem, scored at many (lam, gamma).
+
+    Built once per search, it holds what no point changes: the checked
+    data, the penalty at unit lam, the route that the bandwidth of
+    ``W``/``Ucorr`` picks, and the products ``W y`` and ``Ucorr v`` of
+    every banded right-hand side.  A point then costs its band, its
+    factorization and solve, and its share of a selected-inverse sweep;
+    the hat diagonals and :func:`_criterion` run once per stack.
+    """
+
+    def __init__(self, design, y, v, criterion, corr: CorrelationSpec | None = None):
+        self.design, self.y, self.v = design, y, v
+        self.criterion, self.corr = criterion, corr
+        self.bands = None if corr is None else corr._bands
+        self.dense = corr is not None and self.bands is None
+        self.wy, self.uv = (y, v) if self.bands is None else (
+            _band_matvec(self.bands[0], y), _band_matvec(self.bands[1], v))
+
+    def scores(self, lams, gammas):
+        """Scores at the points ``(lams[i], gammas[i])``, NaN where the
+        criterion is degenerate or the system singular or overflowed; on
+        the banded route, ``_BATCH_MIN`` points or more run in chunks of
+        one batched sweep each, with the same bits."""
+        lams, gammas = np.asarray(lams, dtype=float), np.asarray(gammas, dtype=float)
+        count = lams.size
+        if count < _BATCH_MIN or self.dense:
+            return self.stack(lams, gammas, batched=False)[0]
+        out = np.empty(count)
+        for chunk in np.array_split(np.arange(count), max(1, count // _GRID_CHUNK)):
+            out[chunk] = self.stack(lams[chunk], gammas[chunk], batched=True)[0]
+        return out
+
+    def stack(self, lams, gammas, batched):
+        """The scores at a stack of points (NaN where a point failed), the
+        :class:`SingularSystemError` of each point or ``None``, and the
+        degenerate masks of :func:`_criterion`.  ``batched`` runs one
+        selected-inverse sweep over the whole stack."""
+        if self.dense:
+            values, slopes, diags, errors = self._dense_fits(lams, gammas)
+        else:
+            ab, x = _normal_stack(self.design.band, lams, gammas, self.wy, self.uv, self.bands)
+            errors = _factor_solve_stack(ab, x)
+            if batched:
+                zb = _band_inverse_diagonals_batch(ab)
+            else:
+                zb = np.array([_band_inverse_diagonals(L) for L in ab])
+            del ab   # the factors are not needed past the sweep
+            diags = _hat_diagonals(zb, self.bands)
+            values, slopes = x[:, 0::2], x[:, 1::2]
+        scores, degenerate = _criterion(self.criterion, values - self.y, slopes - self.v,
+                                        diags, gammas, self.corr)
+        if any(errors):
+            scores[[error is not None for error in errors]] = np.nan
+        return scores, errors, degenerate
+
+    def _dense_fits(self, lams, gammas):
+        """Values, slopes, hat diagonals and errors as in :meth:`stack`, one
+        dense factorization per point."""
+        n = self.y.size
+        W, Ucorr = self.corr.W, self.corr.Ucorr
+        x, diags, errors = np.zeros((len(lams), 2 * n)), np.zeros((4, len(lams), n)), []
+        for p, (lam, gamma) in enumerate(zip(lams, gammas)):
+            try:
+                cho, rhs = _factor_normal(self.design, gamma, self.y, self.v, W, Ucorr, lam)
+                x[p], diags[:, p] = _dense_diagonals(cho, rhs, W, Ucorr)
+                errors.append(None)
+            except SingularSystemError as exc:
+                errors.append(exc)
+        return x[:, :n], x[:, n:], diags, errors
 
 
 def cv_closed_form(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
@@ -198,28 +326,6 @@ def cv_closed_form(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     return CvScore(value=value, lam=lam, gamma=gamma)
 
 
-def _trace_factors(tr_s, tr_t, tr_u, tr_v, gamma, n):
-    """``k = gamma tr T / tr(I - gamma V)`` and the denominator ``tr(I - S - k U)``.
-
-    The trace scores differ only in their numerators; both denominators
-    are checked here, the second one relative to ``n``.
-    """
-    dv = n - gamma * tr_v
-    if abs(dv) < _DENOM_FLOOR:
-        raise DegenerateScoreError("velocity trace denominator tr(I - gamma V) vanished")
-    k = gamma * tr_t / dv
-    den = n - tr_s - k * tr_u
-    if abs(den / n) < _DENOM_FLOOR:
-        raise DegenerateScoreError("trace denominator tr(I - S - k U) vanished")
-    return k, den
-
-
-def _gcv_from_traces(r, rp, tr_s, tr_t, tr_u, tr_v, gamma, n):
-    """Trace-approximated score; exact when hat diagonals are constant."""
-    k, den = _trace_factors(tr_s, tr_t, tr_u, tr_v, gamma, n)
-    return float(np.mean((r + k * rp) ** 2) / (den / n) ** 2)
-
-
 def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     """Generalized cross-validation: hat diagonals replaced by traces.
 
@@ -230,13 +336,6 @@ def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
     value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv")
     return CvScore(value=value, lam=lam, gamma=gamma)
-
-
-def _correlated_numerator_terms(r, rp, k, corr: CorrelationSpec):
-    """The three quadratic-form terms of the correlated GCV numerator."""
-    return (float(r @ corr.W @ r),
-            float(2.0 * k * (r @ corr.cross @ rp)),
-            float(k * k * (rp @ corr.Ucorr @ rp)))
 
 
 def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
@@ -256,64 +355,19 @@ def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
     return CvScore(value=value, lam=lam, gamma=gamma)
 
 
-def _gcv_correlated_from_fit(r, rp, diags, gamma, corr: CorrelationSpec):
-    n = r.size
-    k, den = _trace_factors(*(np.sum(d) for d in diags), gamma, n)
-    terms = _correlated_numerator_terms(r, rp, k, corr)
-    return float(n * sum(terms) / den**2)
-
-
-# criterion -> its score from the fit residuals r, rp and the hat diagonals
-_CRITERIA = {
-    "cv": lambda r, rp, diags, gamma, corr: _cv_from_diagonals(r, rp, *diags, gamma),
-    "gcv": lambda r, rp, diags, gamma, corr: _gcv_from_traces(
-        r, rp, *(np.sum(d) for d in diags), gamma, r.size),
-    "gcv-corr": _gcv_correlated_from_fit,
-}
-
-
-def _score_of_fit(criterion, fit, y, v, gamma, corr):
-    theta, diags = fit
-    n = y.size
-    return _CRITERIA[criterion](theta[:n] - y, theta[n:] - v, diags, gamma, corr)
-
-
 def _score(design, y, v, lam, gamma, criterion, corr: CorrelationSpec | None = None):
     """The score ``criterion`` of the fit with the penalty of ``design`` times
-    ``lam`` (checked arguments)."""
-    fit = _basis_fit(_scaled(design, lam), y, v, gamma, corr)
-    return _score_of_fit(criterion, fit, y, v, gamma, corr)
-
-
-def _scores(unit, y, v, lams, gammas, criterion, corr: CorrelationSpec | None = None):
-    """Scores at the points ``(lams[i], gammas[i])`` with the penalty of
-    ``unit`` times lam, NaN where the criterion is degenerate or the system
-    singular.
-
-    Every score of :func:`optimize_params` comes from here.  With at least
-    ``_BATCH_MIN`` points on the banded route the points run in chunks
-    through :func:`vspline.hermite._batch_fit_and_diagonals`; otherwise one
-    at a time.  The two give the same bits.
-    """
-    count = len(lams)
-    out = np.full(count, np.nan)
-    bands = None if corr is None else corr._bands
-    if count < _BATCH_MIN or (corr is not None and bands is None):
-        for i in range(count):
-            try:
-                out[i] = _score(unit, y, v, lams[i], gammas[i], criterion, corr)
-            except (DegenerateScoreError, SingularSystemError):
-                pass
-        return out
-    for chunk in np.array_split(np.arange(count), max(1, count // _GRID_CHUNK)):
-        fits = _batch_fit_and_diagonals(unit, y, v, lams[chunk], gammas[chunk], bands)
-        for i, fit in zip(chunk, fits):
-            if fit is not None:
-                try:
-                    out[i] = _score_of_fit(criterion, fit, y, v, gammas[i], corr)
-                except DegenerateScoreError:
-                    pass
-    return out
+    ``lam`` (checked arguments): the stack of one of a search, raising
+    :class:`SingularSystemError` or :class:`DegenerateScoreError` where the
+    search gives NaN."""
+    scorer = _Scorer(design, y, v, criterion, corr)
+    scores, errors, degenerate = scorer.stack(np.array([lam]), np.array([gamma]), batched=False)
+    if errors[0] is not None:
+        raise errors[0]
+    for message, mask in zip(_DEGENERATE[criterion], degenerate):
+        if mask[0]:
+            raise DegenerateScoreError(message)
+    return float(scores[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,6 +385,16 @@ class SelectionResult:
     criterion: str
     surface: np.ndarray
     degenerate_count: int
+
+
+def _check_range(name, bounds, points):
+    """A positive, finite, increasing search range with at least one point."""
+    lo, hi = bounds
+    if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
+        raise ValueError(f"{name}_bounds must be positive, finite and increasing "
+                         f"(got {lo!r}, {hi!r})")
+    if points < 1:
+        raise ValueError(f"{name}_points must be at least 1")
 
 
 def _golden_min(f, lo, hi, iters=40):
@@ -371,41 +435,48 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     refined by two sweeps of golden-section search per coordinate, each
     confined between the neighboring grid points.  Deterministic for
     fixed inputs.  ``criterion`` may be "cv" (closed-form leave-one-out,
-    the default), "gcv", or "gcv-corr" (requires ``corr``).
+    the default), "gcv", or "gcv-corr" (requires ``corr``).  Both bounds
+    of each range must be positive and finite with ``lo < hi``, and each
+    axis needs at least one point (``ValueError`` otherwise); a one-point
+    axis stays at its lower bound.
 
-    The penalty is linear in lam, so the unit-lam penalty is assembled
-    once and scaled for each score.  Without ``corr`` every score is O(n)
-    (banded route).  "gcv-corr" takes the banded route too when ``W`` and
-    ``Ucorr`` are at most tridiagonal (plus the O(n^2) ``cross`` product
-    of its numerator) and is dense, O(n^3) per score, only for wider
-    matrices.  On the banded route a grid of a few dozen points or more
-    is scored in chunks, each chunk through one batched selected-inverse
-    sweep; the golden-section points are scored one at a time.  No
-    (lam, gamma) pair is scored twice in one search: a point that a
-    sweep revisits, which the second round does whenever the first moved
-    nothing, takes the score already computed.  Scores and selection are
-    the same bits as scoring every point on its own.
+    What no (lam, gamma) changes is computed once per search: the penalty
+    at unit lam (it is linear in lam), the route, and ``W y`` and
+    ``Ucorr v``.  Without ``corr`` every score is O(n) (banded route).
+    "gcv-corr" takes the banded route too when ``W`` and ``Ucorr`` are at
+    most tridiagonal (plus the O(n^2) ``cross`` product of its numerator)
+    and is dense, O(n^3) per score, only for wider matrices.  On the
+    banded route a grid of a few dozen points or more is scored in
+    chunks, each through one batched selected-inverse sweep; the
+    golden-section points sweep one at a time.  The hat diagonals and the
+    criterion run as whole-array operations over each stack, and a
+    degenerate, singular or overflowing point scores NaN without a
+    warning.  No (lam, gamma) pair is scored twice in one search: a point
+    that a sweep revisits takes the score already computed.  Scores and
+    selection are the same bits as scoring every point on its own.
     """
     t, y, v, _, _ = _check_inputs(t, y, v, 1.0, 1.0)
-    if criterion not in _CRITERIA:
+    if criterion not in _DEGENERATE:
         raise ValueError("criterion must be 'cv', 'gcv', or 'gcv-corr'")
     if criterion == "gcv-corr" and corr is None:
         raise ValueError("criterion 'gcv-corr' requires a CorrelationSpec")
     if criterion != "gcv-corr":
         corr = None
-    unit = _design_for(t, 1.0, cfg)
+    _check_range("lam", lam_bounds, lam_points)
+    _check_range("gamma", gamma_bounds, gamma_points)
+    scorer = _Scorer(_design_for(t, 1.0, cfg), y, v, criterion, corr)
 
     lams = np.geomspace(lam_bounds[0], lam_bounds[1], lam_points)
     gammas = np.geomspace(gamma_bounds[0], gamma_bounds[1], gamma_points)
     grid_lams, grid_gammas = (g.ravel() for g in np.meshgrid(lams, gammas, indexing="ij"))
-    scores = _scores(unit, y, v, grid_lams, grid_gammas, criterion, corr)
+    scores = scorer.scores(grid_lams, grid_gammas)
     surface = np.column_stack([grid_lams, grid_gammas, scores])
     memo = dict(zip(zip(grid_lams.tolist(), grid_gammas.tolist()), scores.tolist()))
 
     def sweep_score(lam, gamma):
         key = (float(lam), float(gamma))
         if key not in memo:
-            memo[key] = _scores(unit, y, v, [lam], [gamma], criterion, corr)[0]
+            memo[key] = scorer.scores([lam], [gamma])[0]
         val = memo[key]
         return np.inf if np.isnan(val) else val
 

@@ -21,9 +21,10 @@ need come from one banded Cholesky factorization and the
 selected-inverse recursion on its band: O(n) time and memory, no
 2n-by-2n matrix.  A parameter search runs that recursion for many
 (lam, gamma) at once, vectorized over the points
-(:func:`_batch_fit_and_diagonals`), with the same bits.  Wider ``W``/``Ucorr`` fill ``A`` in, so that route,
-and the full hat blocks of :func:`hat_matrices` and
-:func:`hat_matrices_correlated`, stay dense.
+(:func:`_normal_stack`, :func:`_factor_solve_stack`,
+:func:`_band_inverse_diagonals_batch`), with the same bits.  Wider
+``W``/``Ucorr`` fill ``A`` in, so that route, and the full hat blocks of
+:func:`hat_matrices` and :func:`hat_matrices_correlated`, stay dense.
 """
 
 from __future__ import annotations
@@ -142,17 +143,20 @@ def _penalty_band(basis: HermiteBasis, lam_breakpoints, lam_values) -> np.ndarra
     h = knots[k + 1] - a
     gauss_off = 0.5 / np.sqrt(3.0)
     blocks = np.zeros((k.size, 4, 4))
-    for sign in (-1.0, 1.0):
-        x = ((mid + sign * gauss_off * (hi - lo)) - a) / h
-        d2 = np.stack([(12 * x - 6) / h**2,
-                       (6 * x - 4) / h,
-                       (6 - 12 * x) / h**2,
-                       (6 * x - 2) / h], axis=1)
-        blocks += (d2[:, :, None] * d2[:, None, :]) * (lam * 0.5 * (hi - lo))[:, None, None]
-    # a piece on knot interval k couples the unknowns 2k .. 2k + 3
     rows, cols = np.tril_indices(4)
     band = np.zeros((4, 2 * basis.n))
-    np.add.at(band, (rows - cols, 2 * k[:, None] + cols), blocks[:, rows, cols])
+    # a lam so large that the band overflows leaves non-finite entries,
+    # which every factorization below rejects as a SingularSystemError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign in (-1.0, 1.0):
+            x = ((mid + sign * gauss_off * (hi - lo)) - a) / h
+            d2 = np.stack([(12 * x - 6) / h**2,
+                           (6 * x - 4) / h,
+                           (6 - 12 * x) / h**2,
+                           (6 * x - 2) / h], axis=1)
+            blocks += (d2[:, :, None] * d2[:, None, :]) * (lam * 0.5 * (hi - lo))[:, None, None]
+        # a piece on knot interval k couples the unknowns 2k .. 2k + 3
+        np.add.at(band, (rows - cols, 2 * k[:, None] + cols), blocks[:, rows, cols])
     return band
 
 
@@ -230,17 +234,6 @@ def build_design(knots, lam, lam_breakpoints=None) -> DesignMatrices:
                           lam_breakpoints=breaks, lam_values=values)
 
 
-def _scaled(design: DesignMatrices, factor: float) -> DesignMatrices:
-    """``design`` with its penalty multiplied by ``factor``.
-
-    The penalty Gram is linear in lam, so a parameter search assembles the
-    unit penalty once and scales it for each score.
-    """
-    return DesignMatrices(basis=design.basis, band=factor * design.band,
-                          lam_breakpoints=design.lam_breakpoints,
-                          lam_values=factor * design.lam_values)
-
-
 def _check_normal_args(n, gamma, y=None, v=None, W=None, Ucorr=None):
     """The argument checks of every fit and hat computation below.
 
@@ -287,37 +280,50 @@ def _overflowed(what):
                                "(lambda or gamma too large)")
 
 
-def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=None):
-    """Dense Cholesky factor of ``A = blockdiag(W, gamma Ucorr) + n omega``
+def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=None,
+                   lam=1.0):
+    """Dense Cholesky factor of ``A = blockdiag(W, gamma Ucorr) + n lam omega``
     (values, then slopes) and, given data, the right-hand side
     ``[W y; gamma Ucorr v]``.
 
     The dense route: ``W``/``Ucorr`` wider than tridiagonal, and the full
     hat blocks.  ``W``/``Ucorr`` default to the identity, which is added
-    on the diagonal rather than multiplied in.
+    on the diagonal rather than multiplied in.  ``lam`` scales the
+    design's penalty with the rounding of a design built at that lam.
     """
     n = design.n
     gamma, y, v = _check_normal_args(n, gamma, y, v, W, Ucorr)
-    A = _dense_from_band(n * design.band)
-    diag = np.diag_indices(n)
-    if W is None:
-        A[:n, :n][diag] += 1.0
-    else:
-        A[:n, :n] += W
-    if Ucorr is None:
-        A[n:, n:][diag] += gamma
-    else:
-        A[n:, n:] += gamma * Ucorr
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below and on solving
+        A = _dense_from_band((design.band * lam) * n)
+        diag = np.diag_indices(n)
+        if W is None:
+            A[:n, :n][diag] += 1.0
+        else:
+            A[:n, :n] += W
+        if Ucorr is None:
+            A[n:, n:][diag] += gamma
+        else:
+            A[n:, n:] += gamma * Ucorr
+        rhs = None if y is None else np.concatenate([y if W is None else W @ y,
+                                                     gamma * (v if Ucorr is None else Ucorr @ v)])
     if not np.all(np.isfinite(A)):
         raise _overflowed("matrix")
     try:
-        cho = cho_factor(A, lower=True)
+        return cho_factor(A, lower=True), rhs
     except np.linalg.LinAlgError as exc:
         raise _not_positive_definite(exc)
-    if y is None:
-        return cho, None
-    return cho, np.concatenate([y if W is None else W @ y,
-                                gamma * (v if Ucorr is None else Ucorr @ v)])
+
+
+def _dense_diagonals(cho, rhs, W=None, Ucorr=None):
+    """``A^-1 rhs`` and the hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` from
+    the dense factor ``cho`` of ``A``, by one ``cho_solve`` on
+    ``[rhs | I]``; an ``rhs`` that overflowed raises
+    :class:`SingularSystemError`."""
+    if not np.isfinite(rhs).all():
+        raise _overflowed("right-hand side")
+    sol = cho_solve(cho, np.column_stack([rhs, np.eye(rhs.size)]))
+    hats = _hat_blocks(sol[:, 1:], W, Ucorr)
+    return sol[:, 0], tuple(np.diagonal(h) for h in (hats.S, hats.T, hats.U, hats.V))
 
 
 def _tridiagonal_band(M, n):
@@ -345,13 +351,14 @@ def _tridiagonal_band(M, n):
 
 def _error_bands(W, Ucorr, n):
     """The tridiagonal bands of ``W`` and ``Ucorr`` (identity for ``None``),
-    or ``None`` when either is wider, which leaves only the dense route.
+    stacked as one (2, 2, n) array, or ``None`` when either is wider, which
+    leaves only the dense route.
 
     O(n^2) to detect, so a caller that scores one pair of matrices many
     times detects once and passes the result on.
     """
     bands = (_tridiagonal_band(W, n), _tridiagonal_band(Ucorr, n))
-    return None if bands[0] is None or bands[1] is None else bands
+    return None if bands[0] is None or bands[1] is None else np.array(bands)
 
 
 def _band_matvec(band, x):
@@ -366,9 +373,11 @@ def _normal_band(design: DesignMatrices, gamma: float, bands=None) -> np.ndarray
     """Lower band of ``A = blockdiag(W, gamma Ucorr) + n omega``, interleaved.
 
     ``bands`` are the tridiagonal bands of ``W`` and ``Ucorr``; ``None``
-    means both are the identity.
+    means both are the identity.  Overflow leaves non-finite entries,
+    which :func:`_factor_band` rejects.
     """
-    return _add_error_weights(design.n * design.band, gamma, bands)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _add_error_weights(design.n * design.band, gamma, bands)
 
 
 def _add_error_weights(ab, gamma, bands=None):
@@ -422,6 +431,64 @@ def _solve_band(L, rhs):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrs")
     return x
+
+
+def _normal_stack(band, lams, gammas, wy, uv, bands=None):
+    """The banded systems of many points at once: the (count, 4, 2n) bands
+    of ``A`` with the penalty ``band`` (unit lam) times ``lams[p]`` and the
+    velocity weight ``gammas[p]`` (both arrays), each Fortran-ordered so
+    that ``dpbtrf`` factors it in place, and the (count, 2n) interleaved
+    right-hand sides ``[W y; gamma Ucorr v]`` from ``wy = W y`` and
+    ``uv = Ucorr v``.
+
+    Rounded as :func:`_normal_band` on a design built at that lam,
+    ``(band lam) n``, and as :func:`_band_rhs`.  Overflow leaves
+    non-finite entries, which :func:`_factor_solve_stack` rejects.
+    """
+    count, size = lams.size, band.shape[1]
+    ab = np.empty((count, size, 4)).transpose(0, 2, 1)
+    rhs = np.empty((count, size))
+    rhs[:, 0::2] = wy
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(band, lams[:, None, None], out=ab)
+        ab *= size // 2
+        _add_error_weights(ab, gammas[:, None, None], bands)
+        np.multiply(gammas[:, None], uv, out=rhs[:, 1::2])
+    return ab, rhs
+
+
+def _factor_solve_stack(ab, rhs):
+    """Factor each band ``ab[p]`` of :func:`_normal_stack` in place (LAPACK
+    ``dpbtrf``, as :func:`_factor_band`) and overwrite ``rhs[p]`` with the
+    solution (``dpbtrs``, as :func:`_solve_band`).
+
+    Returns, per point, ``None`` or the :class:`SingularSystemError` that
+    :func:`_factor_band` and :func:`_solve_band` would have raised there.
+    One finite check on each stack stands for their per-point checks.  A
+    failed point's band is replaced by the identity's and its solution by
+    zeros, so the sweeps and the criterion run over the whole stack.
+    """
+    band_ok = np.isfinite(ab).all(axis=(1, 2))
+    rhs_ok = np.isfinite(rhs).all(axis=1)
+    errors = [None] * len(ab)
+    for p in range(len(ab)):
+        if not band_ok[p]:
+            errors[p] = _overflowed("band")
+        else:
+            L, info = dpbtrf(ab[p], lower=1, overwrite_ab=1)
+            if info:
+                errors[p] = _not_positive_definite(f"{info}-th leading minor")
+            elif not rhs_ok[p]:
+                errors[p] = _overflowed("right-hand side")
+            else:
+                if not np.may_share_memory(L, ab):   # dpbtrf copied instead of working in place
+                    ab[p] = L
+                rhs[p] = dpbtrs(L, rhs[p], lower=1)[0]
+        if errors[p] is not None:
+            ab[p] = 0.0
+            ab[p, 0] = 1.0
+            rhs[p] = 0.0
+    return errors
 
 
 def _band_rhs(y, v, gamma, bands=None):
@@ -533,39 +600,45 @@ def _band_inverse_diagonals_batch(L):
     return zb.transpose(2, 1, 0)
 
 
+# Where _hat_diagonals reads Z = A^-1 for (S_ii, T_ii, U_ii, V_ii): the
+# band row and the column parity (0 for value i, 1 for slope i, in column
+# 2i + parity) of the entry on the diagonal's own knot, of the entry that
+# meets the next knot's weight ("after") and of the one the previous
+# knot's weight meets ("before", read at knot i - 1).
+_HAT_ROWS = np.array([[0, 1, 1, 0], [2, 3, 1, 2], [2, 1, 3, 2]])
+_HAT_PARITY = np.array([[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]])
+
+
 def _hat_diagonals(zb, bands=None):
     """The hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` from the band ``zb`` of
-    ``Z = A^-1`` and the tridiagonal bands of ``W`` and ``Ucorr``.
-
-    For identity weights (``bands`` is ``None``) they are entries of
-    ``A^-1`` itself, returned as views without the weighted sums below.
+    ``Z = A^-1`` and the tridiagonal bands of ``W`` and ``Ucorr``, as one
+    C-ordered (4, n) array; for a stack of bands (count, 4, 2n), one
+    (4, count, n) array.
 
     With ``Zvv``, ``Zvs``, ``Zsv``, ``Zss`` the value/slope blocks of
     ``Z``, the hat blocks are ``S = Zvv W``, ``T = Zvs Ucorr``,
-    ``U = Zsv W`` and ``V = Zss Ucorr``.  A tridiagonal weight reaches only
-    the neighbouring knots, so each diagonal entry sums three products,
-    e.g. ``S_ii = Zvv[i, i] W[i, i] + Zvv[i, i-1] W[i-1, i] +
-    Zvv[i, i+1] W[i+1, i]``, all inside the band of ``Z``.
+    ``U = Zsv W`` and ``V = Zss Ucorr``; for identity weights (``bands``
+    is ``None``) the diagonals are entries of ``Z`` itself.  A tridiagonal
+    weight reaches only the neighbouring knots, so each diagonal entry
+    sums three products, e.g. ``S_ii = Zvv[i, i] W[i, i] +
+    Zvv[i+1, i] W[i+1, i] + Zvv[i, i-1] W[i-1, i]``, all inside the band
+    of ``Z``; the four diagonals are computed together, each entry by the
+    same operations in the same order.
     """
+    z = zb.reshape(zb.shape[:-1] + (-1, 2))   # (..., 4, n, parity)
+    # the gathers follow the memory order of zb; C order keeps each
+    # point's later sums to its own row
     if bands is None:
-        return zb[0, 0::2], zb[1, 0::2], zb[1, 0::2], zb[0, 1::2]
-    (w0, w1), (u0, u1) = bands
-    zvv, zss = zb[0, 0::2], zb[0, 1::2]            # Z[v_i, v_i], Z[s_i, s_i]
-    zsv = zb[1, 0::2]                              # Z[s_i, v_i]
-    zvs_next = zb[1, 1::2]                         # Z[v_i+1, s_i]
-    zvv_next, zss_next = zb[2, 0::2], zb[2, 1::2]  # Z[v_i+1, v_i], Z[s_i+1, s_i]
-    zsv_next = zb[3, 0::2]                         # Z[s_i+1, v_i]
-
-    def diagonal(own, weight, after, before, sub):
-        # own_i weight_i + after_i sub_i + before_(i-1) sub_(i-1)
-        out = own * weight + after * sub
-        out[1:] += before[:-1] * sub[:-1]
-        return out
-
-    return (diagonal(zvv, w0, zvv_next, zvv_next, w1),
-            diagonal(zsv, u0, zsv_next, zvs_next, u1),
-            diagonal(zsv, w0, zvs_next, zsv_next, w1),
-            diagonal(zss, u0, zss_next, zss_next, u1))
+        return np.ascontiguousarray(z[..., _HAT_ROWS[0], :, _HAT_PARITY[0]])
+    own, after, before = np.ascontiguousarray(z[..., _HAT_ROWS, :, _HAT_PARITY])
+    weights = np.concatenate((bands, bands))   # W, Ucorr, W, Ucorr: (4, 2, n)
+    if own.ndim == 3:
+        weights = weights[:, :, None, :]
+    weight, sub = weights[:, 0], weights[:, 1]
+    # own_i weight_i + after_i sub_i + before_(i-1) sub_(i-1)
+    out = own * weight + after * sub
+    out[..., 1:] += before[..., :-1] * sub[..., :-1]
+    return out
 
 
 def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.ndarray:
@@ -638,46 +711,7 @@ def _fit_and_diagonals(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None,
         return theta, _hat_diagonals(_band_inverse_diagonals(L), bands)
     W, Ucorr = _symmetric(W), _symmetric(Ucorr)
     cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
-    sol = cho_solve(cho, np.column_stack([rhs, np.eye(rhs.size)]))
-    hats = _hat_blocks(sol[:, 1:], W, Ucorr)
-    return sol[:, 0], tuple(np.diagonal(h) for h in (hats.S, hats.T, hats.U, hats.V))
-
-
-def _batch_fit_and_diagonals(design: DesignMatrices, y, v, lams, gammas, bands=None):
-    """:func:`_fit_and_diagonals` on the banded route at many points at
-    once: point ``p`` has the penalty of ``design`` times ``lams[p]`` and
-    the velocity weight ``gammas[p]``; ``bands`` are the tridiagonal bands
-    of ``W`` and ``Ucorr`` (identity for ``None``; checked arguments).
-
-    Yields, point by point, the coefficients and the hat diagonals, or
-    ``None`` where the point raised :class:`SingularSystemError`.  The
-    bands of all points are assembled in one broadcast with the rounding
-    of :func:`_scaled` and :func:`_normal_band`, each is factored and
-    solved by the helpers of the scalar route, and one selected-inverse
-    sweep serves them all, so every result is bit-identical to
-    :func:`_fit_and_diagonals` at that point.  Memory is O(points x n).
-    """
-    n, count = design.n, len(lams)
-    # point p's (4, 2n) band is Fortran-ordered, so dpbtrf factors it in place
-    ab = np.empty((count, 2 * n, 4)).transpose(0, 2, 1)
-    np.multiply(design.band, np.reshape(lams, (count, 1, 1)), out=ab)
-    ab *= n
-    _add_error_weights(ab, np.reshape(gammas, (count, 1, 1)), bands)
-    thetas = []
-    for p in range(count):
-        try:
-            ab[p] = _factor_band(ab[p])
-            x = _solve_band(ab[p], _band_rhs(y, v, gammas[p], bands))
-        except SingularSystemError:
-            ab[p] = 0.0
-            ab[p, 0] = 1.0   # sweeps the identity in its place; the result is dropped
-            thetas.append(None)
-        else:
-            thetas.append(np.concatenate([x[0::2], x[1::2]]))
-    inverses = _band_inverse_diagonals_batch(ab)
-    del ab   # the factors are not needed while the points are consumed
-    for theta, zb in zip(thetas, inverses):
-        yield None if theta is None else (theta, _hat_diagonals(zb, bands))
+    return _dense_diagonals(cho, rhs, W, Ucorr)
 
 
 def hat_matrices(design: DesignMatrices, gamma) -> HatMatrices:

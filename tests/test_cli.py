@@ -3,6 +3,7 @@
 import csv
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ class TestFit:
         assert err.startswith("error while fitting: ") and "overflowed" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_overflowing_lambda_prints_only_its_error(self, tmp_path, capsys):
+        # no numpy RuntimeWarning ahead of the CLI's own error line
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "30", "--seed", "1", "--out", str(data)])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["fit", str(data), "--lambda", "1e305", "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error while fitting: ")
+
     def test_weights_file(self, tmp_path):
         data = tmp_path / "d.csv"
         main(["simulate", "--kind", "sine", "--n", "10", "--noise", "0.1",
@@ -220,7 +234,8 @@ class TestFit:
         assert report["method"] == "hermite-basis"
 
     def test_tridiagonal_corr_file_runs_banded(self, tmp_path, monkeypatch):
-        # AR(1) precision blocks: fit and select factor only banded
+        # AR(1) precision blocks: fit and select factor only banded (LAPACK
+        # dpbtrf, never the dense cho_factor)
         import vspline.hermite as hermite_mod
         data = tmp_path / "d.csv"
         main(["simulate", "--kind", "sine", "--n", "12", "--noise", "0.1",
@@ -229,7 +244,7 @@ class TestFit:
         np.savetxt(corr, np.vstack([ar1_precision(12, 0.5), ar1_precision(12, 0.3)]),
                    delimiter=",")
         calls = []
-        for name in ("cho_factor", "_factor_band"):
+        for name in ("cho_factor", "dpbtrf"):
             def counting(*args, _name=name, _real=getattr(hermite_mod, name), **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
@@ -242,7 +257,7 @@ class TestFit:
             assert main(["select", str(data), "--criterion", "gcv-corr", "--corr", str(corr),
                          "--lambda-steps", steps[0], "--gamma-steps", steps[1],
                          "--out", str(tmp_path / "s.json")]) == 0
-        assert calls and set(calls) == {"_factor_band"}
+        assert calls and set(calls) == {"dpbtrf"}
         fit = json.loads((tmp_path / "f.json").read_text())
         sel = json.loads((tmp_path / "s.json").read_text())
         assert fit["method"] == sel["method"] == "hermite-basis"
@@ -403,6 +418,21 @@ class TestSelect:
         assert "Traceback" not in err
         assert err.splitlines()[-1] == ("error while selecting parameters: "
                                         "every grid point produced a degenerate score")
+
+    def test_overflowing_grid_prints_only_its_lines(self, tmp_path, capsys):
+        # overflowing grid points are NaN without a numpy RuntimeWarning; the
+        # only stderr line is the CLI's own note on the selection's bound
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "30", "--seed", "1", "--out", str(data)])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["select", str(data), "--lambda-max", "1e305",
+                       "--out", str(tmp_path / "sel.json")])
+        assert rc == 0
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert all(line.startswith("warning: selected ") for line in err)
 
     def test_all_degenerate_exit_4(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "d.csv"

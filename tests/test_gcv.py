@@ -1,6 +1,7 @@
 """Cross-validation identities, GCV reductions, and parameter search."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from conftest import ar1_precision, random_config, random_instance, random_knots
 from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
                      build_design, cv_brute_force, cv_closed_form, fit_theta,
                      gcv_correlated, gcv_score, hat_matrices_correlated, optimize_params)
-from vspline.gcv import (_BATCH_MIN, _GRID_CHUNK, _correlated_numerator_terms,
-                         _cv_from_diagonals, _design_for, _gcv_from_traces, _golden_min,
-                         _psd_sqrt, _score, _scores)
+from vspline.gcv import (_BATCH_MIN, _GRID_CHUNK, _correlated_numerator_terms, _criterion,
+                         _design_for, _golden_min, _psd_sqrt, _score, _Scorer)
 from vspline.errors import DegenerateScoreError, SingularSystemError
 
 UNIFORM = KernelConfig.uniform()
@@ -60,22 +60,22 @@ class TestClosedFormAgainstBruteForce:
 
 class TestOneFactorization:
     def test_each_score_factors_once(self, monkeypatch):
-        # the uncorrelated scores run on the banded route only, the
-        # correlated one on the dense route only
+        # the uncorrelated scores run on the banded route only (one LAPACK
+        # dpbtrf each), the correlated one on the dense route only
         import vspline.hermite as hermite_mod
         rng = np.random.default_rng(16)
         t, y, v, cfg, lam, gamma = random_instance(rng, n_range=(6, 9))
         corr = CorrelationSpec(W=_ar1(t.size, 0.3), Ucorr=_ar1(t.size, 0.1))
         calls = []
-        for name in ("cho_factor", "_factor_band"):
+        for name in ("cho_factor", "dpbtrf"):
             def counting(*args, _name=name, _real=getattr(hermite_mod, name), **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(hermite_mod, name, counting)
         for score, expect in (
-                (lambda: cv_closed_form(t, y, v, lam, gamma, cfg), ["_factor_band"]),
-                (lambda: gcv_score(t, y, v, lam, gamma, cfg), ["_factor_band"]),
+                (lambda: cv_closed_form(t, y, v, lam, gamma, cfg), ["dpbtrf"]),
+                (lambda: gcv_score(t, y, v, lam, gamma, cfg), ["dpbtrf"]),
                 (lambda: gcv_correlated(t, y, v, lam, gamma, cfg, corr), ["cho_factor"])):
             calls.clear()
             score()
@@ -86,10 +86,9 @@ class TestOneFactorization:
         prec = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
         design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
         for score, expect in (
-                (lambda: gcv_correlated(t, y, v, lam, gamma, cfg, prec), ["_factor_band"]),
-                (lambda: fit_theta(design, y, v, gamma, prec.W, prec.Ucorr),
-                 ["_factor_band"]),
-                (lambda: cv_brute_force(t, y, v, lam, gamma, cfg), ["_factor_band"] * n)):
+                (lambda: gcv_correlated(t, y, v, lam, gamma, cfg, prec), ["dpbtrf"]),
+                (lambda: fit_theta(design, y, v, gamma, prec.W, prec.Ucorr), ["dpbtrf"]),
+                (lambda: cv_brute_force(t, y, v, lam, gamma, cfg), ["dpbtrf"] * n)):
             calls.clear()
             score()
             assert calls == expect
@@ -174,10 +173,10 @@ class TestGcvScore:
         n, gamma = 9, 1.4
         r = rng.standard_normal(n)
         rp = rng.standard_normal(n)
-        sd, td, ud, vd = 0.31, 0.12, 0.05, 0.22
-        cv = _cv_from_diagonals(r, rp, np.full(n, sd), np.full(n, td),
-                                np.full(n, ud), np.full(n, vd), gamma)
-        gcv = _gcv_from_traces(r, rp, n * sd, n * td, n * ud, n * vd, gamma, n)
+        diags = np.array([0.31, 0.12, 0.05, 0.22])[:, None, None] * np.ones((1, n))
+        gammas = np.array([gamma])
+        cv = _criterion("cv", r[None], rp[None], diags, gammas)[0]
+        gcv = _criterion("gcv", r[None], rp[None], diags, gammas)[0]
         assert gcv == pytest.approx(cv, rel=1e-12)
 
     def test_close_to_cv_on_equispaced_instance(self):
@@ -276,11 +275,29 @@ class TestCorrelatedGcv:
         W = _ar1(n, 0.4)
         U = _ar1(n, 0.2)
         k = 0.37
-        t1, t2, t3 = _correlated_numerator_terms(r, rp, k, CorrelationSpec(W, U))
-        s1, s2, s3 = _correlated_numerator_terms(r, rp, k, CorrelationSpec(4.0 * W, U))
+        t1, t2, t3 = _correlated_numerator_terms(r[None], rp[None], k, CorrelationSpec(W, U))
+        s1, s2, s3 = _correlated_numerator_terms(r[None], rp[None], k,
+                                                 CorrelationSpec(4.0 * W, U))
         assert s1 == pytest.approx(4.0 * t1, rel=1e-12)
         assert s3 == pytest.approx(t3, rel=1e-12)          # no W in the U term
         assert s2 == pytest.approx(2.0 * t2, rel=1e-12)    # sqrt(4 W) = 2 sqrt(W)
+
+    def test_dense_route_overflow_is_a_numerical_failure(self):
+        # gamma * Ucorr v overflows on the dense route: NaN in the search,
+        # not scipy's ValueError about infs or NaNs, and SingularSystemError
+        # from the public score
+        n = 12
+        t = np.linspace(0.05, 0.95, n)
+        y, v = np.sin(6 * t), 6e4 * np.cos(6 * t)
+        corr = CorrelationSpec(W=_ar1(n, 0.4), Ucorr=np.eye(n))
+        assert corr._bands is None
+        res = optimize_params(t, y, v, UNIFORM, corr=corr, criterion="gcv-corr",
+                              gamma_bounds=(1e-4, 1e305), lam_points=3, gamma_points=4)
+        _, gamma_col, score_col = res.surface.T
+        assert np.all(np.isnan(score_col[gamma_col == 1e305]))
+        assert np.isfinite(res.score)
+        with pytest.raises(SingularSystemError, match="overflowed"):
+            gcv_correlated(t, y, v, 1e-3, 1e305, UNIFORM, corr)
 
     def test_psd_sqrt_squares_back(self):
         rng = np.random.default_rng(8)
@@ -356,13 +373,10 @@ class TestOptimizeParams:
         rng = np.random.default_rng(14)
         t, y, v, cfg, _, _ = random_instance(rng, n_range=(6, 8))
         from vspline import gcv as gcv_mod
-        from vspline.errors import DegenerateScoreError
 
-        def always_degenerate(*args, **kwargs):
-            raise DegenerateScoreError("forced")
-
-        # the cv score of every fit, scored one at a time (4 x 3) or batched (8 x 8)
-        monkeypatch.setattr(gcv_mod, "_cv_from_diagonals", always_degenerate)
+        # every denominator is below an infinite floor: the cv score of every
+        # fit, with per-point sweeps (4 x 3) or batched (8 x 8), is degenerate
+        monkeypatch.setattr(gcv_mod, "_DENOM_FLOOR", np.inf)
         for lam_points, gamma_points in ((4, 3), (8, 8)):
             with pytest.raises(DegenerateGridError):
                 optimize_params(t, y, v, cfg, criterion="cv",
@@ -374,13 +388,13 @@ class TestOptimizeParams:
         y = np.sin(2 * np.pi * t)
         v = 2 * np.pi * np.cos(2 * np.pi * t)
         calls = []
-        real = gcv_mod._scores  # every score of the search, (unit, y, v, lams, gammas, ...)
+        real = gcv_mod._Scorer.scores  # every score of the search
 
-        def counting(unit, y, v, lams, gammas, *args, **kwargs):
+        def counting(self, lams, gammas):
             calls.extend(zip(np.asarray(lams).tolist(), np.asarray(gammas).tolist()))
-            return real(unit, y, v, lams, gammas, *args, **kwargs)
+            return real(self, lams, gammas)
 
-        monkeypatch.setattr(gcv_mod, "_scores", counting)
+        monkeypatch.setattr(gcv_mod._Scorer, "scores", counting)
         res = optimize_params(t, y, v, UNIFORM, criterion="cv",
                               lam_bounds=(1e-3, 1.0), lam_points=1, gamma_points=5)
         # 5 grid points, then one golden sweep of 44 points over gamma only;
@@ -402,13 +416,14 @@ class TestOptimizeParams:
         rng = np.random.default_rng(24)
         count = 2 * _GRID_CHUNK + 7
         chunks = []
-        real = gcv_mod._batch_fit_and_diagonals
+        real = gcv_mod._Scorer.stack
 
-        def spy(unit, y, v, lams, gammas, bands=None):
-            chunks.append(len(lams))
-            return real(unit, y, v, lams, gammas, bands)
+        def spy(self, lams, gammas, batched):
+            if batched:
+                chunks.append(len(lams))
+            return real(self, lams, gammas, batched)
 
-        monkeypatch.setattr(gcv_mod, "_batch_fit_and_diagonals", spy)
+        monkeypatch.setattr(gcv_mod._Scorer, "stack", spy)
         for weighted in (False, True, True):
             t, y, v, cfg, _, _ = random_instance(rng, n_range=(8, 30), weighted=weighted)
             n = t.size
@@ -420,7 +435,7 @@ class TestOptimizeParams:
             gammas = 10.0 ** rng.uniform(-4, 4, count)
             lams[17], gammas[17] = 0.0, 0.0
             chunks.clear()
-            got = _scores(unit, y, v, lams, gammas, criterion, corr)
+            got = _Scorer(unit, y, v, criterion, corr).scores(lams, gammas)
             assert sorted(chunks) == [count // 2, count - count // 2]
             want = np.full(count, np.nan)
             for i in range(count):
@@ -437,6 +452,90 @@ class TestOptimizeParams:
             per_point = [_score(unit, y, v, lam, gamma, criterion, corr)
                          for lam, gamma in zip(lam_col, gamma_col)]
             np.testing.assert_array_equal(score_col, per_point)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lam_bounds": (-1.0, 1.0)}, "lam_bounds must be positive"),
+        ({"lam_bounds": (1e2, 1e-8)}, "lam_bounds must be positive, finite and increasing"),
+        ({"lam_points": 0}, "lam_points must be at least 1"),
+        ({"lam_bounds": (1e-3, 1e-3), "lam_points": 3}, "lam_bounds must be"),
+    ], ids=["negative-bound", "reversed-bounds", "no-points", "equal-bounds"])
+    def test_invalid_range_raises(self, kwargs, message):
+        # unchecked, each searches something else without a word: a
+        # negative bound warns in log10 and returns lam = 1, reversed
+        # bounds skip every golden sweep, zero points raise
+        # DegenerateGridError, equal bounds score repeated grid points
+        t = np.linspace(0.05, 0.95, 20)
+        y = np.sin(2 * np.pi * t)
+        v = 2 * np.pi * np.cos(2 * np.pi * t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                optimize_params(t, y, v, UNIFORM, **kwargs)
+            # the gamma axis is checked the same way
+            gamma_kwargs = {key.replace("lam", "gamma"): value for key, value in kwargs.items()}
+            with pytest.raises(ValueError, match=message.replace("lam", "gamma")):
+                optimize_params(t, y, v, UNIFORM, **gamma_kwargs)
+
+    @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
+    def test_degenerate_and_overflowing_points_warn_nothing(self, criterion):
+        # lam = 1e-300 interpolates (degenerate), lam = 1e305 overflows; the
+        # 4 x 5 grid sweeps point by point, the 15 x 5 grid batched
+        t = np.linspace(0.05, 0.95, 20)
+        y = np.sin(2 * np.pi * t)
+        v = 2 * np.pi * np.cos(2 * np.pi * t)
+        corr = None
+        if criterion == "gcv-corr":
+            corr = CorrelationSpec(W=ar1_precision(20, 0.5), Ucorr=ar1_precision(20, 0.3))
+        for lam_points in (4, 15):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = optimize_params(t, y, v, UNIFORM, corr=corr, criterion=criterion,
+                                      lam_bounds=(1e-300, 1e305), lam_points=lam_points,
+                                      gamma_points=5)
+            lam_col, _, score_col = res.surface.T
+            assert np.all(np.isnan(score_col[(lam_col == 1e-300) | (lam_col == 1e305)]))
+            assert np.isfinite(res.score) and res.degenerate_count < res.surface.shape[0]
+
+    @pytest.mark.parametrize("criterion", ["cv", "gcv"])
+    def test_interpolating_points_in_a_chunk_are_nan(self, criterion):
+        # at lam = 1e-300 and gamma = 1 the fit interpolates both channels,
+        # so 1 - gamma V_ii (and n - gamma tr V) vanish: NaN in the chunk,
+        # DegenerateScoreError from the public score
+        rng = np.random.default_rng(27)
+        public = {"cv": cv_closed_form, "gcv": gcv_score}[criterion]
+        for weighted in (False, True):
+            t, y, v, cfg, _, _ = random_instance(rng, n_range=(8, 30), weighted=weighted)
+            lams = 10.0 ** rng.uniform(-8, 2, _GRID_CHUNK)
+            gammas = 10.0 ** rng.uniform(-4, 4, _GRID_CHUNK)
+            tiny = [3, 20, 41]
+            lams[tiny], gammas[tiny] = 1e-300, 1.0
+            got = _Scorer(_design_for(t, 1.0, cfg), y, v, criterion).scores(lams, gammas)
+            assert np.flatnonzero(np.isnan(got)).tolist() == tiny
+            with pytest.raises(DegenerateScoreError, match="velocity"):
+                public(t, y, v, 1e-300, 1.0, cfg)
+
+    @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
+    def test_stack_of_one_is_bitwise_the_chunk(self, criterion):
+        # a golden-section point is a stack of one with a per-point sweep;
+        # inside a chunk the same point gets the same bits, on the banded
+        # route and (gcv-corr with a wider W) on the dense one
+        rng = np.random.default_rng(28)
+        for weighted in (False, True):
+            t, y, v, cfg, _, _ = random_instance(rng, n_range=(8, 30), weighted=weighted)
+            n = t.size
+            specs = [None]
+            if criterion == "gcv-corr":
+                specs = [CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, -0.3)),
+                         CorrelationSpec(W=_ar1(n, 0.4), Ucorr=np.eye(n))]
+            for corr in specs:
+                scorer = _Scorer(_design_for(t, 1.0, cfg), y, v, criterion, corr)
+                count = _GRID_CHUNK if corr is None or corr._bands is not None else 8
+                lams = 10.0 ** rng.uniform(-8, 2, count)
+                gammas = 10.0 ** rng.uniform(-4, 4, count)
+                chunk = scorer.stack(lams, gammas, batched=True)[0]
+                for i in range(count):
+                    one = scorer.stack(lams[i:i + 1], gammas[i:i + 1], batched=False)[0]
+                    np.testing.assert_array_equal(one, chunk[i:i + 1])
 
     def test_golden_min_finds_quadratic_minimum(self):
         score, x = _golden_min(lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 1.0)
