@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import rescale_domain
-from .gcv import CorrelationSpec, _basis_fit, optimize_params
+from .gcv import (CorrelationSpec, _basis_fit, _check_range as _check_search_range,
+                  optimize_params)
 from .hermite import build_design
 from .kernels import KernelConfig
 
@@ -212,13 +213,12 @@ def _check_grid(grid):
 
 
 def _check_range(name, lo, hi, steps):
-    """A positive, finite, increasing search range with at least one step."""
-    if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
-        raise CliError(2, "parsing flags",
-                       f"--{name}-min and --{name}-max must be positive, finite "
-                       f"and min < max (got {lo!r}, {hi!r})")
-    if steps < 1:
-        raise CliError(2, "parsing flags", f"--{name}-steps must be at least 1")
+    """The search range check of :func:`optimize_params`, run on the flags
+    before any input is read."""
+    try:
+        _check_search_range((lo, hi), steps, f"--{name}-min/--{name}-max", f"--{name}-steps")
+    except ValueError as exc:
+        raise CliError(2, "parsing flags", str(exc))
 
 
 def cmd_fit(args) -> int:

@@ -283,8 +283,9 @@ class _Scorer:
             errors = _factor_solve_stack(ab, x)
             if batched:
                 zb = _band_inverse_diagonals_batch(ab)
-            else:
-                zb = np.array([_band_inverse_diagonals(L) for L in ab])
+            else:   # a failed point scores NaN: its sweep would be wasted
+                zb = np.array([_band_inverse_diagonals(L) if error is None else np.zeros(L.shape)
+                               for L, error in zip(ab, errors)])
             del ab   # the factors are not needed past the sweep
             diags = _hat_diagonals(zb, self.bands)
             values, slopes = x[:, 0::2], x[:, 1::2]
@@ -387,14 +388,15 @@ class SelectionResult:
     degenerate_count: int
 
 
-def _check_range(name, bounds, points):
-    """A positive, finite, increasing search range with at least one point."""
+def _check_range(bounds, points, bounds_name, points_name):
+    """A positive, finite, increasing search range with at least one point,
+    else ``ValueError`` naming the arguments (or the CLI's flags)."""
     lo, hi = bounds
     if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
-        raise ValueError(f"{name}_bounds must be positive, finite and increasing "
+        raise ValueError(f"{bounds_name} must be positive, finite and increasing "
                          f"(got {lo!r}, {hi!r})")
     if points < 1:
-        raise ValueError(f"{name}_points must be at least 1")
+        raise ValueError(f"{points_name} must be at least 1")
 
 
 def _golden_min(f, lo, hi, iters=40):
@@ -462,8 +464,8 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
         raise ValueError("criterion 'gcv-corr' requires a CorrelationSpec")
     if criterion != "gcv-corr":
         corr = None
-    _check_range("lam", lam_bounds, lam_points)
-    _check_range("gamma", gamma_bounds, gamma_points)
+    _check_range(lam_bounds, lam_points, "lam_bounds", "lam_points")
+    _check_range(gamma_bounds, gamma_points, "gamma_bounds", "gamma_points")
     scorer = _Scorer(_design_for(t, 1.0, cfg), y, v, criterion, corr)
 
     lams = np.geomspace(lam_bounds[0], lam_bounds[1], lam_points)

@@ -443,7 +443,7 @@ def _normal_stack(band, lams, gammas, wy, uv, bands=None):
 
     Rounded as :func:`_normal_band` on a design built at that lam,
     ``(band lam) n``, and as :func:`_band_rhs`.  Overflow leaves
-    non-finite entries, which :func:`_factor_solve_stack` rejects.
+    non-finite entries, which :func:`_factor_band` rejects.
     """
     count, size = lams.size, band.shape[1]
     ab = np.empty((count, size, 4)).transpose(0, 2, 1)
@@ -458,33 +458,23 @@ def _normal_stack(band, lams, gammas, wy, uv, bands=None):
 
 
 def _factor_solve_stack(ab, rhs):
-    """Factor each band ``ab[p]`` of :func:`_normal_stack` in place (LAPACK
-    ``dpbtrf``, as :func:`_factor_band`) and overwrite ``rhs[p]`` with the
-    solution (``dpbtrs``, as :func:`_solve_band`).
+    """Factor each band ``ab[p]`` of :func:`_normal_stack` in place by
+    :func:`_factor_band` and overwrite ``rhs[p]`` with its solution by
+    :func:`_solve_band`.
 
-    Returns, per point, ``None`` or the :class:`SingularSystemError` that
-    :func:`_factor_band` and :func:`_solve_band` would have raised there.
-    One finite check on each stack stands for their per-point checks.  A
-    failed point's band is replaced by the identity's and its solution by
-    zeros, so the sweeps and the criterion run over the whole stack.
+    Returns, per point, ``None`` or the :class:`SingularSystemError` raised
+    there.  A failed point's band is replaced by the identity's and its
+    solution by zeros, so a batched sweep and the criterion run over the
+    whole stack.
     """
-    band_ok = np.isfinite(ab).all(axis=(1, 2))
-    rhs_ok = np.isfinite(rhs).all(axis=1)
-    errors = [None] * len(ab)
+    errors = []
     for p in range(len(ab)):
-        if not band_ok[p]:
-            errors[p] = _overflowed("band")
-        else:
-            L, info = dpbtrf(ab[p], lower=1, overwrite_ab=1)
-            if info:
-                errors[p] = _not_positive_definite(f"{info}-th leading minor")
-            elif not rhs_ok[p]:
-                errors[p] = _overflowed("right-hand side")
-            else:
-                if not np.may_share_memory(L, ab):   # dpbtrf copied instead of working in place
-                    ab[p] = L
-                rhs[p] = dpbtrs(L, rhs[p], lower=1)[0]
-        if errors[p] is not None:
+        try:
+            ab[p] = _factor_band(ab[p])
+            rhs[p] = _solve_band(ab[p], rhs[p])
+            errors.append(None)
+        except SingularSystemError as exc:
+            errors.append(exc)
             ab[p] = 0.0
             ab[p, 0] = 1.0
             rhs[p] = 0.0
@@ -600,20 +590,13 @@ def _band_inverse_diagonals_batch(L):
     return zb.transpose(2, 1, 0)
 
 
-# Where _hat_diagonals reads Z = A^-1 for (S_ii, T_ii, U_ii, V_ii): the
-# band row and the column parity (0 for value i, 1 for slope i, in column
-# 2i + parity) of the entry on the diagonal's own knot, of the entry that
-# meets the next knot's weight ("after") and of the one the previous
-# knot's weight meets ("before", read at knot i - 1).
-_HAT_ROWS = np.array([[0, 1, 1, 0], [2, 3, 1, 2], [2, 1, 3, 2]])
-_HAT_PARITY = np.array([[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]])
-
-
 def _hat_diagonals(zb, bands=None):
-    """The hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` from the band ``zb`` of
-    ``Z = A^-1`` and the tridiagonal bands of ``W`` and ``Ucorr``, as one
-    C-ordered (4, n) array; for a stack of bands (count, 4, 2n), one
-    (4, count, n) array.
+    """The hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` of a stack of points,
+    one C-ordered (4, count, n) array, from their bands ``zb`` of
+    ``Z = A^-1`` (count, 4, 2n) and the tridiagonal bands of ``W`` and
+    ``Ucorr``.  C order, whatever the order of ``zb``: each point's later
+    sums (the traces) run over its own contiguous row, with the bits of a
+    stack of one.
 
     With ``Zvv``, ``Zvs``, ``Zsv``, ``Zss`` the value/slope blocks of
     ``Z``, the hat blocks are ``S = Zvv W``, ``T = Zvs Ucorr``,
@@ -622,18 +605,20 @@ def _hat_diagonals(zb, bands=None):
     weight reaches only the neighbouring knots, so each diagonal entry
     sums three products, e.g. ``S_ii = Zvv[i, i] W[i, i] +
     Zvv[i+1, i] W[i+1, i] + Zvv[i, i-1] W[i-1, i]``, all inside the band
-    of ``Z``; the four diagonals are computed together, each entry by the
-    same operations in the same order.
+    of ``Z``.  The four diagonals are computed together: fewer numpy
+    calls, which is most of the cost for a single point at small n.
     """
-    z = zb.reshape(zb.shape[:-1] + (-1, 2))   # (..., 4, n, parity)
-    # the gathers follow the memory order of zb; C order keeps each
-    # point's later sums to its own row
+    zvv, zss = zb[:, 0, 0::2], zb[:, 0, 1::2]            # Z[v_i, v_i], Z[s_i, s_i]
+    zsv = zb[:, 1, 0::2]                                 # Z[s_i, v_i]
     if bands is None:
-        return np.ascontiguousarray(z[..., _HAT_ROWS[0], :, _HAT_PARITY[0]])
-    own, after, before = np.ascontiguousarray(z[..., _HAT_ROWS, :, _HAT_PARITY])
-    weights = np.concatenate((bands, bands))   # W, Ucorr, W, Ucorr: (4, 2, n)
-    if own.ndim == 3:
-        weights = weights[:, :, None, :]
+        return np.array((zvv, zsv, zsv, zss), order="C")
+    zvs_next = zb[:, 1, 1::2]                            # Z[v_i+1, s_i]
+    zvv_next, zss_next = zb[:, 2, 0::2], zb[:, 2, 1::2]  # Z[v_i+1, v_i], Z[s_i+1, s_i]
+    zsv_next = zb[:, 3, 0::2]                            # Z[s_i+1, v_i]
+    own, after, before = np.array(((zvv, zsv, zsv, zss),
+                                   (zvv_next, zsv_next, zvs_next, zss_next),
+                                   (zvv_next, zvs_next, zsv_next, zss_next)), order="C")
+    weights = np.concatenate((bands, bands))[:, :, None]   # W, Ucorr, W, Ucorr: (4, 2, 1, n)
     weight, sub = weights[:, 0], weights[:, 1]
     # own_i weight_i + after_i sub_i + before_(i-1) sub_(i-1)
     out = own * weight + after * sub
@@ -708,7 +693,7 @@ def _fit_and_diagonals(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None,
     gamma, y, v = _check_normal_args(design.n, gamma, y, v, W, Ucorr)
     if (W is None and Ucorr is None) or bands is not None:
         theta, L = _banded_fit(design, y, v, gamma, bands)
-        return theta, _hat_diagonals(_band_inverse_diagonals(L), bands)
+        return theta, _hat_diagonals(_band_inverse_diagonals(L)[None], bands)[:, 0]
     W, Ucorr = _symmetric(W), _symmetric(Ucorr)
     cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
     return _dense_diagonals(cho, rhs, W, Ucorr)

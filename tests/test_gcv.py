@@ -1,5 +1,6 @@
 """Cross-validation identities, GCV reductions, and parameter search."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -14,6 +15,7 @@ from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
 from vspline.gcv import (_BATCH_MIN, _GRID_CHUNK, _correlated_numerator_terms, _criterion,
                          _design_for, _golden_min, _psd_sqrt, _score, _Scorer)
 from vspline.errors import DegenerateScoreError, SingularSystemError
+from vspline.hermite import _fit_and_diagonals
 
 UNIFORM = KernelConfig.uniform()
 
@@ -453,6 +455,34 @@ class TestOptimizeParams:
                          for lam, gamma in zip(lam_col, gamma_col)]
             np.testing.assert_array_equal(score_col, per_point)
 
+    def test_cv_scores_are_bitwise_the_fit_path(self):
+        # the scorer shares no code with the fit path past the band
+        # helpers; its cv scores (unit penalty times lam, batched and one
+        # at a time) and the public cv_closed_form (penalty built at lam)
+        # equal, bit for bit, the closed form on _fit_and_diagonals
+        rng = np.random.default_rng(29)
+
+        def closed_form(design, y, v, gamma):
+            theta, (s_diag, t_diag, u_diag, v_diag) = _fit_and_diagonals(design, y, v, gamma)
+            n = y.size
+            k = gamma * t_diag / (1.0 - gamma * v_diag)
+            deleted = (theta[:n] - y + k * (theta[n:] - v)) / (1.0 - s_diag - k * u_diag)
+            return np.mean(deleted ** 2)
+
+        for weighted in (False, True):
+            t, y, v, cfg, _, _ = random_instance(rng, n_range=(8, 30), weighted=weighted)
+            unit = _design_for(t, 1.0, cfg)
+            for count in (_GRID_CHUNK, 3):
+                lams = 10.0 ** rng.uniform(-4, 1, count)
+                gammas = 10.0 ** rng.uniform(-2, 2, count)
+                got = _Scorer(unit, y, v, "cv").scores(lams, gammas)
+                want = [closed_form(dataclasses.replace(unit, band=unit.band * lam), y, v, gamma)
+                        for lam, gamma in zip(lams, gammas)]
+                np.testing.assert_array_equal(got, want)
+            for lam, gamma in zip(lams, gammas):
+                assert (cv_closed_form(t, y, v, lam, gamma, cfg).value
+                        == closed_form(_design_for(t, lam, cfg), y, v, gamma))
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"lam_bounds": (-1.0, 1.0)}, "lam_bounds must be positive"),
         ({"lam_bounds": (1e2, 1e-8)}, "lam_bounds must be positive, finite and increasing"),
@@ -536,6 +566,23 @@ class TestOptimizeParams:
                 for i in range(count):
                     one = scorer.stack(lams[i:i + 1], gammas[i:i + 1], batched=False)[0]
                     np.testing.assert_array_equal(one, chunk[i:i + 1])
+
+    def test_failed_point_is_not_swept(self, monkeypatch):
+        # a point swept on its own whose factorization fails (no penalty,
+        # no velocity weight) is NaN without its O(n) selected-inverse
+        # sweep; at n = 5000 that sweep is most of a golden point's cost
+        import vspline.gcv as gcv_mod
+        real = gcv_mod._band_inverse_diagonals
+        swept = []
+        monkeypatch.setattr(gcv_mod, "_band_inverse_diagonals",
+                            lambda L: swept.append(L) or real(L))
+        t = np.linspace(0.05, 0.95, 20)
+        y = np.sin(2 * np.pi * t)
+        v = 2 * np.pi * np.cos(2 * np.pi * t)
+        scores = _Scorer(_design_for(t, 1.0, UNIFORM), y, v, "cv").scores([0.0, 1e-3],
+                                                                          [0.0, 1.0])
+        assert np.isnan(scores[0]) and np.isfinite(scores[1])
+        assert len(swept) == 1
 
     def test_golden_min_finds_quadratic_minimum(self):
         score, x = _golden_min(lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 1.0)
