@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 parse or input error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -76,20 +75,29 @@ def simulate_dataset(kind: str, n: int, noise: float, seed: int):
     return t, y, v
 
 
+def _parse_rows(lines):
+    """The first three CSV columns as floats (numpy's C reader), or None."""
+    try:
+        return np.loadtxt(lines, delimiter=",", usecols=(0, 1, 2), ndmin=2,
+                          comments=None, quotechar='"')
+    except ValueError:
+        return None
+
+
 def _read_dataset(path):
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path) as fh:
+            lines = [line for line in fh.read().split("\n") if line.strip()]
     except OSError as exc:
         raise CliError(2, "reading input", f"cannot read {path}: {exc}")
-    if len(rows) < 3:
+    if len(lines) < 3:
         raise CliError(2, "reading input", f"{path}: need a header and at least 2 rows")
-    body = rows[1:]
-    try:
-        data = np.array([[float(x) for x in row[:3]] for row in body])
-    except (ValueError, IndexError):
+    if _parse_rows(lines[:1]) is not None:
+        raise CliError(2, "reading input", f"{path}: missing the header row t,y,v")
+    data = _parse_rows(lines[1:])
+    if data is None:
         raise CliError(2, "reading input", f"{path}: rows must hold numeric t, y, v")
-    t, y, v = data[:, 0], data[:, 1], data[:, 2]
+    t, y, v = data.T
     if not np.all(np.isfinite(data)):
         raise CliError(2, "reading input", f"{path}: non-finite values")
     if np.any(np.diff(t) <= 0.0):
@@ -129,21 +137,15 @@ def _read_corr(path, n):
 
 
 def _write_rows(path, header, rows):
-    # repr of a Python float round-trips exactly; numpy scalars would not
+    # csv.writer's bytes: CRLF line ends; repr of a Python float (tolist) needs no quotes
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([[repr(float(x)) for x in row] for row in rows])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
-def _curve_path(out_path: str) -> str:
-    return out_path + ".curve.csv" if not out_path.endswith(".json") \
-        else out_path[:-5] + ".curve.csv"
-
-
-def _surface_path(out_path: str) -> str:
-    return out_path + ".surface.csv" if not out_path.endswith(".json") \
-        else out_path[:-5] + ".surface.csv"
+def _sibling_path(out_path: str, suffix: str) -> str:
+    """The report path with its ``.json`` extension, if any, replaced by ``suffix``."""
+    return (out_path[:-5] if out_path.endswith(".json") else out_path) + suffix
 
 
 def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
@@ -169,9 +171,8 @@ def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
     f_curve = design.basis.evaluate(theta, grid_unit)
     df_curve = design.basis.evaluate_deriv(theta, grid_unit) / scale.time_factor
 
-    curve_file = _curve_path(out_path)
-    _write_rows(curve_file, ["t", "f", "df"],
-                zip(grid_raw, f_curve, df_curve))
+    curve_file = _sibling_path(out_path, ".curve.csv")
+    _write_rows(curve_file, ["t", "f", "df"], np.column_stack([grid_raw, f_curve, df_curve]))
 
     report = {
         "n": int(n),
@@ -192,8 +193,7 @@ def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
     if selection is not None:
         report["selection"] = selection
     with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 
@@ -202,7 +202,7 @@ def cmd_simulate(args) -> int:
         t, y, v = simulate_dataset(args.kind, args.n, args.noise, args.seed)
     except ValueError as exc:
         raise CliError(2, "simulating", str(exc))
-    _write_rows(args.out, ["t", "y", "v"], zip(t, y, v))
+    _write_rows(args.out, ["t", "y", "v"], np.column_stack([t, y, v]))
     print(f"wrote {args.out} ({args.kind}, n={args.n}, seed={args.seed})")
     return 0
 
@@ -271,7 +271,7 @@ def cmd_select(args) -> int:
         raise CliError(4, "selecting parameters", str(exc))
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise CliError(3, "selecting parameters", str(exc))
-    surface_file = _surface_path(args.out)
+    surface_file = _sibling_path(args.out, ".surface.csv")
     _write_rows(surface_file, ["lambda", "gamma", "score"], result.surface)
     selected = {"lambda": result.lam, "gamma": result.gamma}
     at_bound = {

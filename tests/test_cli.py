@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: files, exit codes, determinism."""
 
 import csv
+import io
 import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +346,53 @@ class TestFit:
         assert peak < 8 * (2 * n) ** 2 / 100
 
 
+class TestDatasetFormat:
+    """What the dataset reader accepts: a header row, then numeric t, y, v."""
+
+    ROWS = "0,1,2{nl}1,2,3{nl}2,3,4{nl}"
+
+    def _fit(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        out = tmp_path / "r.json"
+        return main(["fit", str(path), "--lambda", "0.1", "--grid", "5", "--out", str(out)]), out
+
+    def test_headerless_file_exit_2(self, tmp_path, capsys):
+        # dropping the first row as a header would silently lose a sample
+        rc, out = self._fit(tmp_path, self.ROWS.format(nl="\n"))
+        assert rc == 2
+        assert "missing the header row t,y,v" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "t,y,v\n" + ROWS.format(nl="\n") + "\n",            # trailing blank line
+        "t,y,v\n0,1,2\n\n1,2,3\n  \n2,3,4\n",               # interior blank lines
+        "t,y,v\r\n" + ROWS.format(nl="\r\n"),                # CRLF
+        't,y,v\n"0","1","2"\n"1","2","3"\n"2","3","4"\n',    # quoted numbers
+        "t,y,v,w\n0,1,2,x\n1,2,3,9\n2,3,4\n",                # extra columns ignored
+    ])
+    def test_accepted_variants_fit_the_same_three_samples(self, tmp_path, text):
+        plain, _ = self._fit(tmp_path, "t,y,v\n" + self.ROWS.format(nl="\n"))
+        want = (tmp_path / "r.json").read_text()
+        rc, out = self._fit(tmp_path, text)
+        assert plain == rc == 0
+        assert json.loads(out.read_text())["n"] == 3
+        assert out.read_text() == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,y,v\n0,1,2\n1,2\n2,3,4\n", "rows must hold numeric t, y, v"),
+        ("t,y\n0,1\n1,2\n2,3\n", "rows must hold numeric t, y, v"),
+        ("t;y;v\n0;1;2\n1;2;3\n2;3;4\n", "rows must hold numeric t, y, v"),
+        ("t,y,v\n# note\n0,1,2\n1,2,3\n", "rows must hold numeric t, y, v"),
+        ("t,y,v\n0,1,nan\n1,2,3\n2,3,4\n", "non-finite values"),
+        ("t,y,v\n0,1,2\n\n", "need a header and at least 2 rows"),
+    ])
+    def test_rejected_variants_exit_2(self, tmp_path, capsys, text, message):
+        rc, _ = self._fit(tmp_path, text)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+
 class TestSelect:
     def test_pipeline_interior_minimum_and_determinism(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -481,3 +530,59 @@ class TestRoundTrip:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
         _, d2 = _read_csv(data2)
         np.testing.assert_array_equal(d1, d2)
+
+
+class TestOutputBytes:
+    """Every written file has the bytes of the csv/json writers it replaced."""
+
+    @staticmethod
+    def _csv_oracle(header, rows):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows([[repr(float(x)) for x in row] for row in rows])
+        return buf.getvalue().encode()
+
+    def _assert_csv(self, path, rows=None):
+        with open(path, newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        if rows is None:
+            rows = [[float(x) for x in row] for row in body]
+        assert Path(path).read_bytes() == self._csv_oracle(header, rows)
+
+    @staticmethod
+    def _assert_report(path):
+        with open(path) as fh:
+            report = json.load(fh)
+        buf = io.StringIO()
+        json.dump(report, buf, indent=2, sort_keys=True)
+        buf.write("\n")
+        assert Path(path).read_bytes() == buf.getvalue().encode()
+
+    def test_simulate_fit_select_match_the_stdlib_writers(self, tmp_path):
+        n = 12
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--kind", "iwp", "--n", str(n), "--noise", "0.1",
+                     "--seed", "4", "--out", str(data)]) == 0
+        t, y, v = simulate_dataset("iwp", n, 0.1, 4)
+        self._assert_csv(data, np.column_stack([t, y, v]))
+
+        weights = tmp_path / "w.txt"
+        np.savetxt(weights, np.linspace(0.5, 2.0, n + 1))
+        rep = tmp_path / "fit.json"
+        assert main(["fit", str(data), "--lambda", "1e-3", "--weights", str(weights),
+                     "--grid", "31", "--out", str(rep)]) == 0
+        self._assert_report(rep)
+        self._assert_csv(json.loads(rep.read_text())["curve_file"])
+
+        corr = tmp_path / "corr.csv"
+        np.savetxt(corr, np.vstack([ar1_precision(n, 0.5), ar1_precision(n, 0.3)]),
+                   delimiter=",", fmt="%.17g")
+        sel = tmp_path / "sel.json"
+        assert main(["select", str(data), "--criterion", "gcv-corr", "--corr", str(corr),
+                     "--lambda-steps", "4", "--gamma-steps", "3", "--grid", "23",
+                     "--out", str(sel)]) == 0
+        self._assert_report(sel)
+        report = json.loads(sel.read_text())
+        self._assert_csv(report["curve_file"])
+        self._assert_csv(report["selection"]["surface_file"])
