@@ -18,12 +18,11 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, gcv
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import rescale_domain
-from .gcv import (CorrelationSpec, _basis_fit, _check_range as _check_search_range,
-                  optimize_params)
-from .hermite import build_design
+from .gcv import CorrelationSpec, optimize_params
+from .hermite import _fit_point
 from .kernels import KernelConfig
 
 MARGIN = 0.05
@@ -88,7 +87,7 @@ def _read_dataset(path):
     try:
         with open(path) as fh:
             lines = [line for line in fh.read().split("\n") if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(2, "reading input", f"cannot read {path}: {exc}")
     if len(lines) < 3:
         raise CliError(2, "reading input", f"{path}: need a header and at least 2 rows")
@@ -148,23 +147,27 @@ def _sibling_path(out_path: str, suffix: str) -> str:
     return (out_path[:-5] if out_path.endswith(".json") else out_path) + suffix
 
 
+def _penalty_config(tu, weights) -> KernelConfig:
+    """The penalty profile on the unit axis: the interval weights of
+    ``--weights`` on the knots ``tu``, else uniform."""
+    if weights is None:
+        return KernelConfig.uniform()
+    return KernelConfig.piecewise(np.concatenate([[0.0], tu, [1.0]]), weights)
+
+
 def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
                 selection=None):
     """Fit at fixed parameters and write the report and curve files.
 
-    Every report comes from the banded Hermite-basis fit: one factorization
-    gives the knot values and slopes and the hat diagonals, and the curve
-    is the cubic Hermite interpolant of that knot fit.
+    Every report comes from the Hermite-basis fit: one factorization gives
+    the knot values and slopes and the hat diagonals, and the curve is the
+    cubic Hermite interpolant of that knot fit.
     """
     tu, yu, vu, scale = rescale_domain(t_raw, y, v, margin=MARGIN)
     n = tu.size
-    if weights is not None:
-        cfg = KernelConfig.piecewise(np.concatenate([[0.0], tu, [1.0]]), weights)
-    else:
-        cfg = KernelConfig.uniform()
-
-    design = build_design(tu, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
-    theta, (s_diag, _, _, v_diag) = _basis_fit(design, yu, vu, gamma, corr)
+    design = gcv._design_for(tu, lam, _penalty_config(tu, weights))
+    mats = () if corr is None else (corr.W, corr.Ucorr)
+    theta, (s_diag, _, _, v_diag) = _fit_point(design, yu, vu, gamma, *mats, diagonals=True)
 
     grid_raw = np.linspace(t_raw[0], t_raw[-1], grid)
     grid_unit = scale.to_unit(grid_raw)
@@ -216,7 +219,7 @@ def _check_range(name, lo, hi, steps):
     """The search range check of :func:`optimize_params`, run on the flags
     before any input is read."""
     try:
-        _check_search_range((lo, hi), steps, f"--{name}-min/--{name}-max", f"--{name}-steps")
+        gcv._check_range((lo, hi), steps, f"--{name}-min/--{name}-max", f"--{name}-steps")
     except ValueError as exc:
         raise CliError(2, "parsing flags", str(exc))
 
@@ -257,13 +260,9 @@ def cmd_select(args) -> int:
     weights = _read_weights(args.weights, t.size) if args.weights else None
     corr = _read_corr(args.corr, t.size) if args.corr else None
     tu, yu, vu, _ = rescale_domain(t, y, v, margin=MARGIN)
-    if weights is not None:
-        cfg = KernelConfig.piecewise(np.concatenate([[0.0], tu, [1.0]]), weights)
-    else:
-        cfg = KernelConfig.uniform()
     try:
         result = optimize_params(
-            tu, yu, vu, cfg, corr=corr, criterion=args.criterion,
+            tu, yu, vu, _penalty_config(tu, weights), corr=corr, criterion=args.criterion,
             lam_bounds=(args.lambda_min, args.lambda_max),
             gamma_bounds=(args.gamma_min, args.gamma_max),
             lam_points=args.lambda_steps, gamma_points=args.gamma_steps)

@@ -28,12 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cholesky, eigh
 
-from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
+from .errors import DegenerateGridError, DegenerateScoreError
 from .fit import check_knots
-from .hermite import (_band_inverse_diagonals, _band_inverse_diagonals_batch, _band_matvec,
-                      _dense_diagonals, _error_bands, _factor_normal, _factor_solve_stack,
-                      _fit_and_diagonals, _hat_diagonals, _normal_stack, build_design,
-                      fit_theta)
+from .hermite import _ErrorWeights, _fit_stack, build_design, fit_theta
 from .kernels import KernelConfig
 
 __all__ = [
@@ -96,15 +93,12 @@ class CorrelationSpec:
     name ``Ucorr`` keeps the correlation matrix distinct from the hat
     block ``U`` of :class:`vspline.hermite.HatMatrices`.  ``cross`` is
     the coupling ``W^(1/2) Ucorr^(1/2)`` of the correlated GCV numerator,
-    formed once here from the symmetric PSD square roots.  ``_bands``
-    holds the tridiagonal bands of both matrices, or ``None`` when either
-    is wider; it picks the banded or the dense route once for every score.
+    formed once here from the symmetric PSD square roots.
     """
 
     W: np.ndarray
     Ucorr: np.ndarray
     cross: np.ndarray = field(init=False, repr=False)
-    _bands: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = []
@@ -129,7 +123,6 @@ class CorrelationSpec:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "Ucorr", U)
         object.__setattr__(self, "cross", cross)
-        object.__setattr__(self, "_bands", _error_bands(W, U, W.shape[0]))
 
 
 def _check_inputs(t, y, v, lam, gamma):
@@ -152,13 +145,6 @@ def _check_inputs(t, y, v, lam, gamma):
 def _design_for(t, lam, cfg: KernelConfig):
     """Basis design whose penalty is lam times the config's weight profile."""
     return build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
-
-
-def _basis_fit(design, y, v, gamma, corr: CorrelationSpec | None = None):
-    """Coefficients and the four hat diagonals, with the error weights of
-    ``corr`` if given (on the route its bandwidth picked)."""
-    errors = () if corr is None else (corr.W, corr.Ucorr, corr._bands)
-    return _fit_and_diagonals(design, y, v, gamma, *errors)
 
 
 def cv_brute_force(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
@@ -242,20 +228,17 @@ class _Scorer:
     """One criterion of one problem, scored at many (lam, gamma).
 
     Built once per search, it holds what no point changes: the checked
-    data, the penalty at unit lam, the route that the bandwidth of
-    ``W``/``Ucorr`` picks, and the products ``W y`` and ``Ucorr v`` of
-    every banded right-hand side.  A point then costs its band, its
-    factorization and solve, and its share of a selected-inverse sweep;
-    the hat diagonals and :func:`_criterion` run once per stack.
+    data, the penalty at unit lam, and the error weights of
+    :class:`vspline.hermite._ErrorWeights` (the route and the products
+    ``W y`` and ``Ucorr v``).  A point then costs its share of one
+    :func:`vspline.hermite._fit_stack` call; :func:`_criterion` runs once
+    per stack.
     """
 
     def __init__(self, design, y, v, criterion, corr: CorrelationSpec | None = None):
-        self.design, self.y, self.v = design, y, v
+        self.band, self.y, self.v = design.band, y, v
         self.criterion, self.corr = criterion, corr
-        self.bands = None if corr is None else corr._bands
-        self.dense = corr is not None and self.bands is None
-        self.wy, self.uv = (y, v) if self.bands is None else (
-            _band_matvec(self.bands[0], y), _band_matvec(self.bands[1], v))
+        self.weights = _ErrorWeights(y, v, *(() if corr is None else (corr.W, corr.Ucorr)))
 
     def scores(self, lams, gammas):
         """Scores at the points ``(lams[i], gammas[i])``, NaN where the
@@ -264,7 +247,7 @@ class _Scorer:
         one batched sweep each, with the same bits."""
         lams, gammas = np.asarray(lams, dtype=float), np.asarray(gammas, dtype=float)
         count = lams.size
-        if count < _BATCH_MIN or self.dense:
+        if count < _BATCH_MIN or self.weights.dense:
             return self.stack(lams, gammas, batched=False)[0]
         out = np.empty(count)
         for chunk in np.array_split(np.arange(count), max(1, count // _GRID_CHUNK)):
@@ -276,39 +259,13 @@ class _Scorer:
         :class:`SingularSystemError` of each point or ``None``, and the
         degenerate masks of :func:`_criterion`.  ``batched`` runs one
         selected-inverse sweep over the whole stack."""
-        if self.dense:
-            values, slopes, diags, errors = self._dense_fits(lams, gammas)
-        else:
-            ab, x = _normal_stack(self.design.band, lams, gammas, self.wy, self.uv, self.bands)
-            errors = _factor_solve_stack(ab, x)
-            if batched:
-                zb = _band_inverse_diagonals_batch(ab)
-            else:   # a failed point scores NaN: its sweep would be wasted
-                zb = np.array([_band_inverse_diagonals(L) if error is None else np.zeros(L.shape)
-                               for L, error in zip(ab, errors)])
-            del ab   # the factors are not needed past the sweep
-            diags = _hat_diagonals(zb, self.bands)
-            values, slopes = x[:, 0::2], x[:, 1::2]
+        values, slopes, diags, errors = _fit_stack(self.band, lams, gammas, self.weights,
+                                                   batched=batched)
         scores, degenerate = _criterion(self.criterion, values - self.y, slopes - self.v,
                                         diags, gammas, self.corr)
         if any(errors):
             scores[[error is not None for error in errors]] = np.nan
         return scores, errors, degenerate
-
-    def _dense_fits(self, lams, gammas):
-        """Values, slopes, hat diagonals and errors as in :meth:`stack`, one
-        dense factorization per point."""
-        n = self.y.size
-        W, Ucorr = self.corr.W, self.corr.Ucorr
-        x, diags, errors = np.zeros((len(lams), 2 * n)), np.zeros((4, len(lams), n)), []
-        for p, (lam, gamma) in enumerate(zip(lams, gammas)):
-            try:
-                cho, rhs = _factor_normal(self.design, gamma, self.y, self.v, W, Ucorr, lam)
-                x[p], diags[:, p] = _dense_diagonals(cho, rhs, W, Ucorr)
-                errors.append(None)
-            except SingularSystemError as exc:
-                errors.append(exc)
-        return x[:, :n], x[:, n:], diags, errors
 
 
 def cv_closed_form(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:

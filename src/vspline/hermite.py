@@ -13,18 +13,22 @@ Cardinality makes the value and derivative design matrices identity
 blocks, so they are never formed, and the hat matrices are plain
 sub-blocks of the inverse normal matrix ``A``.  With the unknowns
 interleaved as (value_0, slope_0, value_1, ...) each knot interval couples
-four consecutive unknowns, so ``A`` has bandwidth 3.  Error weights
-``W``/``Ucorr`` that are at most tridiagonal (none, diagonal weights, or
-AR(1) precisions) keep that bandwidth, and then the fit and the hat
-diagonals that the cross-validation identities of :mod:`vspline.gcv`
-need come from one banded Cholesky factorization and the
-selected-inverse recursion on its band: O(n) time and memory, no
-2n-by-2n matrix.  A parameter search runs that recursion for many
-(lam, gamma) at once, vectorized over the points
-(:func:`_normal_stack`, :func:`_factor_solve_stack`,
-:func:`_band_inverse_diagonals_batch`), with the same bits.  Wider
-``W``/``Ucorr`` fill ``A`` in, so that route, and the full hat blocks of
-:func:`hat_matrices` and :func:`hat_matrices_correlated`, stay dense.
+four consecutive unknowns, so ``A`` has bandwidth 3.
+
+One engine, :func:`_fit_stack`, runs every basis fit: :func:`fit_theta`,
+the command-line report, and each score and parameter search of
+:mod:`vspline.gcv`.  It fits a stack of (lam, gamma) points (a single fit
+is a stack of one) and returns their values, slopes, hat diagonals if
+asked, and per-point errors.  The route is decided once per problem, by
+:class:`_ErrorWeights` from the bandwidth of the error weights
+``W``/``Ucorr``.  At most tridiagonal (none, diagonal weights, or AR(1)
+precisions), they keep the bandwidth of ``A``: the stack is assembled as
+bands, each point is factored by banded Cholesky, and the hat diagonals
+come from the band of ``A^-1`` by the selected-inverse recursion, per
+point or vectorized over the stack, with the same bits: O(n) time and
+memory, no 2n-by-2n matrix.  Wider ``W``/``Ucorr`` fill ``A`` in and take
+the dense route.  The full hat blocks of :func:`hat_matrices` and
+:func:`hat_matrices_correlated` stay dense, as the tests' oracles.
 """
 
 from __future__ import annotations
@@ -256,21 +260,6 @@ def _check_normal_args(n, gamma, y=None, v=None, W=None, Ucorr=None):
     return gamma, y, v
 
 
-def _symmetric(M):
-    """The symmetric part ``(M + M') / 2`` of an error-weight matrix
-    (``None`` stays ``None``).
-
-    The dense factorization reads only the lower triangle while ``W @ y``
-    reads all of ``W``, and the banded route is detected only for exact
-    symmetry; on the symmetric part every route solves the same problem.
-    Exactly symmetric input is returned as it is, without a copy.
-    """
-    if M is None:
-        return None
-    M = np.asarray(M, dtype=float)
-    return M if np.array_equal(M, M.T) else (M + M.T) / 2
-
-
 def _not_positive_definite(exc):
     return SingularSystemError(f"penalized normal equations not positive definite: {exc}")
 
@@ -280,21 +269,20 @@ def _overflowed(what):
                                "(lambda or gamma too large)")
 
 
-def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=None,
-                   lam=1.0):
+def _factor_normal(band, lam, gamma, W=None, Ucorr=None):
     """Dense Cholesky factor of ``A = blockdiag(W, gamma Ucorr) + n lam omega``
-    (values, then slopes) and, given data, the right-hand side
-    ``[W y; gamma Ucorr v]``.
+    (values, then slopes) for the penalty ``band`` of ``omega``.
 
-    The dense route: ``W``/``Ucorr`` wider than tridiagonal, and the full
-    hat blocks.  ``W``/``Ucorr`` default to the identity, which is added
-    on the diagonal rather than multiplied in.  ``lam`` scales the
-    design's penalty with the rounding of a design built at that lam.
+    The factor helper of the dense route (``W``/``Ucorr`` wider than
+    tridiagonal) and of the full hat blocks.  ``W``/``Ucorr`` default to
+    the identity, which is added on the diagonal rather than multiplied
+    in.  ``lam`` scales the penalty with the rounding of a design built
+    at that lam.  An overflowed or not positive definite ``A`` raises
+    :class:`SingularSystemError`.
     """
-    n = design.n
-    gamma, y, v = _check_normal_args(n, gamma, y, v, W, Ucorr)
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below and on solving
-        A = _dense_from_band((design.band * lam) * n)
+    n = band.shape[1] // 2
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        A = _dense_from_band((band * lam) * n)
         diag = np.diag_indices(n)
         if W is None:
             A[:n, :n][diag] += 1.0
@@ -304,61 +292,31 @@ def _factor_normal(design: DesignMatrices, gamma, y=None, v=None, W=None, Ucorr=
             A[n:, n:][diag] += gamma
         else:
             A[n:, n:] += gamma * Ucorr
-        rhs = None if y is None else np.concatenate([y if W is None else W @ y,
-                                                     gamma * (v if Ucorr is None else Ucorr @ v)])
     if not np.all(np.isfinite(A)):
         raise _overflowed("matrix")
     try:
-        return cho_factor(A, lower=True), rhs
+        return cho_factor(A, lower=True)
     except np.linalg.LinAlgError as exc:
         raise _not_positive_definite(exc)
-
-
-def _dense_diagonals(cho, rhs, W=None, Ucorr=None):
-    """``A^-1 rhs`` and the hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` from
-    the dense factor ``cho`` of ``A``, by one ``cho_solve`` on
-    ``[rhs | I]``; an ``rhs`` that overflowed raises
-    :class:`SingularSystemError`."""
-    if not np.isfinite(rhs).all():
-        raise _overflowed("right-hand side")
-    sol = cho_solve(cho, np.column_stack([rhs, np.eye(rhs.size)]))
-    hats = _hat_blocks(sol[:, 1:], W, Ucorr)
-    return sol[:, 0], tuple(np.diagonal(h) for h in (hats.S, hats.T, hats.U, hats.V))
 
 
 def _tridiagonal_band(M, n):
     """The (2, n) lower band of a symmetric tridiagonal ``M``: its diagonal,
     then its first subdiagonal (last entry zero).
 
-    The identity for ``None``; ``None`` when ``M`` is not exactly
-    symmetric or has a nonzero entry beyond its first sub- and
-    superdiagonal.
+    The identity for ``None``; ``None`` when ``M`` has a nonzero entry
+    beyond its first sub- and superdiagonal.
     """
     band = np.zeros((2, n))
     if M is None:
         band[0] = 1.0
         return band
-    M = np.asarray(M, dtype=float)
     band[0] = np.diagonal(M)
     band[1, :-1] = np.diagonal(M, -1)
-    if not np.array_equal(np.diagonal(M, 1), band[1, :-1]):
-        return None
     # every nonzero of M must lie on the three diagonals just read
     if np.count_nonzero(M) != np.count_nonzero(band[0]) + 2 * np.count_nonzero(band[1]):
         return None
     return band
-
-
-def _error_bands(W, Ucorr, n):
-    """The tridiagonal bands of ``W`` and ``Ucorr`` (identity for ``None``),
-    stacked as one (2, 2, n) array, or ``None`` when either is wider, which
-    leaves only the dense route.
-
-    O(n^2) to detect, so a caller that scores one pair of matrices many
-    times detects once and passes the result on.
-    """
-    bands = (_tridiagonal_band(W, n), _tridiagonal_band(Ucorr, n))
-    return None if bands[0] is None or bands[1] is None else np.array(bands)
 
 
 def _band_matvec(band, x):
@@ -369,46 +327,54 @@ def _band_matvec(band, x):
     return out
 
 
-def _normal_band(design: DesignMatrices, gamma: float, bands=None) -> np.ndarray:
-    """Lower band of ``A = blockdiag(W, gamma Ucorr) + n omega``, interleaved.
+class _ErrorWeights:
+    """The error weights ``W`` and ``Ucorr`` of one problem (``None`` is the
+    identity) and its data ``y``, ``v``, read once for every fit of it.
+    The route is decided here and nowhere else.
 
-    ``bands`` are the tridiagonal bands of ``W`` and ``Ucorr``; ``None``
-    means both are the identity.  Overflow leaves non-finite entries,
-    which :func:`_factor_band` rejects.
+    ``W`` and ``Ucorr`` hold the symmetric parts ``(M + M') / 2`` (exactly
+    symmetric input as it is, without a copy): the dense factorization
+    reads only the lower triangle while ``W y`` reads all of ``W``, so on
+    the symmetric part every route solves the same problem, and rounding
+    asymmetry does not change the route.  ``bands`` holds their
+    tridiagonal bands as one (2, 2, n) array, or ``None`` when both are
+    the identity or either is wider; ``dense`` marks the last case, which
+    leaves only the dense route.  ``wy`` and ``uv`` are ``W y`` and
+    ``Ucorr v``, the data part of every right-hand side; an overflow
+    leaves them non-finite, without a warning, for the solve to reject.
+    Detecting the bands is O(n^2).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _add_error_weights(design.n * design.band, gamma, bands)
 
-
-def _add_error_weights(ab, gamma, bands=None):
-    """``ab``, the band of ``n omega`` or a stack of them, plus
-    ``blockdiag(W, gamma Ucorr)``, in place; for a stack, ``gamma`` has
-    shape (count, 1, 1).
-
-    Value ``i`` is unknown ``2i`` and slope ``i`` is ``2i + 1``, so
-    ``W[i, i]`` and ``W[i + 1, i]`` land on band rows 0 and 2 of the even
-    columns and ``gamma Ucorr`` on the same rows of the odd columns: ``A``
-    keeps the penalty's bandwidth 3.
-    """
-    if bands is None:
-        ab[..., :1, 0::2] += 1.0
-        ab[..., :1, 1::2] += gamma
-        return ab
-    w, u = bands
-    ab[..., 0::2, 0::2] += w
-    ab[..., 0::2, 1::2] += gamma * u
-    return ab
+    def __init__(self, y, v, W=None, Ucorr=None):
+        mats = []
+        for M in (W, Ucorr):
+            if M is not None:
+                M = np.asarray(M, dtype=float)
+                if not np.array_equal(M, M.T):
+                    M = (M + M.T) / 2
+            mats.append(M)
+        self.W, self.Ucorr = mats
+        bands = None
+        if W is not None or Ucorr is not None:
+            bands = [_tridiagonal_band(M, y.size) for M in mats]
+        self.dense = bands is not None and (bands[0] is None or bands[1] is None)
+        self.bands = None if bands is None or self.dense else np.array(bands)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.bands is not None:
+                self.wy, self.uv = _band_matvec(self.bands[0], y), _band_matvec(self.bands[1], v)
+            else:
+                self.wy = y if self.W is None else self.W @ y
+                self.uv = v if self.Ucorr is None else self.Ucorr @ v
 
 
 def _factor_band(ab):
     """Lower banded Cholesky factor ``L`` of the band ``ab``, ``A = L L'``.
 
-    The one factorization of the banded route, per score and per grid
-    point alike.  It calls LAPACK ``dpbtrf`` directly, the routine that
-    ``scipy.linalg.cholesky_banded`` calls (same bits), without that
-    wrapper's overhead; a Fortran-ordered ``ab`` is factored in place.  A
-    non-finite band (lam or gamma so large that ``A`` overflowed) and a
-    matrix that is not positive definite raise
+    The factor helper of the banded route.  It calls LAPACK ``dpbtrf``
+    directly, the routine that ``scipy.linalg.cholesky_banded`` calls
+    (same bits), without that wrapper's overhead; a Fortran-ordered ``ab``
+    is factored in place.  A non-finite band (lam or gamma so large that
+    ``A`` overflowed) and a matrix that is not positive definite raise
     :class:`SingularSystemError`.
     """
     if not np.isfinite(ab).all():
@@ -433,27 +399,37 @@ def _solve_band(L, rhs):
     return x
 
 
-def _normal_stack(band, lams, gammas, wy, uv, bands=None):
-    """The banded systems of many points at once: the (count, 4, 2n) bands
-    of ``A`` with the penalty ``band`` (unit lam) times ``lams[p]`` and the
+def _normal_stack(band, lams, gammas, weights: _ErrorWeights):
+    """The banded systems of a stack of points: the (count, 4, 2n) bands of
+    ``A`` with the penalty ``band`` (unit lam) times ``lams[p]`` and the
     velocity weight ``gammas[p]`` (both arrays), each Fortran-ordered so
     that ``dpbtrf`` factors it in place, and the (count, 2n) interleaved
-    right-hand sides ``[W y; gamma Ucorr v]`` from ``wy = W y`` and
-    ``uv = Ucorr v``.
+    right-hand sides ``[W y; gamma Ucorr v]``.
 
-    Rounded as :func:`_normal_band` on a design built at that lam,
-    ``(band lam) n``, and as :func:`_band_rhs`.  Overflow leaves
-    non-finite entries, which :func:`_factor_band` rejects.
+    Value ``i`` is unknown ``2i`` and slope ``i`` is ``2i + 1``, so
+    ``W[i, i]`` and ``W[i + 1, i]`` land on band rows 0 and 2 of the even
+    columns and ``gamma Ucorr`` on the same rows of the odd columns: ``A``
+    keeps the penalty's bandwidth 3.  The penalty is rounded as on a
+    design built at that lam, ``(band lam) n``.  Overflow leaves
+    non-finite entries, which :func:`_factor_band` and :func:`_solve_band`
+    reject.
     """
     count, size = lams.size, band.shape[1]
     ab = np.empty((count, size, 4)).transpose(0, 2, 1)
     rhs = np.empty((count, size))
-    rhs[:, 0::2] = wy
+    rhs[:, 0::2] = weights.wy
+    g = gammas[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(band, lams[:, None, None], out=ab)
         ab *= size // 2
-        _add_error_weights(ab, gammas[:, None, None], bands)
-        np.multiply(gammas[:, None], uv, out=rhs[:, 1::2])
+        if weights.bands is None:
+            ab[:, :1, 0::2] += 1.0
+            ab[:, :1, 1::2] += g
+        else:
+            w, u = weights.bands
+            ab[:, 0::2, 0::2] += w
+            ab[:, 0::2, 1::2] += g * u
+        np.multiply(gammas[:, None], weights.uv, out=rhs[:, 1::2])
     return ab, rhs
 
 
@@ -479,28 +455,6 @@ def _factor_solve_stack(ab, rhs):
             ab[p, 0] = 1.0
             rhs[p] = 0.0
     return errors
-
-
-def _band_rhs(y, v, gamma, bands=None):
-    """The interleaved right-hand side ``[W y; gamma Ucorr v]`` for the
-    tridiagonal ``bands`` of ``W`` and ``Ucorr`` (identity for ``None``)."""
-    rhs = np.empty(2 * y.size)
-    if bands is None:
-        rhs[0::2] = y
-        rhs[1::2] = gamma * v
-    else:
-        rhs[0::2] = _band_matvec(bands[0], y)
-        rhs[1::2] = gamma * _band_matvec(bands[1], v)
-    return rhs
-
-
-def _banded_fit(design: DesignMatrices, y, v, gamma, bands=None):
-    """Fit by banded Cholesky for ``W``/``Ucorr`` with tridiagonal ``bands``
-    (identity for ``None``; checked arguments): the coefficients (values,
-    then slopes) and the band of the factor ``L``, ``A = L L'``."""
-    L = _factor_band(_normal_band(design, gamma, bands))
-    x = _solve_band(L, _band_rhs(y, v, gamma, bands))
-    return np.concatenate([x[0::2], x[1::2]]), L
 
 
 def _band_inverse_diagonals(L):
@@ -626,6 +580,85 @@ def _hat_diagonals(zb, bands=None):
     return out
 
 
+def _dense_stack(band, lams, gammas, weights: _ErrorWeights, diagonals):
+    """:func:`_fit_stack` on the dense route, one factorization per point.
+
+    With ``diagonals`` one ``cho_solve`` on ``[rhs | I]`` gives the
+    coefficients and ``A^-1`` (the coefficients by a direct solve, never
+    ``A^-1`` times the data); without, one ``cho_solve`` on ``rhs``.
+    """
+    n = band.shape[1] // 2
+    x = np.zeros((lams.size, 2 * n))
+    diags = np.zeros((4, lams.size, n)) if diagonals else None
+    errors = []
+    for p, (lam, gamma) in enumerate(zip(lams, gammas)):
+        try:
+            cho = _factor_normal(band, lam, gamma, weights.W, weights.Ucorr)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rhs = np.concatenate([weights.wy, gamma * weights.uv])
+            if not np.isfinite(rhs).all():
+                raise _overflowed("right-hand side")
+            if diagonals:
+                sol = cho_solve(cho, np.column_stack([rhs, np.eye(2 * n)]))
+                hats = _hat_blocks(sol[:, 1:], weights.W, weights.Ucorr)
+                diags[:, p] = [np.diagonal(h) for h in (hats.S, hats.T, hats.U, hats.V)]
+                x[p] = sol[:, 0]
+            else:
+                x[p] = cho_solve(cho, rhs)
+            errors.append(None)
+        except SingularSystemError as exc:
+            errors.append(exc)
+    return x[:, :n], x[:, n:], diags, errors
+
+
+def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True, batched=False):
+    """The basis fit at a stack of points: the penalty ``band`` (unit lam)
+    times ``lams[p]``, the velocity weight ``gammas[p]`` (both arrays), and
+    the error ``weights``.  Every basis fit, report and score runs here.
+
+    Returns the fitted values and slopes, (count, n) each; with
+    ``diagonals``, the hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` as one
+    C-ordered (4, count, n) array, else ``None``; and, per point, ``None``
+    or the :class:`SingularSystemError` it raised (its values and slopes
+    are then zeros and its diagonals meaningless).
+
+    The banded route (``weights`` at most tridiagonal) assembles the stack
+    by :func:`_normal_stack`, factors and solves each point by
+    :func:`_factor_solve_stack`, and takes the diagonals from the band of
+    ``A^-1``: one vectorized sweep over the stack if ``batched``, else one
+    scalar sweep per point that did not fail.  A point has the same bits
+    alone and in any stack.  The dense route (:func:`_dense_stack`) fits
+    point by point.
+    """
+    if weights.dense:
+        return _dense_stack(band, lams, gammas, weights, diagonals)
+    ab, x = _normal_stack(band, lams, gammas, weights)
+    errors = _factor_solve_stack(ab, x)
+    diags = None
+    if diagonals:
+        if batched:
+            zb = _band_inverse_diagonals_batch(ab)
+        else:   # a failed point is not swept: it scores NaN anyway
+            zb = np.array([_band_inverse_diagonals(L) if error is None else np.zeros(L.shape)
+                           for L, error in zip(ab, errors)])
+        del ab   # the factors are not needed past the sweep
+        diags = _hat_diagonals(zb, weights.bands)
+    return x[:, 0::2], x[:, 1::2], diags, errors
+
+
+def _fit_point(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None, diagonals=False):
+    """One basis fit at the design's penalty through :func:`_fit_stack` (a
+    stack of one): the coefficients (values, then slopes) and, with
+    ``diagonals``, the hat diagonals as a (4, n) array, else ``None``.
+    Raises the point's :class:`SingularSystemError`."""
+    gamma, y, v = _check_normal_args(design.n, gamma, y, v, W, Ucorr)
+    values, slopes, diags, errors = _fit_stack(design.band, np.ones(1), np.array([gamma]),
+                                               _ErrorWeights(y, v, W, Ucorr), diagonals)
+    if errors[0] is not None:
+        raise errors[0]
+    return np.concatenate([values[0], slopes[0]]), None if diags is None else diags[:, 0]
+
+
 def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.ndarray:
     """Penalized least-squares coefficients for the basis fit.
 
@@ -637,17 +670,10 @@ def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.nda
     banded Cholesky; wider matrices take the dense O(n^3) route.  Both
     are read as their symmetric part ``(M + M') / 2``, so rounding
     asymmetry does not change the route.  Zeroing a sample's weights
-    leaves it out while keeping the objective's normalization.
+    leaves it out while keeping the objective's normalization.  A system
+    that overflowed raises :class:`SingularSystemError` on every route.
     """
-    gamma, y, v = _check_normal_args(design.n, gamma, y, v, W, Ucorr)
-    if W is None and Ucorr is None:
-        return _banded_fit(design, y, v, gamma)[0]
-    W, Ucorr = _symmetric(W), _symmetric(Ucorr)
-    bands = _error_bands(W, Ucorr, design.n)
-    if bands is not None:
-        return _banded_fit(design, y, v, gamma, bands)[0]
-    cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
-    return cho_solve(cho, rhs)
+    return _fit_point(design, y, v, gamma, W, Ucorr)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -677,35 +703,14 @@ def _hat_blocks(Ainv, W=None, Ucorr=None) -> HatMatrices:
     return HatMatrices(S=S, T=T, U=U, V=V)
 
 
-def _fit_and_diagonals(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None,
-                       bands=None):
-    """Coefficients and the hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` from
-    one factorization of ``A``.
-
-    Banded, O(n), when ``W`` and ``Ucorr`` are both ``None`` (identity) or
-    the caller passes ``bands``, their tridiagonal bands from
-    :func:`_error_bands`: banded Cholesky, the selected inverse, and the
-    diagonals from the band of ``A^-1``.  Otherwise dense, on the
-    symmetric parts ``(M + M') / 2`` of ``W`` and ``Ucorr``: one
-    ``cho_solve`` on ``[rhs | I]`` (a direct solve for the coefficients,
-    never ``A^-1`` times the data).
-    """
-    gamma, y, v = _check_normal_args(design.n, gamma, y, v, W, Ucorr)
-    if (W is None and Ucorr is None) or bands is not None:
-        theta, L = _banded_fit(design, y, v, gamma, bands)
-        return theta, _hat_diagonals(_band_inverse_diagonals(L)[None], bands)[:, 0]
-    W, Ucorr = _symmetric(W), _symmetric(Ucorr)
-    cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
-    return _dense_diagonals(cho, rhs, W, Ucorr)
-
-
 def hat_matrices(design: DesignMatrices, gamma) -> HatMatrices:
     """Hat blocks for the uncorrelated fit at the design's penalty.
 
     Dense, from the full inverse; the fits and scores need only the
     diagonals, which the banded route computes without it.
     """
-    cho, _ = _factor_normal(design, gamma)
+    gamma, _, _ = _check_normal_args(design.n, gamma)
+    cho = _factor_normal(design.band, 1.0, gamma)
     return _hat_blocks(cho_solve(cho, np.eye(2 * design.n)))
 
 
@@ -715,5 +720,6 @@ def hat_matrices_correlated(design: DesignMatrices, gamma, W, Ucorr) -> HatMatri
     Same structure as :func:`hat_matrices` with the precision matrices
     inserted, so the blocks are no longer symmetric.
     """
-    cho, _ = _factor_normal(design, gamma, W=W, Ucorr=Ucorr)
+    gamma, _, _ = _check_normal_args(design.n, gamma, W=W, Ucorr=Ucorr)
+    cho = _factor_normal(design.band, 1.0, gamma, W, Ucorr)
     return _hat_blocks(cho_solve(cho, np.eye(2 * design.n)), W, Ucorr)

@@ -364,6 +364,15 @@ class TestDatasetFormat:
         assert "missing the header row t,y,v" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        # an input error at the reading stage, not a UnicodeDecodeError traceback
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"t,y,v\n0,1,2\n1,2,\xff3\n2,3,4\n")
+        out = tmp_path / "r.json"
+        assert main(["fit", str(path), "--lambda", "0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error while reading input: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         "t,y,v\n" + ROWS.format(nl="\n") + "\n",            # trailing blank line
         "t,y,v\n0,1,2\n\n1,2,3\n  \n2,3,4\n",               # interior blank lines

@@ -15,7 +15,7 @@ from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
 from vspline.gcv import (_BATCH_MIN, _GRID_CHUNK, _correlated_numerator_terms, _criterion,
                          _design_for, _golden_min, _psd_sqrt, _score, _Scorer)
 from vspline.errors import DegenerateScoreError, SingularSystemError
-from vspline.hermite import _fit_and_diagonals
+from vspline.hermite import _ErrorWeights, _fit_point
 
 UNIFORM = KernelConfig.uniform()
 
@@ -235,7 +235,7 @@ class TestCorrelationSpec:
         spec = CorrelationSpec(W=W_skew, Ucorr=U)
         np.testing.assert_array_equal(spec.W, spec.W.T)
         np.testing.assert_array_equal(spec.W, (W_skew + W_skew.T) / 2)
-        assert spec._bands is not None
+        assert not _ErrorWeights(y, v, spec.W, spec.Ucorr).dense
         design = build_design(t, 0.01)
         banded = fit_theta(design, y, v, 0.7, spec.W, spec.Ucorr)
         dense = fit_theta(design, y, v, 0.7, W_skew, U)   # wider than its band: dense
@@ -250,14 +250,18 @@ class TestCorrelatedGcv:
         t = np.linspace(0.05, 0.95, n)
         y = np.sin(2 * np.pi * t) + 0.1 * rng.standard_normal(n)
         v = 2 * np.pi * np.cos(2 * np.pi * t) + 0.1 * rng.standard_normal(n)
-        banded = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
-        dense = CorrelationSpec(W=banded.W, Ucorr=banded.Ucorr)
-        object.__setattr__(dense, "_bands", None)   # force the dense route
+        corr = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
         unit = _design_for(t, 1.0, UNIFORM)
+        banded = _Scorer(unit, y, v, "gcv-corr", corr)
+        assert not banded.weights.dense
+        dense = _Scorer(unit, y, v, "gcv-corr", corr)
+        weights = dense.weights   # force the dense route, with its own products
+        weights.bands, weights.dense, weights.wy, weights.uv = None, True, corr.W @ y, corr.Ucorr @ v
         for lam in np.geomspace(1e-8, 1.0, 9):
             for gamma in np.geomspace(1e-4, 1e4, 9):
-                got = _score(unit, y, v, lam, gamma, "gcv-corr", banded)
-                want = _score(unit, y, v, lam, gamma, "gcv-corr", dense)
+                point = np.array([lam]), np.array([gamma])
+                got = banded.stack(*point, batched=False)[0][0]
+                want = dense.stack(*point, batched=False)[0][0]
                 assert got == pytest.approx(want, rel=1e-8)
 
     def test_identity_matrices_reduce_to_plain_gcv(self):
@@ -292,7 +296,7 @@ class TestCorrelatedGcv:
         t = np.linspace(0.05, 0.95, n)
         y, v = np.sin(6 * t), 6e4 * np.cos(6 * t)
         corr = CorrelationSpec(W=_ar1(n, 0.4), Ucorr=np.eye(n))
-        assert corr._bands is None
+        assert _ErrorWeights(y, v, corr.W, corr.Ucorr).dense
         res = optimize_params(t, y, v, UNIFORM, corr=corr, criterion="gcv-corr",
                               gamma_bounds=(1e-4, 1e305), lam_points=3, gamma_points=4)
         _, gamma_col, score_col = res.surface.T
@@ -456,14 +460,14 @@ class TestOptimizeParams:
             np.testing.assert_array_equal(score_col, per_point)
 
     def test_cv_scores_are_bitwise_the_fit_path(self):
-        # the scorer shares no code with the fit path past the band
-        # helpers; its cv scores (unit penalty times lam, batched and one
+        # the scorer's cv scores (unit penalty times lam, batched and one
         # at a time) and the public cv_closed_form (penalty built at lam)
-        # equal, bit for bit, the closed form on _fit_and_diagonals
+        # equal, bit for bit, the closed form on the engine's single fit
         rng = np.random.default_rng(29)
 
         def closed_form(design, y, v, gamma):
-            theta, (s_diag, t_diag, u_diag, v_diag) = _fit_and_diagonals(design, y, v, gamma)
+            theta, (s_diag, t_diag, u_diag, v_diag) = _fit_point(design, y, v, gamma,
+                                                                 diagonals=True)
             n = y.size
             k = gamma * t_diag / (1.0 - gamma * v_diag)
             deleted = (theta[:n] - y + k * (theta[n:] - v)) / (1.0 - s_diag - k * u_diag)
@@ -559,7 +563,7 @@ class TestOptimizeParams:
                          CorrelationSpec(W=_ar1(n, 0.4), Ucorr=np.eye(n))]
             for corr in specs:
                 scorer = _Scorer(_design_for(t, 1.0, cfg), y, v, criterion, corr)
-                count = _GRID_CHUNK if corr is None or corr._bands is not None else 8
+                count = 8 if scorer.weights.dense else _GRID_CHUNK
                 lams = 10.0 ** rng.uniform(-8, 2, count)
                 gammas = 10.0 ** rng.uniform(-4, 4, count)
                 chunk = scorer.stack(lams, gammas, batched=True)[0]
@@ -571,10 +575,10 @@ class TestOptimizeParams:
         # a point swept on its own whose factorization fails (no penalty,
         # no velocity weight) is NaN without its O(n) selected-inverse
         # sweep; at n = 5000 that sweep is most of a golden point's cost
-        import vspline.gcv as gcv_mod
-        real = gcv_mod._band_inverse_diagonals
+        import vspline.hermite as hermite_mod
+        real = hermite_mod._band_inverse_diagonals
         swept = []
-        monkeypatch.setattr(gcv_mod, "_band_inverse_diagonals",
+        monkeypatch.setattr(hermite_mod, "_band_inverse_diagonals",
                             lambda L: swept.append(L) or real(L))
         t = np.linspace(0.05, 0.95, 20)
         y = np.sin(2 * np.pi * t)

@@ -1,5 +1,7 @@
 """Cardinal basis, penalty assembly, basis fit, and hat matrices."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from vspline import (HermiteBasis, KernelConfig, SingularSystemError, build_desi
                      build_gram, fit_theta, fit_vspline, hat_matrices,
                      hat_matrices_correlated, penalty_gram, solve_coefficients)
 from vspline.hermite import (_band_inverse_diagonals, _band_inverse_diagonals_batch,
-                             _error_bands, _factor_band, _factor_normal, _fit_and_diagonals,
-                             _normal_band)
+                             _ErrorWeights, _factor_band, _factor_normal, _fit_point,
+                             _normal_stack)
 
 UNIFORM = KernelConfig.uniform()
 
@@ -269,8 +271,16 @@ def _max_rel(got, want):
 
 def _dense_theta(design, y, v, gamma, W=None, Ucorr=None):
     """The coefficients by dense Cholesky, whatever the bandwidth of W/Ucorr."""
-    cho, rhs = _factor_normal(design, gamma, y, v, W, Ucorr)
+    cho = _factor_normal(design.band, 1.0, gamma, W, Ucorr)
+    rhs = np.concatenate([y if W is None else W @ y, gamma * (v if Ucorr is None else Ucorr @ v)])
     return cho_solve(cho, rhs)
+
+
+def _normal_band(design, gamma, W=None, Ucorr=None):
+    """The band of A at the design's penalty, as the engine assembles it."""
+    zeros = np.zeros(design.n)
+    weights = _ErrorWeights(zeros, zeros, W, Ucorr)
+    return _normal_stack(design.band, np.ones(1), np.array([gamma]), weights)[0][0]
 
 
 class TestBandedEngine:
@@ -290,7 +300,7 @@ class TestBandedEngine:
                 y = np.sin(2 * np.pi * t) + 0.15 * rng.standard_normal(n)
                 v = 2 * np.pi * np.cos(2 * np.pi * t) + 0.15 * rng.standard_normal(n)
                 design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
-                theta, diags = _fit_and_diagonals(design, y, v, gamma)
+                theta, diags = _fit_point(design, y, v, gamma, diagonals=True)
                 np.testing.assert_array_equal(fit_theta(design, y, v, gamma), theta)
                 assert _max_rel(theta, _dense_theta(design, y, v, gamma)) < 1e-7
                 hats = hat_matrices(design, gamma)
@@ -308,7 +318,7 @@ class TestBandedEngine:
             design = build_design(t, lam * weights, lam_breakpoints=breaks)
             zb = oracles.mp_band_inverse_diagonals(_normal_band(design, 1.0))
             z, z_sub = zb[0], zb[1]
-            _, (s_diag, t_diag, u_diag, v_diag) = _fit_and_diagonals(design, y, v, 1.0)
+            _, (s_diag, t_diag, u_diag, v_diag) = _fit_point(design, y, v, 1.0, diagonals=True)
             np.testing.assert_allclose(s_diag, z[0::2], rtol=1e-6)
             np.testing.assert_allclose(v_diag, z[1::2], rtol=1e-6)
             assert _max_rel(t_diag, z_sub[0::2]) < 1e-6
@@ -333,9 +343,8 @@ class TestBandedEngine:
             else:
                 W, Ucorr = random_tridiagonal_spd(rng, n), random_tridiagonal_spd(rng, n)
             design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
-            bands = _error_bands(W, Ucorr, n)
-            assert bands is not None
-            theta, diags = _fit_and_diagonals(design, y, v, gamma, W, Ucorr, bands)
+            assert _ErrorWeights(y, v, W, Ucorr).bands is not None
+            theta, diags = _fit_point(design, y, v, gamma, W, Ucorr, diagonals=True)
             np.testing.assert_array_equal(fit_theta(design, y, v, gamma, W, Ucorr), theta)
             assert _max_rel(theta, _dense_theta(design, y, v, gamma, W, Ucorr)) < 1e-7
             hats = hat_matrices_correlated(design, gamma, W, Ucorr)
@@ -345,14 +354,18 @@ class TestBandedEngine:
     def test_wider_weights_take_dense_route(self):
         n = 6
         P = ar1_precision(n, 0.5)
-        assert _error_bands(P, np.eye(n), n) is not None
-        assert _error_bands(None, np.diag(np.arange(1.0, n + 1)), n) is not None
+
+        def dense(W, Ucorr):
+            return _ErrorWeights(np.zeros(n), np.zeros(n), W, Ucorr).dense
+
+        assert not dense(P, np.eye(n))
+        assert not dense(None, np.diag(np.arange(1.0, n + 1)))
         wide = P.copy()
         wide[3, 0] = wide[0, 3] = 0.1
-        assert _error_bands(wide, P, n) is None
+        assert dense(wide, P)
         skew = P.copy()
-        skew[1, 0] += 1e-12   # not exactly symmetric: the dense route, as given
-        assert _error_bands(P, skew, n) is None
+        skew[1, 0] += 1e-12   # not exactly symmetric: read as its symmetric part, banded
+        assert not dense(P, skew)
 
     def test_rounding_asymmetric_weights_take_banded_route(self, monkeypatch):
         # a rescaled AR(1) precision d_i P_ij d_j rounds differently across
@@ -380,9 +393,14 @@ class TestBandedEngine:
         assert _max_rel(theta, _dense_theta(design, y, v, 0.7, W, sym)) < 1e-10
         # exactly symmetric input is used as it is: bit-identical
         np.testing.assert_array_equal(fit_theta(design, y, v, 0.7, W, sym), theta)
-        # the dense route of _fit_and_diagonals reads the symmetric part too
-        dense, _ = _fit_and_diagonals(design, y, v, 0.7, W, Ucorr)
-        np.testing.assert_array_equal(dense, _fit_and_diagonals(design, y, v, 0.7, W, sym)[0])
+        # every route reads the engine's weights, which hold the symmetric
+        # part; the dense route (a wider W) too
+        np.testing.assert_array_equal(_ErrorWeights(y, v, W, Ucorr).Ucorr, sym)
+        wide = W.copy()
+        wide[3, 0] = wide[0, 3] = 0.1
+        dense, _ = _fit_point(design, y, v, 0.7, wide, Ucorr, diagonals=True)
+        np.testing.assert_array_equal(dense, _fit_point(design, y, v, 0.7, wide, sym,
+                                                        diagonals=True)[0])
 
     def test_band_rows_match_high_precision_oracle(self):
         # all four band rows of A^-1 with AR(1) precision weights, n = 300
@@ -391,10 +409,10 @@ class TestBandedEngine:
         t = jittered_knots(rng, n)
         breaks = np.concatenate([[0.0], t, [1.0]])
         weights = rng.uniform(0.3, 3.0, n + 1)
-        bands = _error_bands(ar1_precision(n, 0.5), ar1_precision(n, 0.3), n)
+        mats = (ar1_precision(n, 0.5), ar1_precision(n, 0.3))
         for lam, gamma in ((1e-4, 1.0), (1e-2, 0.2)):
             design = build_design(t, lam * weights, lam_breakpoints=breaks)
-            ab = _normal_band(design, gamma, bands)
+            ab = _normal_band(design, gamma, *mats)
             want = oracles.mp_band_inverse_diagonals(ab)
             got = _band_inverse_diagonals(cholesky_banded(ab, lower=True))
             assert got.shape == want.shape == (4, 2 * n)
@@ -410,10 +428,9 @@ class TestBandedEngine:
         t = jittered_knots(rng, n)
         breaks = np.concatenate([[0.0], t, [1.0]])
         design = build_design(t, rng.uniform(0.3, 3.0, n + 1), lam_breakpoints=breaks)
-        for bands in (None, _error_bands(random_tridiagonal_spd(rng, n),
-                                         ar1_precision(n, -0.4), n)):
+        for mats in ((None, None), (random_tridiagonal_spd(rng, n), ar1_precision(n, -0.4))):
             factors = np.stack([
-                _factor_band(_normal_band(design, gamma, bands))
+                _factor_band(_normal_band(design, gamma, *mats))
                 for gamma in np.geomspace(1e-4, 1e4, 29)])
             factors[::3, 1:] *= np.geomspace(1e-6, 1e2, 10)[:, None, None]  # vary the ratios
             got = _band_inverse_diagonals_batch(factors)
@@ -433,9 +450,29 @@ class TestBandedEngine:
             with pytest.raises(SingularSystemError, match="overflowed"):
                 fit_theta(design, y, v, 1.0)
             with pytest.raises(SingularSystemError, match="overflowed"):
-                _fit_and_diagonals(design, y, v, 1.0)
+                _fit_point(design, y, v, 1.0, diagonals=True)
         with pytest.raises(ValueError, match="finite"):
             fit_theta(build_design(t, 1e-3), np.full(12, np.nan), v, 1.0)
+
+    def test_overflowing_right_hand_side_is_one_error_on_every_route(self):
+        # W y or gamma Ucorr v overflows: SingularSystemError without a numpy
+        # RuntimeWarning on the identity, diagonal, tridiagonal and dense
+        # routes, not a warning from the band product or scipy's ValueError
+        # about infs or NaNs
+        n = 8
+        design = build_design(np.linspace(0.1, 0.9, n), 1e-3)
+        big, zeros = np.full(n, 1e308), np.zeros(n)
+        wide = ar1_precision(n, 0.5)
+        wide[3, 0] = wide[0, 3] = 0.1
+        cases = [(zeros, big, 4.0, None, None),
+                 (big, zeros, 1.0, 2.0 * np.eye(n), None),
+                 (zeros, big, 4.0, ar1_precision(n, 0.5), ar1_precision(n, 0.3)),
+                 (zeros, big, 4.0, wide, np.eye(n))]
+        for y, v, gamma, W, Ucorr in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularSystemError, match="overflowed"):
+                    fit_theta(design, y, v, gamma, W, Ucorr)
 
     def test_singular_band_raises_singular_system_error(self):
         # no penalty and no velocity weight leaves the slopes undetermined
@@ -443,4 +480,4 @@ class TestBandedEngine:
         with pytest.raises(SingularSystemError):
             fit_theta(design, np.zeros(3), np.zeros(3), 0.0)
         with pytest.raises(SingularSystemError):
-            _fit_and_diagonals(design, np.zeros(3), np.zeros(3), 0.0)
+            _fit_point(design, np.zeros(3), np.zeros(3), 0.0, diagonals=True)
