@@ -20,8 +20,7 @@ from .fit import (DomainScale, GramSystem, VSplineFit, build_gram, fit_vspline,
 from .gcv import (CorrelationSpec, CvScore, SelectionResult, cv_brute_force,
                   cv_closed_form, gcv_correlated, gcv_score, optimize_params)
 from .hermite import (DesignMatrices, HatMatrices, HermiteBasis, build_design,
-                      fit_theta, hat_matrices, hat_matrices_correlated,
-                      penalty_gram)
+                      fit_theta, hat_matrices, hat_matrices_correlated)
 from .kernels import (KernelConfig, eval_r0, eval_r1, eval_r1_ds, eval_r1_dsdt,
                       eval_r1_dt)
 
@@ -61,7 +60,6 @@ __all__ = [
     "limit_identities_check",
     "objective_value",
     "optimize_params",
-    "penalty_gram",
     "penalty_quadratic",
     "posterior_mean_diffuse",
     "posterior_mean_finite_rho",

@@ -13,9 +13,9 @@ operations over a stack of points (a chunk of the grid, or one
 golden-section point); no (lam, gamma) is scored twice.
 
 All scores are computed through the Hermite-basis formulation of
-:mod:`vspline.hermite`, which covers ``gamma = 0`` and interval-wise
-penalties; the uncorrelated scores, and the correlated one with at most
-tridiagonal precision matrices, take its O(n) banded route.
+:mod:`vspline.hermite`, which covers ``gamma = 0`` and penalties constant
+on each knot interval (:func:`_design_for`); the uncorrelated scores, and
+the correlated one with at most tridiagonal precisions, take its O(n) route.
 Leave-one-out removes the whole observation pair (position and velocity)
 while keeping the penalty function and the objective normalization of the
 full problem, so the closed form and the brute force agree to rounding.
@@ -23,14 +23,15 @@ full problem, so the closed form and the brute force agree to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky, eigh
 
 from .errors import DegenerateGridError, DegenerateScoreError
 from .fit import check_knots
-from .hermite import _ErrorWeights, _fit_stack, build_design, fit_theta
+from .hermite import _check_normal_args, _ErrorWeights, _fit_stack, build_design, fit_theta
 from .kernels import KernelConfig
 
 __all__ = [
@@ -93,12 +94,11 @@ class CorrelationSpec:
     name ``Ucorr`` keeps the correlation matrix distinct from the hat
     block ``U`` of :class:`vspline.hermite.HatMatrices`.  ``cross`` is
     the coupling ``W^(1/2) Ucorr^(1/2)`` of the correlated GCV numerator,
-    formed once here from the symmetric PSD square roots.
+    formed on first read: no fit needs its two eigendecompositions.
     """
 
     W: np.ndarray
     Ucorr: np.ndarray
-    cross: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = []
@@ -117,12 +117,16 @@ class CorrelationSpec:
         W, U = mats
         if W.shape != U.shape:
             raise ValueError("W and Ucorr must have the same size")
-        cross = _psd_sqrt(W) @ _psd_sqrt(U)
-        for mat in (W, U, cross):
+        for mat in (W, U):
             mat.flags.writeable = False
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "Ucorr", U)
-        object.__setattr__(self, "cross", cross)
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        cross = _psd_sqrt(self.W) @ _psd_sqrt(self.Ucorr)
+        cross.flags.writeable = False
+        return cross
 
 
 def _check_inputs(t, y, v, lam, gamma):
@@ -143,8 +147,23 @@ def _check_inputs(t, y, v, lam, gamma):
 
 
 def _design_for(t, lam, cfg: KernelConfig):
-    """Basis design whose penalty is lam times the config's weight profile."""
-    return build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
+    """Basis design whose penalty is lam times the config's weight profile,
+    read on each knot interval ``[0, t1], ..., [tn, 1]``: the one place
+    where a :class:`KernelConfig` meets the basis route.  The basis is one
+    cubic per knot interval, so a value that changes strictly inside one
+    raises ``ValueError`` naming the breakpoint; breakpoints on the knots,
+    outside ``[t1, tn]``, or between equal values are accepted.
+    """
+    breaks, values = cfg.breakpoints, lam * cfg.weights
+    inner = breaks[1:-1]
+    jumps = (values[1:] != values[:-1]) & (inner > t[0]) & (inner < t[-1]) & ~np.isin(inner, t)
+    if jumps.any():
+        b = float(inner[jumps][0])
+        k = np.searchsorted(t, b)
+        raise ValueError(f"the penalty changes at breakpoint {b!r}, inside the knot interval "
+                         f"[{float(t[k - 1])!r}, {float(t[k])!r}] of the basis route")
+    mid = 0.5 * (np.append(0.0, t) + np.append(t, 1.0))
+    return build_design(t, values[np.searchsorted(breaks, mid) - 1])
 
 
 def cv_brute_force(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
@@ -232,13 +251,15 @@ class _Scorer:
     :class:`vspline.hermite._ErrorWeights` (the route and the products
     ``W y`` and ``Ucorr v``).  A point then costs its share of one
     :func:`vspline.hermite._fit_stack` call; :func:`_criterion` runs once
-    per stack.
+    per stack.  A ``corr`` of another size than the data fails here.
     """
 
     def __init__(self, design, y, v, criterion, corr: CorrelationSpec | None = None):
         self.band, self.y, self.v = design.band, y, v
         self.criterion, self.corr = criterion, corr
-        self.weights = _ErrorWeights(y, v, *(() if corr is None else (corr.W, corr.Ucorr)))
+        mats = () if corr is None else (corr.W, corr.Ucorr)
+        _check_normal_args(design.n, 0.0, None, None, *mats)   # the spec's size
+        self.weights = _ErrorWeights(y, v, *mats)
 
     def scores(self, lams, gammas):
         """Scores at the points ``(lams[i], gammas[i])``, NaN where the

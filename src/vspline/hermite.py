@@ -49,7 +49,6 @@ __all__ = [
     "build_design",
     "fit_theta",
     "hat_matrices",
-    "penalty_gram",
 ]
 
 
@@ -112,55 +111,40 @@ class HermiteBasis:
         return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _penalty_band(basis: HermiteBasis, lam_breakpoints, lam_values) -> np.ndarray:
+def _penalty_band(basis: HermiteBasis, values) -> np.ndarray:
     """Exact penalty Gram, integral of lam(t) Ni''(t) Nj''(t), as a band.
 
-    ``lam(t)`` is piecewise constant on ``lam_breakpoints`` (which must
-    cover [0, 1]) with values ``lam_values``.  The knot range is cut at
-    the knots and at the interior breakpoints; on each piece lam is
-    constant and the basis second derivatives are linear, so a two-point
-    Gauss rule per piece integrates the products exactly.  All pieces are
-    evaluated at once and their 4x4 blocks scattered into the band.
-    Intervals outside the knot range contribute nothing because the basis
-    is linear there.
+    ``lam(t)`` is ``values[k]`` on the k-th interval of ``[0, t1], [t1, t2],
+    ..., [tn, 1]``.  On each knot interval lam is constant and the basis
+    second derivatives are linear, so a two-point Gauss rule per interval
+    integrates the products exactly; the 4x4 blocks of all intervals are
+    scattered into the band at once.  The outer intervals contribute
+    nothing: the basis is linear there.
 
     With the unknowns interleaved as (value_0, slope_0, value_1, ...) the
     Gram has bandwidth 3; row ``r`` of the returned (4, 2n) array holds its
     r-th subdiagonal, ``band[r, j] = omega[j + r, j]`` (scipy's lower
     banded layout, zero past the end of each row).
     """
-    breaks = np.asarray(lam_breakpoints, dtype=float)
-    values = np.asarray(lam_values, dtype=float)
-    if breaks.ndim != 1 or values.ndim != 1 or breaks.size != values.size + 1:
-        raise ValueError("need k + 1 breakpoints for k penalty values")
-    if breaks[0] > 0.0 or breaks[-1] < 1.0 or np.any(np.diff(breaks) <= 0.0):
-        raise ValueError("penalty breakpoints must be increasing and cover [0, 1]")
-    if np.any(values < 0.0) or not np.all(np.isfinite(values)):
-        raise ValueError("penalty values must be finite and nonnegative")
-    knots = basis.knots
-    cuts = np.union1d(knots, breaks[(breaks > knots[0]) & (breaks < knots[-1])])
-    lo, hi = cuts[:-1], cuts[1:]
-    mid = 0.5 * (lo + hi)
-    k = np.searchsorted(knots, mid) - 1
-    lam = values[np.searchsorted(breaks, mid) - 1]
-    a = knots[k]
-    h = knots[k + 1] - a
+    lo, hi = basis.knots[:-1], basis.knots[1:]
+    h, mid = hi - lo, 0.5 * (lo + hi)
     gauss_off = 0.5 / np.sqrt(3.0)
-    blocks = np.zeros((k.size, 4, 4))
+    blocks = np.zeros((lo.size, 4, 4))
     rows, cols = np.tril_indices(4)
     band = np.zeros((4, 2 * basis.n))
     # a lam so large that the band overflows leaves non-finite entries,
     # which every factorization below rejects as a SingularSystemError
     with np.errstate(over="ignore", invalid="ignore"):
         for sign in (-1.0, 1.0):
-            x = ((mid + sign * gauss_off * (hi - lo)) - a) / h
+            x = ((mid + sign * gauss_off * h) - lo) / h
             d2 = np.stack([(12 * x - 6) / h**2,
                            (6 * x - 4) / h,
                            (6 - 12 * x) / h**2,
                            (6 * x - 2) / h], axis=1)
-            blocks += (d2[:, :, None] * d2[:, None, :]) * (lam * 0.5 * (hi - lo))[:, None, None]
-        # a piece on knot interval k couples the unknowns 2k .. 2k + 3
-        np.add.at(band, (rows - cols, 2 * k[:, None] + cols), blocks[:, rows, cols])
+            blocks += (d2[:, :, None] * d2[:, None, :]) * (values[1:-1] * 0.5 * h)[:, None, None]
+        # knot interval k couples the unknowns 2k .. 2k + 3
+        starts = 2 * np.arange(lo.size)[:, None]
+        np.add.at(band, (rows - cols, starts + cols), blocks[:, rows, cols])
     return band
 
 
@@ -176,32 +160,19 @@ def _dense_from_band(band) -> np.ndarray:
     return out
 
 
-def penalty_gram(basis: HermiteBasis, lam_breakpoints, lam_values) -> np.ndarray:
-    """Exact penalty Gram matrix: integral of lam(t) Ni''(t) Nj''(t).
-
-    ``lam(t)`` is piecewise constant on ``lam_breakpoints`` (which must
-    cover [0, 1]) with values ``lam_values``.  The dense (2n, 2n) form,
-    values then slopes, of the exactly integrated band that the fits use.
-    """
-    return _dense_from_band(_penalty_band(basis, lam_breakpoints, lam_values))
-
-
 @dataclass(frozen=True, eq=False)
 class DesignMatrices:
-    """The basis and penalty of one basis fit.
+    """The basis and penalty of one basis fit: nothing else is stored.
 
-    ``band`` is the penalty Gram in the banded, interleaved layout of
-    :func:`_penalty_band` (4 by 2n), the only form stored; ``omega``
-    expands it on each access to the dense (2n, 2n) matrix, values then
-    slopes, for inspection.  The design matrices ``B = [I | 0]`` and
-    ``C = [0 | I]`` (values, then slopes) are implied by cardinality and
-    never formed.
+    ``band`` is the penalty Gram, for a lam constant on each knot interval,
+    in the banded, interleaved layout of :func:`_penalty_band` (4 by 2n);
+    ``omega`` expands it on each access to the dense (2n, 2n) matrix,
+    values then slopes, for inspection.  The design matrices ``B = [I | 0]``
+    and ``C = [0 | I]`` are implied by cardinality and never formed.
     """
 
     basis: HermiteBasis
     band: np.ndarray
-    lam_breakpoints: np.ndarray
-    lam_values: np.ndarray
 
     @property
     def n(self) -> int:
@@ -212,44 +183,43 @@ class DesignMatrices:
         return _dense_from_band(self.band)
 
 
-def build_design(knots, lam, lam_breakpoints=None) -> DesignMatrices:
+def build_design(knots, lam) -> DesignMatrices:
     """Basis and penalty matrix for the basis fit.
 
-    ``lam`` is either a scalar (constant penalty) or ``n + 1`` values on
-    the partition ``[0, t1], [t1, t2], ..., [tn, 1]`` induced by the
-    knots.  Passing ``lam_breakpoints`` overrides that partition with an
-    arbitrary grid covering [0, 1], in which case ``lam`` must hold one
-    value per grid interval.
+    ``lam`` is either a scalar (constant penalty) or ``n + 1`` finite,
+    nonnegative values, one per interval of the partition
+    ``[0, t1], [t1, t2], ..., [tn, 1]`` induced by the knots.  The basis
+    is one cubic per knot interval, so it represents the minimizer for
+    exactly these penalties; :func:`vspline.gcv._design_for` rejects a
+    config whose weight changes inside a knot interval.
     """
     basis = HermiteBasis(knots)
     n = basis.n
-    if lam_breakpoints is None:
-        breaks = np.concatenate([[0.0], basis.knots, [1.0]])
-        if np.ndim(lam) == 0:
-            values = np.full(n + 1, float(lam))
-        else:
-            values = np.asarray(lam, dtype=float)
-            if values.shape != (n + 1,):
-                raise ValueError(f"lam must be scalar or have {n + 1} interval values")
+    if np.ndim(lam) == 0:
+        values = np.full(n + 1, float(lam))
     else:
-        breaks = np.asarray(lam_breakpoints, dtype=float)
         values = np.asarray(lam, dtype=float)
-    return DesignMatrices(basis=basis, band=_penalty_band(basis, breaks, values),
-                          lam_breakpoints=breaks, lam_values=values)
+        if values.shape != (n + 1,):
+            raise ValueError(f"lam must be scalar or have {n + 1} interval values")
+    if np.any(values < 0.0) or not np.all(np.isfinite(values)):
+        raise ValueError("penalty values must be finite and nonnegative")
+    return DesignMatrices(basis=basis, band=_penalty_band(basis, values))
 
 
 def _check_normal_args(n, gamma, y=None, v=None, W=None, Ucorr=None):
     """The argument checks of every fit and hat computation below.
 
-    Non-finite data are rejected here, so a non-finite system further on
-    can only come from overflow (:func:`_factor_band`, :func:`_solve_band`).
+    Non-finite data are rejected here, so a non-finite system or solution
+    further on can only come from overflow (:func:`_factor_band`,
+    :func:`_solve_band`, :func:`_fit_stack`).
     """
     gamma = float(gamma)
     if gamma < 0.0 or not np.isfinite(gamma):
         raise ValueError("gamma must be a finite, nonnegative number")
     for name, mat in (("W", W), ("Ucorr", Ucorr)):
         if mat is not None and np.shape(mat) != (n, n):
-            raise ValueError(f"{name} must be an ({n}, {n}) matrix")
+            raise ValueError(f"{name} must be an ({n}, {n}) matrix for {n} samples, "
+                             f"not {np.shape(mat)}")
     if y is not None:
         y = np.asarray(y, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -581,7 +551,8 @@ def _hat_diagonals(zb, bands=None):
 
 
 def _dense_stack(band, lams, gammas, weights: _ErrorWeights, diagonals):
-    """:func:`_fit_stack` on the dense route, one factorization per point.
+    """:func:`_fit_stack` on the dense route, one factorization per point;
+    the solutions come back interleaved, as on the banded route.
 
     With ``diagonals`` one ``cho_solve`` on ``[rhs | I]`` gives the
     coefficients and ``A^-1`` (the coefficients by a direct solve, never
@@ -608,7 +579,7 @@ def _dense_stack(band, lams, gammas, weights: _ErrorWeights, diagonals):
             errors.append(None)
         except SingularSystemError as exc:
             errors.append(exc)
-    return x[:, :n], x[:, n:], diags, errors
+    return x.reshape(-1, 2, n).swapaxes(1, 2).reshape(-1, 2 * n), diags, errors
 
 
 def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True, batched=False):
@@ -620,7 +591,8 @@ def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True, batch
     ``diagonals``, the hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` as one
     C-ordered (4, count, n) array, else ``None``; and, per point, ``None``
     or the :class:`SingularSystemError` it raised (its values and slopes
-    are then zeros and its diagonals meaningless).
+    are then zeros and its diagonals meaningless); so does a finite system
+    whose solution overflowed, on either route.
 
     The banded route (``weights`` at most tridiagonal) assembles the stack
     by :func:`_normal_stack`, factors and solves each point by
@@ -631,11 +603,15 @@ def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True, batch
     point by point.
     """
     if weights.dense:
-        return _dense_stack(band, lams, gammas, weights, diagonals)
-    ab, x = _normal_stack(band, lams, gammas, weights)
-    errors = _factor_solve_stack(ab, x)
-    diags = None
-    if diagonals:
+        x, diags, errors = _dense_stack(band, lams, gammas, weights, diagonals)
+    else:
+        ab, x = _normal_stack(band, lams, gammas, weights)
+        errors = _factor_solve_stack(ab, x)
+        diags = None
+    if not np.isfinite(x).all():   # a finite system can still overflow in the solve
+        for p in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+            errors[p], x[p] = _overflowed("solution"), 0.0
+    if diagonals and not weights.dense:
         if batched:
             zb = _band_inverse_diagonals_batch(ab)
         else:   # a failed point is not swept: it scores NaN anyway
@@ -671,7 +647,7 @@ def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.nda
     are read as their symmetric part ``(M + M') / 2``, so rounding
     asymmetry does not change the route.  Zeroing a sample's weights
     leaves it out while keeping the objective's normalization.  A system
-    that overflowed raises :class:`SingularSystemError` on every route.
+    or solution that overflowed raises :class:`SingularSystemError`.
     """
     return _fit_point(design, y, v, gamma, W, Ucorr)[0]
 

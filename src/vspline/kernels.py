@@ -51,6 +51,9 @@ class KernelConfig:
         ending at exactly 1.0.
     weights : array, shape (k,)
         Strictly positive weight for each interval.
+
+    The kernels take any grid; the basis route and the scores need a
+    profile constant on each knot interval (:func:`vspline.gcv._design_for`).
     """
 
     breakpoints: np.ndarray

@@ -18,6 +18,7 @@ from vspline import (GpPrior, KernelConfig, build_design, build_gram,
                      posterior_mean_diffuse, posterior_mean_finite_rho,
                      solve_coefficients)
 from vspline.cli import main
+from vspline.gcv import _design_for
 
 UNIFORM = KernelConfig.uniform()
 
@@ -100,7 +101,7 @@ def test_criterion_5_cross_formulation_keystone():
         t, y, v, cfg, lam, gamma = random_instance(rng, n_range=(4, 16))
         n = t.size
         vfit = solve_coefficients(build_gram(t, cfg, lam, gamma), y, v)
-        design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
+        design = _design_for(t, lam, cfg)
         theta = fit_theta(design, y, v, gamma)
         worst = max(worst,
                     np.abs(theta[:n] - vfit.evaluate(t)).max(),

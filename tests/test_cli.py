@@ -207,6 +207,19 @@ class TestFit:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error while fitting: ")
 
+    def test_overflowing_solution_exit_3(self, tmp_path, capsys):
+        # finite data whose fit overflows inside the solve: exit 3 and no
+        # files, not a report full of NaN tokens (which is not JSON)
+        data = tmp_path / "d.csv"
+        data.write_text("t,y,v\n0,1e308,0\n1,1e308,0\n2,1e308,0\n3,1e308,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["fit", str(data), "--lambda", "1e-3", "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error while fitting: ") and "non-finite solution" in err
+        assert list(tmp_path.iterdir()) == [data]
+
     def test_weights_file(self, tmp_path):
         data = tmp_path / "d.csv"
         main(["simulate", "--kind", "sine", "--n", "10", "--noise", "0.1",

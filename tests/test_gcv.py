@@ -10,7 +10,7 @@ import pytest
 import oracles
 from conftest import ar1_precision, random_config, random_instance, random_knots
 from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
-                     build_design, cv_brute_force, cv_closed_form, fit_theta,
+                     build_design, cv_brute_force, cv_closed_form, fit_theta, fit_vspline,
                      gcv_correlated, gcv_score, hat_matrices_correlated, optimize_params)
 from vspline.gcv import (_BATCH_MIN, _GRID_CHUNK, _correlated_numerator_terms, _criterion,
                          _design_for, _golden_min, _psd_sqrt, _score, _Scorer)
@@ -86,7 +86,7 @@ class TestOneFactorization:
         # correlated fit and the zero-weight refits stay banded
         n = t.size
         prec = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
-        design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
+        design = _design_for(t, lam, cfg)
         for score, expect in (
                 (lambda: gcv_correlated(t, y, v, lam, gamma, cfg, prec), ["dpbtrf"]),
                 (lambda: fit_theta(design, y, v, gamma, prec.W, prec.Ucorr), ["dpbtrf"]),
@@ -137,13 +137,15 @@ class TestBandedMemory:
         assert peak < 8 * (2 * n) ** 2 / 10
 
     def test_tridiagonal_correlated_route_allocates_no_dense_matrix(self):
-        # the spec itself holds n-by-n matrices; a score and a fit may not
-        # allocate even one more (a quarter of one 2n-by-2n array)
+        # the spec itself holds n-by-n matrices, its numerator coupling
+        # ``cross`` too (formed here, before tracing); a score and a fit may
+        # not allocate even one more (a quarter of one 2n-by-2n array)
         n = 600
         t = np.linspace(0.05, 0.95, n)
         y = np.sin(6 * t)
         v = 6 * np.cos(6 * t)
         corr = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
+        assert corr.cross.shape == (n, n)
         for run in (lambda: gcv_correlated(t, y, v, 1e-6, 1.0, UNIFORM, corr).value,
                     lambda: fit_theta(build_design(t, 1e-6), y, v, 1.0, corr.W, corr.Ucorr)):
             tracemalloc.start()
@@ -220,6 +222,31 @@ class TestCorrelationSpec:
         with pytest.raises(ValueError, match="gamma must be"):
             hat_matrices_correlated(design, -1.0, np.eye(3), np.eye(3))
 
+
+    def test_cross_is_formed_on_first_read(self, tmp_path, monkeypatch):
+        # only the gcv-corr numerator reads cross: building a spec and a
+        # fit with --corr take no square root; the first read gives the
+        # bits of the eager product
+        from vspline import gcv as gcv_mod
+        from vspline.cli import main
+        n = 12
+        W, U = _ar1(n, 0.4), ar1_precision(n, 0.3)
+        real = gcv_mod._psd_sqrt
+
+        def refuse(A):
+            raise AssertionError("square root taken")
+
+        monkeypatch.setattr(gcv_mod, "_psd_sqrt", refuse)
+        spec = CorrelationSpec(W=W, Ucorr=U)
+        data, corr_file = tmp_path / "d.csv", tmp_path / "c.csv"
+        assert main(["simulate", "--kind", "sine", "--n", str(n), "--seed", "3",
+                     "--out", str(data)]) == 0
+        np.savetxt(corr_file, np.vstack([W, U]), delimiter=",", fmt="%.17g")
+        assert main(["fit", str(data), "--lambda", "1e-3", "--corr", str(corr_file),
+                     "--out", str(tmp_path / "r.json")]) == 0
+        monkeypatch.setattr(gcv_mod, "_psd_sqrt", real)
+        np.testing.assert_array_equal(spec.cross, real(W) @ real(U))
+        assert spec.cross is spec.cross and not spec.cross.flags.writeable
 
     def test_small_asymmetry_stored_symmetric(self):
         # an accepted 1e-12 asymmetry is averaged away, so the dense route
@@ -304,6 +331,20 @@ class TestCorrelatedGcv:
         assert np.isfinite(res.score)
         with pytest.raises(SingularSystemError, match="overflowed"):
             gcv_correlated(t, y, v, 1e-3, 1e305, UNIFORM, corr)
+
+    def test_spec_of_another_size_is_named(self):
+        # a 12 x 12 spec for 10 samples: a ValueError naming both sizes
+        # before any fit, not numpy's broadcast error from inside the engine
+        n = 10
+        t = np.linspace(0.05, 0.95, n)
+        y, v = np.sin(6 * t), 6 * np.cos(6 * t)
+        corr = CorrelationSpec(W=ar1_precision(12, 0.5), Ucorr=ar1_precision(12, 0.3))
+        message = r"W must be an \(10, 10\) matrix for 10 samples, not \(12, 12\)"
+        with pytest.raises(ValueError, match=message):
+            gcv_correlated(t, y, v, 1e-3, 1.0, UNIFORM, corr)
+        with pytest.raises(ValueError, match=message):
+            optimize_params(t, y, v, UNIFORM, corr=corr, criterion="gcv-corr",
+                            lam_points=3, gamma_points=3)
 
     def test_psd_sqrt_squares_back(self):
         rng = np.random.default_rng(8)
@@ -530,6 +571,35 @@ class TestOptimizeParams:
             assert np.all(np.isnan(score_col[(lam_col == 1e-300) | (lam_col == 1e305)]))
             assert np.isfinite(res.score) and res.degenerate_count < res.surface.shape[0]
 
+    @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
+    def test_overflowing_solutions_are_failed_points(self, criterion):
+        # y = 1e308: at these lam the systems are finite but their solutions
+        # overflow; each such point carries its SingularSystemError and is
+        # NaN by mask, one at a time and batched, on the banded and the
+        # dense route, without a warning; the public score raises it
+        n = 8
+        t = np.linspace(0.1, 0.9, n)
+        y, v = np.full(n, 1e308), np.zeros(n)
+        specs = [None]
+        if criterion == "gcv-corr":
+            wide = np.eye(n)
+            wide[0, 3] = wide[3, 0] = 0.1
+            specs = [CorrelationSpec(W=0.5 * np.eye(n), Ucorr=np.eye(n)),
+                     CorrelationSpec(W=wide, Ucorr=np.eye(n))]
+        lams = np.geomspace(0.1, 10.0, _BATCH_MIN)
+        gammas = np.ones(_BATCH_MIN)
+        for corr in specs:
+            scorer = _Scorer(_design_for(t, 1.0, UNIFORM), y, v, criterion, corr)
+            for batched in (False, True):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    scores, errors, _ = scorer.stack(lams, gammas, batched=batched)
+                assert np.all(np.isnan(scores))
+                assert all(isinstance(error, SingularSystemError)
+                           and "non-finite solution" in str(error) for error in errors)
+            with pytest.raises(SingularSystemError, match="non-finite solution"):
+                _score(_design_for(t, 1.0, UNIFORM), y, v, 1.0, 1.0, criterion, corr)
+
     @pytest.mark.parametrize("criterion", ["cv", "gcv"])
     def test_interpolating_points_in_a_chunk_are_nan(self, criterion):
         # at lam = 1e-300 and gamma = 1 the fit interpolates both channels,
@@ -596,12 +666,74 @@ class TestOptimizeParams:
 
 class TestWeightedConfigScores:
     def test_brute_matches_closed_on_weighted_config(self):
+        # interval weights on the knots, as the command line builds them
         rng = np.random.default_rng(15)
         for _ in range(5):
             t, y, v, _, lam, gamma = random_instance(
                 rng, n_range=(5, 12), lam_range=(1e-3, 0.3),
                 gamma_range=(0.1, 5.0))
-            cfg = random_config(rng)  # breakpoints unrelated to the knots
+            cfg = random_config(rng, knots=t)
             brute = cv_brute_force(t, y, v, lam, gamma, cfg)
             closed = cv_closed_form(t, y, v, lam, gamma, cfg)
             assert closed.value == pytest.approx(brute.value, rel=1e-6)
+
+    def test_penalty_changing_inside_a_knot_interval_is_rejected(self):
+        # the basis is cubic between knots, so it cannot represent the
+        # minimizer of such a penalty: every basis entry point names the
+        # breakpoint, and the representer route still fits the config
+        rng = np.random.default_rng(30)
+        n = 30
+        t = np.linspace(0.05, 0.95, n)
+        y, v = np.sin(6 * t), 6 * np.cos(6 * t)
+        cfg = KernelConfig.piecewise([0.0, 0.33, 0.71, 1.0], [1.0, 3.0, 0.5])
+        corr = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
+        lam, gamma = 1e-3, 0.5
+        entry_points = [
+            lambda: cv_closed_form(t, y, v, lam, gamma, cfg),
+            lambda: gcv_score(t, y, v, lam, gamma, cfg),
+            lambda: gcv_correlated(t, y, v, lam, gamma, cfg, corr),
+            lambda: cv_brute_force(t, y, v, lam, gamma, cfg),
+            lambda: optimize_params(t, y, v, cfg, lam_points=3, gamma_points=3),
+        ]
+        for run in entry_points:
+            with pytest.raises(ValueError, match="breakpoint 0.33, inside the knot interval"):
+                run()
+        assert np.all(np.isfinite(fit_vspline(t, y, v, cfg, lam, gamma).evaluate(t)))
+        # a random grid is rejected at its first breakpoint inside a knot interval
+        knots = random_knots(rng, 8)
+        breaks = np.sort(rng.uniform(knots[0], knots[-1], 3))
+        grid = KernelConfig.piecewise(np.concatenate([[0.0], breaks, [1.0]]),
+                                      [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match=f"breakpoint {float(breaks[0])!r}"):
+            _design_for(knots, 1.0, grid)
+
+    def test_penalty_constant_on_knot_intervals_matches_representer(self):
+        # breakpoints on the knots, outside [t1, tn], or between equal
+        # values: accepted by every entry point, and the basis fit is the
+        # representer fit at the knots (criterion 5's tolerance)
+        rng = np.random.default_rng(31)
+        n = 30
+        t = np.linspace(0.05, 0.95, n)
+        y = np.sin(6 * t) + 0.1 * rng.standard_normal(n)
+        v = 6 * np.cos(6 * t) + 0.1 * rng.standard_normal(n)
+        corr = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
+        configs = [
+            KernelConfig.piecewise([0.0, t[9], t[21], 1.0], [1.0, 3.0, 0.5]),
+            KernelConfig.piecewise([0.0, 0.02, 0.97, 1.0], [1.0, 3.0, 0.5]),
+            KernelConfig.piecewise([0.0, 0.33, 0.71, 1.0], [2.0, 2.0, 2.0]),
+            KernelConfig.piecewise([0.0, 0.01, t[4], 0.33, t[12], 0.99, 1.0],
+                                   [5.0, 1.0, 3.0, 3.0, 0.5, 0.2]),
+        ]
+        for cfg in configs:
+            for lam, gamma in ((1e-3, 0.5), (1e-5, 2.0), (0.1, 0.05)):
+                theta = fit_theta(_design_for(t, lam, cfg), y, v, gamma)
+                vfit = fit_vspline(t, y, v, cfg, lam, gamma)
+                assert np.abs(theta[:n] - vfit.evaluate(t)).max() <= 1e-6
+                assert np.abs(theta[n:] - vfit.evaluate_deriv(t)).max() <= 1e-6
+            closed = cv_closed_form(t, y, v, 1e-3, 0.5, cfg).value
+            assert closed == pytest.approx(cv_brute_force(t, y, v, 1e-3, 0.5, cfg).value,
+                                           rel=1e-6)
+            assert np.isfinite(gcv_score(t, y, v, 1e-3, 0.5, cfg).value)
+            assert np.isfinite(gcv_correlated(t, y, v, 1e-3, 0.5, cfg, corr).value)
+            res = optimize_params(t, y, v, cfg, lam_points=3, gamma_points=3, refine=False)
+            assert np.isfinite(res.score)

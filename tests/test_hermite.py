@@ -12,7 +12,8 @@ from conftest import (ar1_precision, jittered_knots, random_config, random_insta
                       random_knots, random_tridiagonal_spd)
 from vspline import (HermiteBasis, KernelConfig, SingularSystemError, build_design,
                      build_gram, fit_theta, fit_vspline, hat_matrices,
-                     hat_matrices_correlated, penalty_gram, solve_coefficients)
+                     hat_matrices_correlated, solve_coefficients)
+from vspline.gcv import _design_for
 from vspline.hermite import (_band_inverse_diagonals, _band_inverse_diagonals_batch,
                              _ErrorWeights, _factor_band, _factor_normal, _fit_point,
                              _normal_stack)
@@ -102,23 +103,21 @@ class TestPenaltyGram:
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(3)
         t = random_knots(rng, 4)
+        knot_breaks = np.concatenate([[0.0], t, [1.0]])
         inputs = [
-            # off-knot breakpoints
-            (np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, 3)), [1.0]]),
-             rng.uniform(0.0, 2.0, 4)),
-            # breakpoints on knots, mixed with off-knot ones
-            (np.array([0.0, t[0], 0.5 * (t[1] + t[2]), t[2], t[3], 1.0]),
-             rng.uniform(0.2, 2.0, 5)),
-            # breakpoints outside [t1, tn] only, grid wider than [0, 1]
-            (np.array([-0.5, 0.5 * t[0], 0.5 * (t[3] + 1.0), 1.5]),
-             np.array([0.7, 1.3, 2.1])),
-            # zero-valued pieces, including a whole knot interval
-            (np.array([0.0, t[1], 0.5 * (t[2] + t[3]), 1.0]), np.array([0.0, 1.1, 0.0])),
             # knot-aligned layout (as the CLI builds it) with zeros
-            (np.concatenate([[0.0], t, [1.0]]), np.array([0.4, 0.0, 1.7, 0.0, 0.9])),
+            (knot_breaks, np.array([0.4, 0.0, 1.7, 0.0, 0.9])),
+            # zero-valued outer and inner knot intervals
+            (knot_breaks, np.array([0.0, 1.1, 0.0, 0.0, 0.0])),
         ]
-        for breaks, values in inputs:
-            omega = penalty_gram(HermiteBasis(t), breaks, values)
+        designs = [build_design(t, values).omega for _, values in inputs]
+        # a config with breakpoints outside [t1, tn] only, through the
+        # mapping onto knot intervals
+        outside = KernelConfig.piecewise([0.0, 0.5 * t[0], 0.5 * (t[3] + 1.0), 1.0],
+                                         [0.7, 1.3, 2.1])
+        inputs.append((outside.breakpoints, outside.weights))
+        designs.append(_design_for(t, 1.0, outside).omega)
+        for (breaks, values), omega in zip(inputs, designs):
             for i in range(8):
                 for j in range(i, 8):
                     want = oracles.quad_penalty_entry(t, breaks, values, i, j)
@@ -256,8 +255,7 @@ class TestKeystoneEquivalence:
             t, y, v, cfg, lam, gamma = random_instance(rng, n_range=(4, 16))
             gram = build_gram(t, cfg, lam, gamma)
             vfit = solve_coefficients(gram, y, v)
-            design = build_design(t, lam * cfg.weights,
-                                  lam_breakpoints=cfg.breakpoints)
+            design = _design_for(t, lam, cfg)
             theta = fit_theta(design, y, v, gamma)
             n = t.size
             np.testing.assert_allclose(theta[:n], vfit.evaluate(t), atol=1e-6)
@@ -299,7 +297,7 @@ class TestBandedEngine:
                 gamma = 10.0 ** rng.uniform(np.log10(0.05), np.log10(20.0))
                 y = np.sin(2 * np.pi * t) + 0.15 * rng.standard_normal(n)
                 v = 2 * np.pi * np.cos(2 * np.pi * t) + 0.15 * rng.standard_normal(n)
-                design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
+                design = _design_for(t, lam, cfg)
                 theta, diags = _fit_point(design, y, v, gamma, diagonals=True)
                 np.testing.assert_array_equal(fit_theta(design, y, v, gamma), theta)
                 assert _max_rel(theta, _dense_theta(design, y, v, gamma)) < 1e-7
@@ -311,11 +309,10 @@ class TestBandedEngine:
         rng = np.random.default_rng(17)
         n = 300
         t = jittered_knots(rng, n)
-        breaks = np.concatenate([[0.0], t, [1.0]])
         weights = rng.uniform(0.3, 3.0, n + 1)
         y, v = rng.standard_normal((2, n))
         for lam in (1e-4, 1e-2):
-            design = build_design(t, lam * weights, lam_breakpoints=breaks)
+            design = build_design(t, lam * weights)
             zb = oracles.mp_band_inverse_diagonals(_normal_band(design, 1.0))
             z, z_sub = zb[0], zb[1]
             _, (s_diag, t_diag, u_diag, v_diag) = _fit_point(design, y, v, 1.0, diagonals=True)
@@ -342,7 +339,7 @@ class TestBandedEngine:
                 W, Ucorr = random_tridiagonal_spd(rng, n), None
             else:
                 W, Ucorr = random_tridiagonal_spd(rng, n), random_tridiagonal_spd(rng, n)
-            design = build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
+            design = _design_for(t, lam, cfg)
             assert _ErrorWeights(y, v, W, Ucorr).bands is not None
             theta, diags = _fit_point(design, y, v, gamma, W, Ucorr, diagonals=True)
             np.testing.assert_array_equal(fit_theta(design, y, v, gamma, W, Ucorr), theta)
@@ -407,11 +404,10 @@ class TestBandedEngine:
         rng = np.random.default_rng(19)
         n = 300
         t = jittered_knots(rng, n)
-        breaks = np.concatenate([[0.0], t, [1.0]])
         weights = rng.uniform(0.3, 3.0, n + 1)
         mats = (ar1_precision(n, 0.5), ar1_precision(n, 0.3))
         for lam, gamma in ((1e-4, 1.0), (1e-2, 0.2)):
-            design = build_design(t, lam * weights, lam_breakpoints=breaks)
+            design = build_design(t, lam * weights)
             ab = _normal_band(design, gamma, *mats)
             want = oracles.mp_band_inverse_diagonals(ab)
             got = _band_inverse_diagonals(cholesky_banded(ab, lower=True))
@@ -426,8 +422,7 @@ class TestBandedEngine:
         rng = np.random.default_rng(23)
         n = 37
         t = jittered_knots(rng, n)
-        breaks = np.concatenate([[0.0], t, [1.0]])
-        design = build_design(t, rng.uniform(0.3, 3.0, n + 1), lam_breakpoints=breaks)
+        design = build_design(t, rng.uniform(0.3, 3.0, n + 1))
         for mats in ((None, None), (random_tridiagonal_spd(rng, n), ar1_precision(n, -0.4))):
             factors = np.stack([
                 _factor_band(_normal_band(design, gamma, *mats))
@@ -473,6 +468,27 @@ class TestBandedEngine:
                 warnings.simplefilter("error")
                 with pytest.raises(SingularSystemError, match="overflowed"):
                     fit_theta(design, y, v, gamma, W, Ucorr)
+
+    def test_overflowing_solution_is_one_error_on_every_route(self):
+        # a finite system whose solution overflows: SingularSystemError, not
+        # NaN coefficients, on the identity, tridiagonal and dense routes,
+        # with and without the hat diagonals, and without a numpy warning
+        n = 8
+        design = build_design(np.linspace(0.1, 0.9, n), 1e-3)
+        big, zeros = np.full(n, 1e308), np.zeros(n)
+        tridiagonal = 0.5 * np.eye(n) + 0.1 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        wide = np.eye(n)
+        wide[0, 3] = wide[3, 0] = 0.1
+        for W in (None, tridiagonal, wide):
+            for diagonals in (False, True):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(SingularSystemError, match="non-finite solution"):
+                        _fit_point(design, big, zeros, 1.0, W, diagonals=diagonals)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularSystemError, match="non-finite solution"):
+                    fit_theta(design, big, zeros, 1.0, W)
 
     def test_singular_band_raises_singular_system_error(self):
         # no penalty and no velocity weight leaves the slopes undetermined

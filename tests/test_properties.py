@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_knots, random_tridiagonal_spd
-from vspline import (KernelConfig, build_design, cv_brute_force, cv_closed_form,
-                     fit_theta)
+from vspline import KernelConfig, cv_brute_force, cv_closed_form, fit_theta
 from vspline.cli import main
+from vspline.gcv import _design_for
 
 # deterministic and small, so the suite's run time barely moves
 PROPERTY = settings(derandomize=True, database=None, max_examples=30, deadline=None)
@@ -45,10 +45,6 @@ def problems(draw, correlated):
     return t, cfg, lam, gamma, mats, data
 
 
-def _design(t, cfg, lam):
-    return build_design(t, lam * cfg.weights, lam_breakpoints=cfg.breakpoints)
-
-
 @pytest.mark.parametrize("correlated", [False, True])
 @PROPERTY
 @given(data=st.data())
@@ -58,7 +54,7 @@ def test_affine_data_reproduced(correlated, data):
     b = data.draw(st.floats(-10.0, 10.0))
     y = a + b * t
     v = np.full(t.size, b)
-    theta = fit_theta(_design(t, cfg, lam), y, v, gamma, W=W, Ucorr=Ucorr)
+    theta = fit_theta(_design_for(t, lam, cfg), y, v, gamma, W=W, Ucorr=Ucorr)
     scale = 1.0 + abs(a) + abs(b)
     np.testing.assert_allclose(theta[:t.size], y, atol=1e-9 * scale)
     np.testing.assert_allclose(theta[t.size:], v, atol=1e-8 * scale)
@@ -71,7 +67,7 @@ def test_fit_is_linear_in_data(correlated, data):
     t, cfg, lam, gamma, (W, Ucorr), (y1, v1, y2, v2) = data.draw(problems(correlated))
     alpha = data.draw(st.floats(-5.0, 5.0))
     beta = data.draw(st.floats(-5.0, 5.0))
-    design = _design(t, cfg, lam)
+    design = _design_for(t, lam, cfg)
     combined = fit_theta(design, alpha * y1 + beta * y2, alpha * v1 + beta * v2,
                          gamma, W=W, Ucorr=Ucorr)
     parts = (alpha * fit_theta(design, y1, v1, gamma, W=W, Ucorr=Ucorr)
