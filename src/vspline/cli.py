@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, gcv
-from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
+from .errors import DegenerateGridError, SingularSystemError
 from .fit import rescale_domain
 from .gcv import CorrelationSpec, optimize_params
 from .hermite import _fit_point
@@ -161,7 +161,8 @@ def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
 
     Every report comes from the Hermite-basis fit: one factorization gives
     the knot values and slopes and the hat diagonals, and the curve is the
-    cubic Hermite interpolant of that knot fit.
+    cubic Hermite interpolant of that knot fit.  A curve that overflowed
+    raises :class:`SingularSystemError` before any file is written.
     """
     tu, yu, vu, scale = rescale_domain(t_raw, y, v, margin=MARGIN)
     n = tu.size
@@ -171,8 +172,11 @@ def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
 
     grid_raw = np.linspace(t_raw[0], t_raw[-1], grid)
     grid_unit = scale.to_unit(grid_raw)
-    f_curve = design.basis.evaluate(theta, grid_unit)
-    df_curve = design.basis.evaluate_deriv(theta, grid_unit) / scale.time_factor
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        f_curve = design.basis.evaluate(theta, grid_unit)
+        df_curve = design.basis.evaluate_deriv(theta, grid_unit) / scale.time_factor
+    if not (np.isfinite(f_curve).all() and np.isfinite(df_curve).all()):
+        raise SingularSystemError("the fitted curve overflowed: non-finite values on its grid")
 
     curve_file = _sibling_path(out_path, ".curve.csv")
     _write_rows(curve_file, ["t", "f", "df"], np.column_stack([grid_raw, f_curve, df_curve]))
@@ -271,7 +275,6 @@ def cmd_select(args) -> int:
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise CliError(3, "selecting parameters", str(exc))
     surface_file = _sibling_path(args.out, ".surface.csv")
-    _write_rows(surface_file, ["lambda", "gamma", "score"], result.surface)
     selected = {"lambda": result.lam, "gamma": result.gamma}
     at_bound = {
         "lambda": _at_bound(result.lam, args.lambda_min, args.lambda_max, args.lambda_steps),
@@ -297,6 +300,7 @@ def cmd_select(args) -> int:
                     args.grid, args.out, selection=selection)
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise CliError(3, "fitting at selected parameters", str(exc))
+    _write_rows(surface_file, ["lambda", "gamma", "score"], result.surface)
     print(f"selected lambda={result.lam:.6g} gamma={result.gamma:.6g} "
           f"(criterion={result.criterion}, score={result.score:.6g})")
     print(f"wrote {args.out} and {surface_file}")
@@ -353,9 +357,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error while {exc.stage}: {exc}", file=sys.stderr)
         return exc.code
-    except DegenerateScoreError as exc:
-        print(f"error while scoring: {exc}", file=sys.stderr)
-        return 3
 
 
 def entrypoint():

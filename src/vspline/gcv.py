@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cholesky, eigh
 
-from .errors import DegenerateGridError, DegenerateScoreError
+from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import check_knots
 from .hermite import _check_normal_args, _ErrorWeights, _fit_stack, build_design, fit_theta
 from .kernels import KernelConfig
@@ -58,13 +58,9 @@ _DEGENERATE = {
 _DEGENERATE["gcv-corr"] = _DEGENERATE["gcv"]
 
 # A search scores its coarse grid in chunks of _GRID_CHUNK to
-# 2 * _GRID_CHUNK - 1 points, each through one batched selected-inverse
-# sweep.  That sweep pays a fixed cost per column for the whole chunk, so
-# it beats per-point sweeps only from about _BATCH_MIN points on (measured
-# at n = 60 and n = 5000); smaller grids, the golden-section points and
-# the dense route sweep one point at a time.
+# 2 * _GRID_CHUNK - 1 points, one engine call each, which bounds the
+# memory of a stack; the engine picks each stack's sweep.
 _GRID_CHUNK = 64
-_BATCH_MIN = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +88,10 @@ class CorrelationSpec:
     is stored as ``(M + M') / 2``, so every route reads the same exactly
     symmetric matrix (bit-identical for exactly symmetric input).  The
     name ``Ucorr`` keeps the correlation matrix distinct from the hat
-    block ``U`` of :class:`vspline.hermite.HatMatrices`.  ``cross`` is
-    the coupling ``W^(1/2) Ucorr^(1/2)`` of the correlated GCV numerator,
-    formed on first read: no fit needs its two eigendecompositions.
+    block ``U`` of :class:`vspline.hermite.HatMatrices`.  The symmetric
+    PSD square roots that whiten the residuals of the correlated GCV
+    numerator are formed on their first read (``_roots``): no fit needs
+    their two eigendecompositions.
     """
 
     W: np.ndarray
@@ -123,10 +120,12 @@ class CorrelationSpec:
         object.__setattr__(self, "Ucorr", U)
 
     @cached_property
-    def cross(self) -> np.ndarray:
-        cross = _psd_sqrt(self.W) @ _psd_sqrt(self.Ucorr)
-        cross.flags.writeable = False
-        return cross
+    def _roots(self):
+        """``(W^(1/2), Ucorr^(1/2))``, read-only."""
+        roots = (_psd_sqrt(self.W), _psd_sqrt(self.Ucorr))
+        for root in roots:
+            root.flags.writeable = False
+        return roots
 
 
 def _check_inputs(t, y, v, lam, gamma):
@@ -188,36 +187,28 @@ def cv_brute_force(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     return CvScore(value=float(np.mean(errors**2)), lam=lam, gamma=gamma)
 
 
-def _correlated_numerator_terms(r, rp, k, corr: CorrelationSpec):
-    """The three quadratic-form terms of the correlated GCV numerator at a
-    stack of points (residuals of shape (count, n), ``k`` per point).
-
-    One matrix-vector product per point and form: a product of the whole
-    stack would round differently from a single point's.  ``cross`` needs
-    an O(n^2) product anyway; banded forms for ``W``/``Ucorr`` were slower
-    per golden-section point at n = 60 (numpy call overhead).
-    """
-    forms = np.array([(x @ corr.W @ x, x @ corr.cross @ xp, xp @ corr.Ucorr @ xp)
-                      for x, xp in zip(r, rp)])
-    return forms[:, 0], 2.0 * k * forms[:, 1], k * k * forms[:, 2]
-
-
 def _criterion(criterion, r, rp, diags, gammas, corr: CorrelationSpec | None = None):
     """The score ``criterion`` at a stack of points, from each point's fit:
     the residuals ``r`` and ``rp`` of its values and slopes, (count, n),
     and its hat diagonals ``(S_ii, T_ii, U_ii, V_ii)``, the C-ordered
     (4, count, n) array ``diags``, at the velocity weights ``gammas``.
     The formulas are those of :func:`cv_closed_form`, :func:`gcv_score`
-    and :func:`gcv_correlated`.
+    and :func:`gcv_correlated`; "gcv-corr" is "gcv" on the residuals
+    whitened point by point, ``W^(1/2) r`` and ``Ucorr^(1/2) rp``.
 
     Returns the scores and the masks of the points whose velocity and
     whose position denominator is degenerate (below ``_DENOM_FLOOR``; the
-    trace denominator relative to ``n``), where the score is NaN.
-    Every operation is elementwise or reduces one point's row, so a
-    point's score has the same bits in any stack.
+    trace denominator relative to ``n``).  The score is NaN there and
+    wherever it is not finite (overflow).  Every operation is elementwise
+    or reduces one point's row, so a point's score has the same bits in
+    any stack.
     """
     n = r.shape[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if criterion == "gcv-corr":   # one product per point, the bits of a stack of one
+            w_root, u_root = corr._roots
+            r = np.array([w_root @ x for x in r])
+            rp = np.array([u_root @ x for x in rp])
         if criterion == "cv":
             s_diag, t_diag, u_diag, v_diag = diags
             g = gammas[:, None]
@@ -234,12 +225,8 @@ def _criterion(criterion, r, rp, diags, gammas, corr: CorrelationSpec | None = N
             den = n - tr_s - k * tr_u
             bad_dv = np.abs(dv) < _DENOM_FLOOR
             bad_den = np.abs(den / n) < _DENOM_FLOOR
-            if criterion == "gcv":
-                scores = ((r + k[:, None] * rp) ** 2).sum(axis=1) / n / (den / n) ** 2
-            else:
-                rwr, cross, rur = _correlated_numerator_terms(r, rp, k, corr)
-                scores = n * (rwr + cross + rur) / den**2
-    scores[bad_dv | bad_den] = np.nan
+            scores = ((r + k[:, None] * rp) ** 2).sum(axis=1) / n / (den / n) ** 2
+    scores[bad_dv | bad_den | ~np.isfinite(scores)] = np.nan
     return scores, (bad_dv, bad_den)
 
 
@@ -263,25 +250,23 @@ class _Scorer:
 
     def scores(self, lams, gammas):
         """Scores at the points ``(lams[i], gammas[i])``, NaN where the
-        criterion is degenerate or the system singular or overflowed; on
-        the banded route, ``_BATCH_MIN`` points or more run in chunks of
-        one batched sweep each, with the same bits."""
+        criterion is degenerate or not finite or the system singular or
+        overflowed; ``2 * _GRID_CHUNK`` points or more run in chunks of
+        ``_GRID_CHUNK`` to ``2 * _GRID_CHUNK - 1``, with the same bits."""
         lams, gammas = np.asarray(lams, dtype=float), np.asarray(gammas, dtype=float)
         count = lams.size
-        if count < _BATCH_MIN or self.weights.dense:
-            return self.stack(lams, gammas, batched=False)[0]
+        if count < 2 * _GRID_CHUNK:
+            return self.stack(lams, gammas)[0]
         out = np.empty(count)
-        for chunk in np.array_split(np.arange(count), max(1, count // _GRID_CHUNK)):
-            out[chunk] = self.stack(lams[chunk], gammas[chunk], batched=True)[0]
+        for chunk in np.array_split(np.arange(count), count // _GRID_CHUNK):
+            out[chunk] = self.stack(lams[chunk], gammas[chunk])[0]
         return out
 
-    def stack(self, lams, gammas, batched):
+    def stack(self, lams, gammas):
         """The scores at a stack of points (NaN where a point failed), the
         :class:`SingularSystemError` of each point or ``None``, and the
-        degenerate masks of :func:`_criterion`.  ``batched`` runs one
-        selected-inverse sweep over the whole stack."""
-        values, slopes, diags, errors = _fit_stack(self.band, lams, gammas, self.weights,
-                                                   batched=batched)
+        degenerate masks of :func:`_criterion`."""
+        values, slopes, diags, errors = _fit_stack(self.band, lams, gammas, self.weights)
         scores, degenerate = _criterion(self.criterion, values - self.y, slopes - self.v,
                                         diags, gammas, self.corr)
         if any(errors):
@@ -322,12 +307,13 @@ def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
     """GCV for correlated errors with known precision structures.
 
     The fit and the hat blocks carry ``W`` and ``Ucorr``; the numerator
-    weights the position residuals by ``W``, the velocity residuals by
-    ``Ucorr``, and couples them through the symmetric PSD square roots
-    ``W^(1/2) Ucorr^(1/2)``.  Identity matrices reduce this exactly to
-    :func:`gcv_score`.  With at most tridiagonal ``W``/``Ucorr`` (AR(1)
-    precisions) the fit and traces are O(n) by the banded route and the
-    numerator's ``cross`` product O(n^2); wider matrices are O(n^3).
+    is the plain GCV numerator of the residuals whitened by the symmetric
+    PSD square roots, ``|W^(1/2) r + k Ucorr^(1/2) rp|^2``, which equals
+    ``r'W r + 2k r'W^(1/2) Ucorr^(1/2) rp + k^2 rp'Ucorr rp``.  Identity
+    matrices reduce this exactly, bit for bit, to :func:`gcv_score`.  With
+    at most tridiagonal ``W``/``Ucorr`` (AR(1) precisions) the fit and
+    traces are O(n) by the banded route and the whitening O(n^2); wider
+    matrices are O(n^3).
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
     value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv-corr", corr)
@@ -340,12 +326,14 @@ def _score(design, y, v, lam, gamma, criterion, corr: CorrelationSpec | None = N
     :class:`SingularSystemError` or :class:`DegenerateScoreError` where the
     search gives NaN."""
     scorer = _Scorer(design, y, v, criterion, corr)
-    scores, errors, degenerate = scorer.stack(np.array([lam]), np.array([gamma]), batched=False)
+    scores, errors, degenerate = scorer.stack(np.array([lam]), np.array([gamma]))
     if errors[0] is not None:
         raise errors[0]
     for message, mask in zip(_DEGENERATE[criterion], degenerate):
         if mask[0]:
             raise DegenerateScoreError(message)
+    if np.isnan(scores[0]):
+        raise SingularSystemError("the score overflowed: non-finite criterion value")
     return float(scores[0])
 
 
@@ -424,13 +412,14 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     at unit lam (it is linear in lam), the route, and ``W y`` and
     ``Ucorr v``.  Without ``corr`` every score is O(n) (banded route).
     "gcv-corr" takes the banded route too when ``W`` and ``Ucorr`` are at
-    most tridiagonal (plus the O(n^2) ``cross`` product of its numerator)
-    and is dense, O(n^3) per score, only for wider matrices.  On the
-    banded route a grid of a few dozen points or more is scored in
-    chunks, each through one batched selected-inverse sweep; the
-    golden-section points sweep one at a time.  The hat diagonals and the
-    criterion run as whole-array operations over each stack, and a
-    degenerate, singular or overflowing point scores NaN without a
+    most tridiagonal (plus the O(n^2) whitening of its residuals) and is
+    dense, O(n^3) per score, only for wider matrices.  The grid is scored
+    in chunks of at most ``2 * _GRID_CHUNK - 1`` points; on the banded
+    route a stack of a few dozen points or more shares one vectorized
+    selected-inverse sweep, and the golden-section points sweep one at a
+    time.  The hat diagonals and the criterion run as whole-array
+    operations over each stack, and a degenerate, singular or overflowing
+    point, or one whose score is not finite, scores NaN without a
     warning.  No (lam, gamma) pair is scored twice in one search: a point
     that a sweep revisits takes the score already computed.  Scores and
     selection are the same bits as scoring every point on its own.
@@ -469,8 +458,7 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     if refine:
         log_lams = np.log10(lams)
         log_gammas = np.log10(gammas)
-        li = int(np.argmin(np.abs(log_lams - np.log10(best_lam))))
-        gi = int(np.argmin(np.abs(log_gammas - np.log10(best_gamma))))
+        li, gi = divmod(best_row, gamma_points)
         lam_lo, lam_hi = log_lams[max(li - 1, 0)], log_lams[min(li + 1, lam_points - 1)]
         gam_lo, gam_hi = log_gammas[max(gi - 1, 0)], log_gammas[min(gi + 1, gamma_points - 1)]
         for _ in range(2):

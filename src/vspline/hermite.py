@@ -21,13 +21,14 @@ the command-line report, and each score and parameter search of
 is a stack of one) and returns their values, slopes, hat diagonals if
 asked, and per-point errors.  The route is decided once per problem, by
 :class:`_ErrorWeights` from the bandwidth of the error weights
-``W``/``Ucorr``.  At most tridiagonal (none, diagonal weights, or AR(1)
+``W``/``Ucorr``; absent weights are the identity, an ordinary diagonal
+band.  At most tridiagonal (none, diagonal weights, or AR(1)
 precisions), they keep the bandwidth of ``A``: the stack is assembled as
 bands, each point is factored by banded Cholesky, and the hat diagonals
 come from the band of ``A^-1`` by the selected-inverse recursion, per
-point or vectorized over the stack, with the same bits: O(n) time and
-memory, no 2n-by-2n matrix.  Wider ``W``/``Ucorr`` fill ``A`` in and take
-the dense route.  The full hat blocks of :func:`hat_matrices` and
+point or vectorized over a large stack, with the same bits: O(n) time
+and memory, no 2n-by-2n matrix.  Wider ``W``/``Ucorr`` fill ``A`` in and
+take the dense route.  The full hat blocks of :func:`hat_matrices` and
 :func:`hat_matrices_correlated` stay dense, as the tests' oracles.
 """
 
@@ -274,7 +275,7 @@ def _tridiagonal_band(M, n):
     """The (2, n) lower band of a symmetric tridiagonal ``M``: its diagonal,
     then its first subdiagonal (last entry zero).
 
-    The identity for ``None``; ``None`` when ``M`` has a nonzero entry
+    The identity's band for ``None``; ``None`` when ``M`` has a nonzero entry
     beyond its first sub- and superdiagonal.
     """
     band = np.zeros((2, n))
@@ -307,12 +308,12 @@ class _ErrorWeights:
     reads only the lower triangle while ``W y`` reads all of ``W``, so on
     the symmetric part every route solves the same problem, and rounding
     asymmetry does not change the route.  ``bands`` holds their
-    tridiagonal bands as one (2, 2, n) array, or ``None`` when both are
-    the identity or either is wider; ``dense`` marks the last case, which
-    leaves only the dense route.  ``wy`` and ``uv`` are ``W y`` and
-    ``Ucorr v``, the data part of every right-hand side; an overflow
-    leaves them non-finite, without a warning, for the solve to reject.
-    Detecting the bands is O(n^2).
+    tridiagonal bands as one (2, 2, n) array, the identity's for an
+    absent matrix, which selects the banded route; ``None`` when either is
+    wider, which leaves only the dense route.  ``wy`` and ``uv`` are
+    ``W y`` and ``Ucorr v``, the data part of every right-hand side; an
+    overflow leaves them non-finite, without a warning, for the solve to
+    reject.  Detecting the bands is O(n^2).
     """
 
     def __init__(self, y, v, W=None, Ucorr=None):
@@ -324,15 +325,12 @@ class _ErrorWeights:
                     M = (M + M.T) / 2
             mats.append(M)
         self.W, self.Ucorr = mats
-        bands = None
-        if W is not None or Ucorr is not None:
-            bands = [_tridiagonal_band(M, y.size) for M in mats]
-        self.dense = bands is not None and (bands[0] is None or bands[1] is None)
-        self.bands = None if bands is None or self.dense else np.array(bands)
+        bands = [_tridiagonal_band(M, y.size) for M in mats]
+        self.bands = None if bands[0] is None or bands[1] is None else np.array(bands)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.bands is not None:
                 self.wy, self.uv = _band_matvec(self.bands[0], y), _band_matvec(self.bands[1], v)
-            else:
+            else:   # the dense route keeps an absent matrix out of its products
                 self.wy = y if self.W is None else self.W @ y
                 self.uv = v if self.Ucorr is None else self.Ucorr @ v
 
@@ -374,7 +372,8 @@ def _normal_stack(band, lams, gammas, weights: _ErrorWeights):
     ``A`` with the penalty ``band`` (unit lam) times ``lams[p]`` and the
     velocity weight ``gammas[p]`` (both arrays), each Fortran-ordered so
     that ``dpbtrf`` factors it in place, and the (count, 2n) interleaved
-    right-hand sides ``[W y; gamma Ucorr v]``.
+    right-hand sides ``[W y; gamma Ucorr v]``, for the tridiagonal bands of
+    ``weights`` (the identity's included).
 
     Value ``i`` is unknown ``2i`` and slope ``i`` is ``2i + 1``, so
     ``W[i, i]`` and ``W[i + 1, i]`` land on band rows 0 and 2 of the even
@@ -388,17 +387,12 @@ def _normal_stack(band, lams, gammas, weights: _ErrorWeights):
     ab = np.empty((count, size, 4)).transpose(0, 2, 1)
     rhs = np.empty((count, size))
     rhs[:, 0::2] = weights.wy
-    g = gammas[:, None, None]
+    w, u = weights.bands
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(band, lams[:, None, None], out=ab)
         ab *= size // 2
-        if weights.bands is None:
-            ab[:, :1, 0::2] += 1.0
-            ab[:, :1, 1::2] += g
-        else:
-            w, u = weights.bands
-            ab[:, 0::2, 0::2] += w
-            ab[:, 0::2, 1::2] += g * u
+        ab[:, 0::2, 0::2] += w
+        ab[:, 0::2, 1::2] += gammas[:, None, None] * u
         np.multiply(gammas[:, None], weights.uv, out=rhs[:, 1::2])
     return ab, rhs
 
@@ -514,28 +508,25 @@ def _band_inverse_diagonals_batch(L):
     return zb.transpose(2, 1, 0)
 
 
-def _hat_diagonals(zb, bands=None):
+def _hat_diagonals(zb, bands):
     """The hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` of a stack of points,
     one C-ordered (4, count, n) array, from their bands ``zb`` of
-    ``Z = A^-1`` (count, 4, 2n) and the tridiagonal bands of ``W`` and
-    ``Ucorr``.  C order, whatever the order of ``zb``: each point's later
-    sums (the traces) run over its own contiguous row, with the bits of a
-    stack of one.
+    ``Z = A^-1`` (count, 4, 2n) and the tridiagonal ``bands`` of ``W`` and
+    ``Ucorr`` (the identity's included).  C order, whatever the order of
+    ``zb``: each point's later sums (the traces) run over its own
+    contiguous row, with the bits of a stack of one.
 
     With ``Zvv``, ``Zvs``, ``Zsv``, ``Zss`` the value/slope blocks of
     ``Z``, the hat blocks are ``S = Zvv W``, ``T = Zvs Ucorr``,
-    ``U = Zsv W`` and ``V = Zss Ucorr``; for identity weights (``bands``
-    is ``None``) the diagonals are entries of ``Z`` itself.  A tridiagonal
-    weight reaches only the neighbouring knots, so each diagonal entry
-    sums three products, e.g. ``S_ii = Zvv[i, i] W[i, i] +
+    ``U = Zsv W`` and ``V = Zss Ucorr``.  A tridiagonal weight reaches
+    only the neighbouring knots, so each diagonal entry sums three
+    products, e.g. ``S_ii = Zvv[i, i] W[i, i] +
     Zvv[i+1, i] W[i+1, i] + Zvv[i, i-1] W[i-1, i]``, all inside the band
     of ``Z``.  The four diagonals are computed together: fewer numpy
     calls, which is most of the cost for a single point at small n.
     """
     zvv, zss = zb[:, 0, 0::2], zb[:, 0, 1::2]            # Z[v_i, v_i], Z[s_i, s_i]
     zsv = zb[:, 1, 0::2]                                 # Z[s_i, v_i]
-    if bands is None:
-        return np.array((zvv, zsv, zsv, zss), order="C")
     zvs_next = zb[:, 1, 1::2]                            # Z[v_i+1, s_i]
     zvv_next, zss_next = zb[:, 2, 0::2], zb[:, 2, 1::2]  # Z[v_i+1, v_i], Z[s_i+1, s_i]
     zsv_next = zb[:, 3, 0::2]                            # Z[s_i+1, v_i]
@@ -582,7 +573,13 @@ def _dense_stack(band, lams, gammas, weights: _ErrorWeights, diagonals):
     return x.reshape(-1, 2, n).swapaxes(1, 2).reshape(-1, 2 * n), diags, errors
 
 
-def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True, batched=False):
+# A vectorized selected-inverse sweep pays a fixed cost per column for the
+# whole stack, so it beats one scalar sweep per point only from about
+# _BATCH_MIN points on (measured at n = 60 and n = 5000).
+_BATCH_MIN = 24
+
+
+def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True):
     """The basis fit at a stack of points: the penalty ``band`` (unit lam)
     times ``lams[p]``, the velocity weight ``gammas[p]`` (both arrays), and
     the error ``weights``.  Every basis fit, report and score runs here.
@@ -594,15 +591,15 @@ def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True, batch
     are then zeros and its diagonals meaningless); so does a finite system
     whose solution overflowed, on either route.
 
-    The banded route (``weights`` at most tridiagonal) assembles the stack
-    by :func:`_normal_stack`, factors and solves each point by
+    The banded route (``weights.bands``) assembles the stack by
+    :func:`_normal_stack`, factors and solves each point by
     :func:`_factor_solve_stack`, and takes the diagonals from the band of
-    ``A^-1``: one vectorized sweep over the stack if ``batched``, else one
-    scalar sweep per point that did not fail.  A point has the same bits
-    alone and in any stack.  The dense route (:func:`_dense_stack`) fits
-    point by point.
+    ``A^-1``: one vectorized sweep over a stack of ``_BATCH_MIN`` points or
+    more, else one scalar sweep per point that did not fail.  A point has
+    the same bits alone and in any stack.  The dense route
+    (:func:`_dense_stack`) fits point by point.
     """
-    if weights.dense:
+    if weights.bands is None:
         x, diags, errors = _dense_stack(band, lams, gammas, weights, diagonals)
     else:
         ab, x = _normal_stack(band, lams, gammas, weights)
@@ -611,8 +608,8 @@ def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True, batch
     if not np.isfinite(x).all():   # a finite system can still overflow in the solve
         for p in np.flatnonzero(~np.isfinite(x).all(axis=1)):
             errors[p], x[p] = _overflowed("solution"), 0.0
-    if diagonals and not weights.dense:
-        if batched:
+    if diagonals and weights.bands is not None:
+        if lams.size >= _BATCH_MIN:
             zb = _band_inverse_diagonals_batch(ab)
         else:   # a failed point is not swept: it scores NaN anyway
             zb = np.array([_band_inverse_diagonals(L) if error is None else np.zeros(L.shape)

@@ -220,6 +220,25 @@ class TestFit:
         assert err.startswith("error while fitting: ") and "non-finite solution" in err
         assert list(tmp_path.iterdir()) == [data]
 
+    @pytest.mark.parametrize("text, gamma", [
+        ("t,y,v\n0,1e308,0\n1,1e308,0\n2,1e308,0\n3,1e308,0\n", "1e-4"),
+        ("t,y,v\n0,0,0\n0.0001,1e305,0\n0.0002,2e305,0\n0.0003,3e305,0\n", "0"),
+    ], ids=["between-knots", "raw-slope"])
+    def test_overflowing_curve_exit_3(self, tmp_path, capsys, text, gamma):
+        # the knot fit is finite but its curve overflows between the knots,
+        # or its slope once mapped back to raw time units: exit 3 and no
+        # files, not a curve of NaN tokens or a report holding Infinity
+        data = tmp_path / "huge.csv"
+        data.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["fit", str(data), "--lambda", "1e-8", "--gamma", gamma,
+                       "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error while fitting: ") and "curve overflowed" in err
+        assert list(tmp_path.iterdir()) == [data]
+
     def test_weights_file(self, tmp_path):
         data = tmp_path / "d.csv"
         main(["simulate", "--kind", "sine", "--n", "10", "--noise", "0.1",
@@ -490,6 +509,20 @@ class TestSelect:
         assert err.splitlines()[-1] == ("error while selecting parameters: "
                                         "every grid point produced a degenerate score")
 
+    def test_overflowing_scores_exit_4(self, tmp_path, capsys):
+        # every grid score overflows: no point is left to select, so exit 4
+        # with no files and no numpy warning, not a report with an infinite
+        # score (which is not JSON) and a curve of NaN tokens
+        data = tmp_path / "huge.csv"
+        data.write_text("t,y,v\n0,1e308,0\n1,1e308,0\n2,1e308,0\n3,1e308,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["select", str(data), "--out", str(tmp_path / "sel.json")])
+        assert rc == 4
+        assert capsys.readouterr().err == ("error while selecting parameters: "
+                                           "every grid point produced a degenerate score\n")
+        assert list(tmp_path.iterdir()) == [data]
+
     def test_overflowing_grid_prints_only_its_lines(self, tmp_path, capsys):
         # overflowing grid points are NaN without a numpy RuntimeWarning; the
         # only stderr line is the CLI's own note on the selection's bound
@@ -518,6 +551,24 @@ class TestSelect:
         rc = main(["select", str(data), "--out", str(tmp_path / "r.json")])
         assert rc == 4
         assert "selecting" in capsys.readouterr().err
+
+    def test_failed_report_fit_writes_no_surface(self, tmp_path, capsys, monkeypatch):
+        # the surface is written only once the report at the selection is
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "10", "--noise", "0.1",
+              "--seed", "2", "--out", str(data)])
+        import vspline.cli as cli_mod
+        from vspline.errors import SingularSystemError
+
+        def boom(*args, **kwargs):
+            raise SingularSystemError("the fitted curve overflowed")
+
+        monkeypatch.setattr(cli_mod, "_fit_report", boom)
+        rc = main(["select", str(data), "--lambda-steps", "3", "--gamma-steps", "3",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert "fitting at selected parameters" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [data]
 
 
 class TestRoundTrip:

@@ -12,10 +12,10 @@ from conftest import ar1_precision, random_config, random_instance, random_knots
 from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
                      build_design, cv_brute_force, cv_closed_form, fit_theta, fit_vspline,
                      gcv_correlated, gcv_score, hat_matrices_correlated, optimize_params)
-from vspline.gcv import (_BATCH_MIN, _GRID_CHUNK, _correlated_numerator_terms, _criterion,
-                         _design_for, _golden_min, _psd_sqrt, _score, _Scorer)
+from vspline.gcv import (_GRID_CHUNK, _criterion, _design_for, _golden_min, _psd_sqrt, _score,
+                         _Scorer)
 from vspline.errors import DegenerateScoreError, SingularSystemError
-from vspline.hermite import _ErrorWeights, _fit_point
+from vspline.hermite import _BATCH_MIN, _ErrorWeights, _fit_point
 
 UNIFORM = KernelConfig.uniform()
 
@@ -137,15 +137,15 @@ class TestBandedMemory:
         assert peak < 8 * (2 * n) ** 2 / 10
 
     def test_tridiagonal_correlated_route_allocates_no_dense_matrix(self):
-        # the spec itself holds n-by-n matrices, its numerator coupling
-        # ``cross`` too (formed here, before tracing); a score and a fit may
+        # the spec itself holds n-by-n matrices, the square roots of its
+        # numerator too (formed here, before tracing); a score and a fit may
         # not allocate even one more (a quarter of one 2n-by-2n array)
         n = 600
         t = np.linspace(0.05, 0.95, n)
         y = np.sin(6 * t)
         v = 6 * np.cos(6 * t)
         corr = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
-        assert corr.cross.shape == (n, n)
+        assert [root.shape for root in corr._roots] == [(n, n), (n, n)]
         for run in (lambda: gcv_correlated(t, y, v, 1e-6, 1.0, UNIFORM, corr).value,
                     lambda: fit_theta(build_design(t, 1e-6), y, v, 1.0, corr.W, corr.Ucorr)):
             tracemalloc.start()
@@ -223,10 +223,10 @@ class TestCorrelationSpec:
             hat_matrices_correlated(design, -1.0, np.eye(3), np.eye(3))
 
 
-    def test_cross_is_formed_on_first_read(self, tmp_path, monkeypatch):
-        # only the gcv-corr numerator reads cross: building a spec and a
-        # fit with --corr take no square root; the first read gives the
-        # bits of the eager product
+    def test_square_roots_are_formed_on_first_read(self, tmp_path, monkeypatch):
+        # only the gcv-corr numerator reads the square roots: building a
+        # spec and a fit with --corr take none; the first read gives the
+        # bits of the eager roots, cached and read-only
         from vspline import gcv as gcv_mod
         from vspline.cli import main
         n = 12
@@ -245,8 +245,10 @@ class TestCorrelationSpec:
         assert main(["fit", str(data), "--lambda", "1e-3", "--corr", str(corr_file),
                      "--out", str(tmp_path / "r.json")]) == 0
         monkeypatch.setattr(gcv_mod, "_psd_sqrt", real)
-        np.testing.assert_array_equal(spec.cross, real(W) @ real(U))
-        assert spec.cross is spec.cross and not spec.cross.flags.writeable
+        roots = spec._roots
+        np.testing.assert_array_equal(roots[0], real(W))
+        np.testing.assert_array_equal(roots[1], real(U))
+        assert spec._roots is roots and not any(root.flags.writeable for root in roots)
 
     def test_small_asymmetry_stored_symmetric(self):
         # an accepted 1e-12 asymmetry is averaged away, so the dense route
@@ -262,7 +264,7 @@ class TestCorrelationSpec:
         spec = CorrelationSpec(W=W_skew, Ucorr=U)
         np.testing.assert_array_equal(spec.W, spec.W.T)
         np.testing.assert_array_equal(spec.W, (W_skew + W_skew.T) / 2)
-        assert not _ErrorWeights(y, v, spec.W, spec.Ucorr).dense
+        assert _ErrorWeights(y, v, spec.W, spec.Ucorr).bands is not None
         design = build_design(t, 0.01)
         banded = fit_theta(design, y, v, 0.7, spec.W, spec.Ucorr)
         dense = fit_theta(design, y, v, 0.7, W_skew, U)   # wider than its band: dense
@@ -280,40 +282,58 @@ class TestCorrelatedGcv:
         corr = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
         unit = _design_for(t, 1.0, UNIFORM)
         banded = _Scorer(unit, y, v, "gcv-corr", corr)
-        assert not banded.weights.dense
+        assert banded.weights.bands is not None
         dense = _Scorer(unit, y, v, "gcv-corr", corr)
         weights = dense.weights   # force the dense route, with its own products
-        weights.bands, weights.dense, weights.wy, weights.uv = None, True, corr.W @ y, corr.Ucorr @ v
+        weights.bands, weights.wy, weights.uv = None, corr.W @ y, corr.Ucorr @ v
         for lam in np.geomspace(1e-8, 1.0, 9):
             for gamma in np.geomspace(1e-4, 1e4, 9):
                 point = np.array([lam]), np.array([gamma])
-                got = banded.stack(*point, batched=False)[0][0]
-                want = dense.stack(*point, batched=False)[0][0]
+                got = banded.stack(*point)[0][0]
+                want = dense.stack(*point)[0][0]
                 assert got == pytest.approx(want, rel=1e-8)
 
     def test_identity_matrices_reduce_to_plain_gcv(self):
+        # identity precisions are ordinary tridiagonal weights: the same
+        # fit, traces and numerator as plain GCV, bit for bit, in a search too
         rng = np.random.default_rng(6)
-        t, y, v, cfg, lam, gamma = random_instance(rng, weighted=False)
-        n = t.size
-        corr = CorrelationSpec(W=np.eye(n), Ucorr=np.eye(n))
-        plain = gcv_score(t, y, v, lam, gamma, cfg)
-        correlated = gcv_correlated(t, y, v, lam, gamma, cfg, corr)
-        assert correlated.value == pytest.approx(plain.value, rel=1e-10)
+        for i in range(20):
+            t, y, v, cfg, lam, gamma = random_instance(rng, weighted=i % 2 == 1)
+            n = t.size
+            corr = CorrelationSpec(W=np.eye(n), Ucorr=np.eye(n))
+            plain = gcv_score(t, y, v, lam, gamma, cfg)
+            correlated = gcv_correlated(t, y, v, lam, gamma, cfg, corr)
+            assert correlated.value == plain.value
+        a = optimize_params(t, y, v, cfg, criterion="gcv", lam_points=7, gamma_points=5)
+        b = optimize_params(t, y, v, cfg, corr=corr, criterion="gcv-corr",
+                            lam_points=7, gamma_points=5)
+        assert (a.lam, a.gamma, a.score) == (b.lam, b.gamma, b.score)
+        np.testing.assert_array_equal(a.surface, b.surface)
 
-    def test_numerator_bilinearity_in_w(self):
+    def test_numerator_is_the_three_term_form(self):
+        # |W^(1/2) r + k Ucorr^(1/2) rp|^2 against
+        # r'W r + 2k r'W^(1/2) Ucorr^(1/2) rp + k^2 rp'Ucorr rp, for AR(1),
+        # tridiagonal and dense precisions at a stack of points
         rng = np.random.default_rng(7)
-        n = 8
-        r = rng.standard_normal(n)
-        rp = rng.standard_normal(n)
-        W = _ar1(n, 0.4)
-        U = _ar1(n, 0.2)
-        k = 0.37
-        t1, t2, t3 = _correlated_numerator_terms(r[None], rp[None], k, CorrelationSpec(W, U))
-        s1, s2, s3 = _correlated_numerator_terms(r[None], rp[None], k,
-                                                 CorrelationSpec(4.0 * W, U))
-        assert s1 == pytest.approx(4.0 * t1, rel=1e-12)
-        assert s3 == pytest.approx(t3, rel=1e-12)          # no W in the U term
-        assert s2 == pytest.approx(2.0 * t2, rel=1e-12)    # sqrt(4 W) = 2 sqrt(W)
+        for n in (8, 23, 60):
+            M = rng.standard_normal((n, n))
+            specs = [CorrelationSpec(_ar1(n, 0.4), _ar1(n, 0.2)),
+                     CorrelationSpec(ar1_precision(n, 0.5), ar1_precision(n, -0.3)),
+                     CorrelationSpec(M @ M.T + n * np.eye(n), 4.0 * np.eye(n))]
+            for corr in specs:
+                count = 5
+                r, rp = rng.standard_normal((2, count, n))
+                diags = rng.uniform(0.0, 0.4, (4, count, n))
+                gammas = 10.0 ** rng.uniform(-2, 2, count)
+                got = _criterion("gcv-corr", r, rp, diags, gammas, corr)[0]
+                tr_s, tr_t, tr_u, tr_v = diags.sum(axis=2)
+                k = gammas * tr_t / (n - gammas * tr_v)
+                den = n - tr_s - k * tr_u
+                cross = _psd_sqrt(corr.W) @ _psd_sqrt(corr.Ucorr)
+                for p in range(count):
+                    terms = (r[p] @ corr.W @ r[p] + 2.0 * k[p] * (r[p] @ cross @ rp[p])
+                             + k[p] ** 2 * (rp[p] @ corr.Ucorr @ rp[p]))
+                    assert got[p] == pytest.approx(n * terms / den[p] ** 2, rel=1e-12)
 
     def test_dense_route_overflow_is_a_numerical_failure(self):
         # gamma * Ucorr v overflows on the dense route: NaN in the search,
@@ -323,7 +343,7 @@ class TestCorrelatedGcv:
         t = np.linspace(0.05, 0.95, n)
         y, v = np.sin(6 * t), 6e4 * np.cos(6 * t)
         corr = CorrelationSpec(W=_ar1(n, 0.4), Ucorr=np.eye(n))
-        assert _ErrorWeights(y, v, corr.W, corr.Ucorr).dense
+        assert _ErrorWeights(y, v, corr.W, corr.Ucorr).bands is None
         res = optimize_params(t, y, v, UNIFORM, corr=corr, criterion="gcv-corr",
                               gamma_bounds=(1e-4, 1e305), lam_points=3, gamma_points=4)
         _, gamma_col, score_col = res.surface.T
@@ -465,10 +485,9 @@ class TestOptimizeParams:
         chunks = []
         real = gcv_mod._Scorer.stack
 
-        def spy(self, lams, gammas, batched):
-            if batched:
-                chunks.append(len(lams))
-            return real(self, lams, gammas, batched)
+        def spy(self, lams, gammas):
+            chunks.append(len(lams))
+            return real(self, lams, gammas)
 
         monkeypatch.setattr(gcv_mod._Scorer, "stack", spy)
         for weighted in (False, True, True):
@@ -575,8 +594,9 @@ class TestOptimizeParams:
     def test_overflowing_solutions_are_failed_points(self, criterion):
         # y = 1e308: at these lam the systems are finite but their solutions
         # overflow; each such point carries its SingularSystemError and is
-        # NaN by mask, one at a time and batched, on the banded and the
-        # dense route, without a warning; the public score raises it
+        # NaN by mask, in a stack swept point by point and in one swept
+        # batched, on the banded and the dense route, without a warning;
+        # the public score raises it
         n = 8
         t = np.linspace(0.1, 0.9, n)
         y, v = np.full(n, 1e308), np.zeros(n)
@@ -586,19 +606,37 @@ class TestOptimizeParams:
             wide[0, 3] = wide[3, 0] = 0.1
             specs = [CorrelationSpec(W=0.5 * np.eye(n), Ucorr=np.eye(n)),
                      CorrelationSpec(W=wide, Ucorr=np.eye(n))]
-        lams = np.geomspace(0.1, 10.0, _BATCH_MIN)
-        gammas = np.ones(_BATCH_MIN)
         for corr in specs:
             scorer = _Scorer(_design_for(t, 1.0, UNIFORM), y, v, criterion, corr)
-            for batched in (False, True):
+            for count in (_BATCH_MIN - 1, _BATCH_MIN):
+                lams, gammas = np.geomspace(0.1, 10.0, count), np.ones(count)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    scores, errors, _ = scorer.stack(lams, gammas, batched=batched)
+                    scores, errors, _ = scorer.stack(lams, gammas)
                 assert np.all(np.isnan(scores))
                 assert all(isinstance(error, SingularSystemError)
                            and "non-finite solution" in str(error) for error in errors)
             with pytest.raises(SingularSystemError, match="non-finite solution"):
                 _score(_design_for(t, 1.0, UNIFORM), y, v, 1.0, 1.0, criterion, corr)
+
+    @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
+    def test_overflowing_scores_are_failed_points(self, criterion):
+        # y = 1e308: the fits are finite but every score overflows; a score
+        # that is not finite is NaN in the search, which then has no point
+        # left, and a numerical failure from the public score, without a
+        # warning
+        t = np.array([0.05, 0.35, 0.65, 0.95])
+        y, v = np.full(4, 1e308), np.zeros(4)
+        corr = CorrelationSpec(W=0.5 * np.eye(4), Ucorr=ar1_precision(4, 0.3))
+        public = {"cv": lambda: cv_closed_form(t, y, v, 1e-8, 1e-4, UNIFORM),
+                  "gcv": lambda: gcv_score(t, y, v, 1e-8, 1e-4, UNIFORM),
+                  "gcv-corr": lambda: gcv_correlated(t, y, v, 1e-8, 1e-4, UNIFORM, corr)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="non-finite criterion"):
+                public[criterion]()
+            with pytest.raises(DegenerateGridError):
+                optimize_params(t, y, v, UNIFORM, corr=corr, criterion=criterion)
 
     @pytest.mark.parametrize("criterion", ["cv", "gcv"])
     def test_interpolating_points_in_a_chunk_are_nan(self, criterion):
@@ -633,12 +671,12 @@ class TestOptimizeParams:
                          CorrelationSpec(W=_ar1(n, 0.4), Ucorr=np.eye(n))]
             for corr in specs:
                 scorer = _Scorer(_design_for(t, 1.0, cfg), y, v, criterion, corr)
-                count = 8 if scorer.weights.dense else _GRID_CHUNK
+                count = 8 if scorer.weights.bands is None else _GRID_CHUNK
                 lams = 10.0 ** rng.uniform(-8, 2, count)
                 gammas = 10.0 ** rng.uniform(-4, 4, count)
-                chunk = scorer.stack(lams, gammas, batched=True)[0]
+                chunk = scorer.stack(lams, gammas)[0]
                 for i in range(count):
-                    one = scorer.stack(lams[i:i + 1], gammas[i:i + 1], batched=False)[0]
+                    one = scorer.stack(lams[i:i + 1], gammas[i:i + 1])[0]
                     np.testing.assert_array_equal(one, chunk[i:i + 1])
 
     def test_failed_point_is_not_swept(self, monkeypatch):

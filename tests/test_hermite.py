@@ -14,9 +14,9 @@ from vspline import (HermiteBasis, KernelConfig, SingularSystemError, build_desi
                      build_gram, fit_theta, fit_vspline, hat_matrices,
                      hat_matrices_correlated, solve_coefficients)
 from vspline.gcv import _design_for
-from vspline.hermite import (_band_inverse_diagonals, _band_inverse_diagonals_batch,
-                             _ErrorWeights, _factor_band, _factor_normal, _fit_point,
-                             _normal_stack)
+from vspline.hermite import (_BATCH_MIN, _band_inverse_diagonals,
+                             _band_inverse_diagonals_batch, _ErrorWeights, _factor_band,
+                             _factor_normal, _fit_point, _fit_stack, _normal_stack)
 
 UNIFORM = KernelConfig.uniform()
 
@@ -305,6 +305,32 @@ class TestBandedEngine:
                 for got, block in zip(diags, (hats.S, hats.T, hats.U, hats.V)):
                     assert _max_rel(got, np.diag(block)) < 1e-7
 
+    def test_absent_weights_are_the_identity_band(self):
+        # W = Ucorr = None is the explicit identity: the same band, the same
+        # fit and the same diagonals, bit for bit, alone and in a stack
+        # swept batched
+        rng = np.random.default_rng(32)
+        for weighted in (False, True):
+            for _ in range(10):
+                n = int(rng.integers(4, 41))
+                t = jittered_knots(rng, n)
+                cfg = random_config(rng, knots=t) if weighted else UNIFORM
+                y, v = rng.standard_normal((2, n))
+                eye = np.eye(n)
+                np.testing.assert_array_equal(_ErrorWeights(y, v).bands,
+                                              _ErrorWeights(y, v, eye, eye).bands)
+                design = _design_for(t, 10.0 ** rng.uniform(-4.0, 0.0), cfg)
+                gamma = 10.0 ** rng.uniform(-2.0, 2.0)
+                got = _fit_point(design, y, v, gamma, diagonals=True)
+                want = _fit_point(design, y, v, gamma, eye, eye, diagonals=True)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+                lams, gammas = 10.0 ** rng.uniform(-4.0, 0.0, (2, _BATCH_MIN))
+                got = _fit_stack(design.band, lams, gammas, _ErrorWeights(y, v))
+                want = _fit_stack(design.band, lams, gammas, _ErrorWeights(y, v, eye, eye))
+                for a, b in zip(got[:3], want[:3]):
+                    np.testing.assert_array_equal(a, b)
+
     def test_diagonals_match_high_precision_oracle(self):
         rng = np.random.default_rng(17)
         n = 300
@@ -353,7 +379,7 @@ class TestBandedEngine:
         P = ar1_precision(n, 0.5)
 
         def dense(W, Ucorr):
-            return _ErrorWeights(np.zeros(n), np.zeros(n), W, Ucorr).dense
+            return _ErrorWeights(np.zeros(n), np.zeros(n), W, Ucorr).bands is None
 
         assert not dense(P, np.eye(n))
         assert not dense(None, np.diag(np.arange(1.0, n + 1)))
