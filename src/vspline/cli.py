@@ -84,6 +84,9 @@ def _parse_rows(lines):
 
 
 def _read_dataset(path):
+    """The samples of a dataset file on the unit axis: ``(t, y, v, scale)``
+    as :func:`rescale_domain` returns them.  Raw times that the rescaling
+    cannot represent are an input error, like a malformed file."""
     try:
         with open(path) as fh:
             lines = [line for line in fh.read().split("\n") if line.strip()]
@@ -96,12 +99,12 @@ def _read_dataset(path):
     data = _parse_rows(lines[1:])
     if data is None:
         raise CliError(2, "reading input", f"{path}: rows must hold numeric t, y, v")
-    t, y, v = data.T
     if not np.all(np.isfinite(data)):
         raise CliError(2, "reading input", f"{path}: non-finite values")
-    if np.any(np.diff(t) <= 0.0):
-        raise CliError(2, "reading input", f"{path}: times must be strictly increasing")
-    return t, y, v
+    try:
+        return rescale_domain(*data.T, margin=MARGIN)
+    except ValueError as exc:
+        raise CliError(2, "reading input", f"{path}: {exc}")
 
 
 def _read_weights(path, n):
@@ -155,22 +158,22 @@ def _penalty_config(tu, weights) -> KernelConfig:
     return KernelConfig.piecewise(np.concatenate([[0.0], tu, [1.0]]), weights)
 
 
-def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
+def _fit_report(tu, yu, vu, scale, lam, gamma, weights, corr, grid, out_path,
                 selection=None):
-    """Fit at fixed parameters and write the report and curve files.
+    """Fit at fixed parameters, on the unit-axis data of :func:`_read_dataset`,
+    and write the report and curve files.
 
     Every report comes from the Hermite-basis fit: one factorization gives
     the knot values and slopes and the hat diagonals, and the curve is the
     cubic Hermite interpolant of that knot fit.  A curve that overflowed
     raises :class:`SingularSystemError` before any file is written.
     """
-    tu, yu, vu, scale = rescale_domain(t_raw, y, v, margin=MARGIN)
     n = tu.size
     design = gcv._design_for(tu, lam, _penalty_config(tu, weights))
     mats = () if corr is None else (corr.W, corr.Ucorr)
     theta, (s_diag, _, _, v_diag) = _fit_point(design, yu, vu, gamma, *mats, diagonals=True)
 
-    grid_raw = np.linspace(t_raw[0], t_raw[-1], grid)
+    grid_raw = np.linspace(scale.s_min, scale.s_max, grid)
     grid_unit = scale.to_unit(grid_raw)
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         f_curve = design.basis.evaluate(theta, grid_unit)
@@ -191,8 +194,7 @@ def _fit_report(t_raw, y, v, lam, gamma, weights, corr, grid, out_path,
         "trace_s": float(np.sum(s_diag)),
         "trace_v": float(np.sum(v_diag)),
         "coefficients": {"values": theta[:n].tolist(), "slopes": theta[n:].tolist()},
-        "domain": {"t_min": float(t_raw[0]), "t_max": float(t_raw[-1]),
-                   "margin": MARGIN},
+        "domain": {"t_min": scale.s_min, "t_max": scale.s_max, "margin": MARGIN},
         "curve_file": curve_file,
         "knot_fit": {"f": theta[:n].tolist(),
                      "df_raw": (theta[n:] / scale.time_factor).tolist()},
@@ -234,12 +236,12 @@ def cmd_fit(args) -> int:
     if not (np.isfinite(args.gamma) and args.gamma >= 0.0):
         raise CliError(2, "parsing flags", "--gamma must be nonnegative and finite")
     _check_grid(args.grid)
-    t, y, v = _read_dataset(args.input)
-    weights = _read_weights(args.weights, t.size) if args.weights else None
-    corr = _read_corr(args.corr, t.size) if args.corr else None
+    data = _read_dataset(args.input)
+    n = data[0].size
+    weights = _read_weights(args.weights, n) if args.weights else None
+    corr = _read_corr(args.corr, n) if args.corr else None
     try:
-        report = _fit_report(t, y, v, args.lam, args.gamma, weights, corr,
-                             args.grid, args.out)
+        report = _fit_report(*data, args.lam, args.gamma, weights, corr, args.grid, args.out)
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise CliError(3, "fitting", str(exc))
     except ValueError as exc:
@@ -260,10 +262,9 @@ def cmd_select(args) -> int:
     _check_grid(args.grid)
     if args.criterion == "gcv-corr" and args.corr is None:
         raise CliError(2, "parsing flags", "--criterion gcv-corr requires --corr")
-    t, y, v = _read_dataset(args.input)
-    weights = _read_weights(args.weights, t.size) if args.weights else None
-    corr = _read_corr(args.corr, t.size) if args.corr else None
-    tu, yu, vu, _ = rescale_domain(t, y, v, margin=MARGIN)
+    data = tu, yu, vu, _ = _read_dataset(args.input)
+    weights = _read_weights(args.weights, tu.size) if args.weights else None
+    corr = _read_corr(args.corr, tu.size) if args.corr else None
     try:
         result = optimize_params(
             tu, yu, vu, _penalty_config(tu, weights), corr=corr, criterion=args.criterion,
@@ -296,7 +297,7 @@ def cmd_select(args) -> int:
         "surface_file": surface_file,
     }
     try:
-        _fit_report(t, y, v, result.lam, result.gamma, weights, corr,
+        _fit_report(*data, result.lam, result.gamma, weights, corr,
                     args.grid, args.out, selection=selection)
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise CliError(3, "fitting at selected parameters", str(exc))

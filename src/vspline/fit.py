@@ -114,7 +114,10 @@ def rescale_domain(s, y, v, margin: float = 0.05):
     -------
     (t, y, v_scaled, scale) where ``t`` lies in (0, 1), ``v_scaled`` is the
     derivative of position with respect to the unit axis, and ``scale``
-    is the :class:`DomainScale` that undoes the map.
+    is the :class:`DomainScale` that undoes the map.  Raw times whose span
+    overflows, or that are too close together to stay strictly increasing
+    inside (0, 1), and velocities that overflow on the unit axis raise
+    ``ValueError``, without a numpy warning.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.size < 2:
@@ -128,7 +131,17 @@ def rescale_domain(s, y, v, margin: float = 0.05):
     y = _check_data("y", y, s.size)
     v = _check_data("v", v, s.size)
     scale = DomainScale(float(s[0]), float(s[-1]), float(margin))
-    return scale.to_unit(s), y.copy(), v * scale.time_factor, scale
+    if not np.isfinite(scale.time_factor):   # float arithmetic: inf, no warning
+        raise ValueError("the span of the sample times overflows")
+    t = scale.to_unit(s)
+    if np.any(np.diff(t) <= 0.0) or t[0] <= 0.0 or t[-1] >= 1.0:
+        raise ValueError("sample times too close together to rescale: on the unit axis "
+                         "they must stay strictly increasing inside (0, 1)")
+    with np.errstate(over="ignore"):   # checked below
+        v_scaled = v * scale.time_factor
+    if not np.all(np.isfinite(v_scaled)):
+        raise ValueError("velocities overflow on the unit axis")
+    return t, y.copy(), v_scaled, scale
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,7 +59,7 @@ _DEGENERATE["gcv-corr"] = _DEGENERATE["gcv"]
 
 # A search scores its coarse grid in chunks of _GRID_CHUNK to
 # 2 * _GRID_CHUNK - 1 points, one engine call each, which bounds the
-# memory of a stack; the engine picks each stack's sweep.
+# memory of a stack: its bands of A and A^-1 and its hat diagonals.
 _GRID_CHUNK = 64
 
 
@@ -414,10 +414,10 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     "gcv-corr" takes the banded route too when ``W`` and ``Ucorr`` are at
     most tridiagonal (plus the O(n^2) whitening of its residuals) and is
     dense, O(n^3) per score, only for wider matrices.  The grid is scored
-    in chunks of at most ``2 * _GRID_CHUNK - 1`` points; on the banded
-    route a stack of a few dozen points or more shares one vectorized
-    selected-inverse sweep, and the golden-section points sweep one at a
-    time.  The hat diagonals and the criterion run as whole-array
+    in chunks of at most ``2 * _GRID_CHUNK - 1`` points, and each
+    golden-section point is a stack of one; on the banded route every
+    point's band of ``A^-1`` is one BLAS banded triangular solve, whatever
+    its stack.  The hat diagonals and the criterion run as whole-array
     operations over each stack, and a degenerate, singular or overflowing
     point, or one whose score is not finite, scores NaN without a
     warning.  No (lam, gamma) pair is scored twice in one search: a point

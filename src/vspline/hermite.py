@@ -25,11 +25,12 @@ asked, and per-point errors.  The route is decided once per problem, by
 band.  At most tridiagonal (none, diagonal weights, or AR(1)
 precisions), they keep the bandwidth of ``A``: the stack is assembled as
 bands, each point is factored by banded Cholesky, and the hat diagonals
-come from the band of ``A^-1`` by the selected-inverse recursion, per
-point or vectorized over a large stack, with the same bits: O(n) time
-and memory, no 2n-by-2n matrix.  Wider ``W``/``Ucorr`` fill ``A`` in and
-take the dense route.  The full hat blocks of :func:`hat_matrices` and
-:func:`hat_matrices_correlated` stay dense, as the tests' oracles.
+come from the band of ``A^-1``, which the selected-inverse recursion
+gives as the solution of one banded triangular system per point: O(n)
+time and memory, no 2n-by-2n matrix.  Wider ``W``/``Ucorr`` fill ``A``
+in and take the dense route.  The full hat blocks of
+:func:`hat_matrices` and :func:`hat_matrices_correlated` stay dense, as
+the tests' oracles.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SingularSystemError
@@ -403,9 +405,9 @@ def _factor_solve_stack(ab, rhs):
     :func:`_solve_band`.
 
     Returns, per point, ``None`` or the :class:`SingularSystemError` raised
-    there.  A failed point's band is replaced by the identity's and its
-    solution by zeros, so a batched sweep and the criterion run over the
-    whole stack.
+    there.  A failed point's solution is replaced by zeros, so the
+    criterion runs over the whole stack; its band is left as the failure
+    left it, and never read again.
     """
     errors = []
     for p in range(len(ab)):
@@ -415,15 +417,14 @@ def _factor_solve_stack(ab, rhs):
             errors.append(None)
         except SingularSystemError as exc:
             errors.append(exc)
-            ab[p] = 0.0
-            ab[p, 0] = 1.0
             rhs[p] = 0.0
     return errors
 
 
-def _band_inverse_diagonals(L):
+def _band_inverse(L, system=None):
     """The band of ``Z = A^-1`` from the band of ``L``, in the same layout:
-    row ``r`` of the returned (4, size) array holds ``Z[j + r, j]``.
+    row ``r`` of the returned (4, size) array holds ``Z[j + r, j]``, zero
+    past the end of each row.
 
     The selected-inverse recursion (Takahashi, Fagan & Chin 1973;
     Hutchinson & de Hoog 1985): ``L' Z = L^-1`` gives, for
@@ -432,80 +433,38 @@ def _band_inverse_diagonals(L):
         Z[i, j] = delta_ij / L[j, j]^2 - sum_{k=j+1..j+3} (L[k, j] / L[j, j]) Z[i, k]
 
     which reads ``Z`` only inside the band of the three later columns.
-    One backward sweep over the columns carries those six entries, so the
-    cost is O(size) scalar operations and no inverse is formed.  The sweep
-    keeps the diagonal and first subdiagonal; the second and third
-    subdiagonals follow from the same formula afterwards, vectorized, with
-    the same operations in the same order as inside the sweep.  The band
-    must be zero past the end of each row, as every band here is; the
-    returned band is zero there too.
+    The recursion is affine in the band of ``Z``, so the whole band is the
+    solution of one unit upper triangular banded system, which one BLAS
+    ``dtbsv`` solves: O(size) work, no inverse formed and no Python loop
+    over the columns.  The unknowns are ``x[4j + r] = Z[j + r, j]``; with
+    ``l_k = L[j + k, j] / L[j, j]``, column ``j`` gives the four rows
+
+        4j:      Z[j, j]   + l1 Z[j+1, j]   + l2 Z[j+2, j]   + l3 Z[j+3, j]   = 1 / L[j, j]^2
+        4j + 1:  Z[j+1, j] + l1 Z[j+1, j+1] + l2 Z[j+2, j+1] + l3 Z[j+3, j+1] = 0
+        4j + 2:  Z[j+2, j] + l1 Z[j+2, j+1] + l2 Z[j+2, j+2] + l3 Z[j+3, j+2] = 0
+        4j + 3:  Z[j+3, j] + l1 Z[j+3, j+1] + l2 Z[j+3, j+2] + l3 Z[j+3, j+3] = 0
+
+    with every coefficient 1 to 9 places right of the diagonal.
+    ``system`` holds that band, (size, 4, 10), unknown by unknown: zeros,
+    or a buffer that an earlier call filled at the same size, since each
+    call rewrites the same 12 slots (the unit diagonal is never read).
+    The band of ``L`` must be zero past the end of each row, as every
+    band here is.
     """
-    inv = 1.0 / L[0]
-    ratios = L[1:] * inv
-    diag, sub = [], []
-    # z_ab = Z[j + a, j + b] for the three columns after column j
-    z11 = z21 = z31 = z22 = z32 = z33 = 0.0
-    for l1, l2, l3, w in zip(*ratios[:, ::-1].tolist(), (inv[::-1] ** 2).tolist()):
-        a1 = -(l1 * z11 + l2 * z21 + l3 * z31)
-        a2 = -(l1 * z21 + l2 * z22 + l3 * z32)
-        a3 = -(l1 * z31 + l2 * z32 + l3 * z33)
-        z = w - (l1 * a1 + l2 * a2 + l3 * a3)
-        diag.append(z)
-        sub.append(a1)
-        z11, z21, z31, z22, z32, z33 = z, a1, a2, z11, z21, z22
     size = L.shape[1]
-    zb = np.zeros((4, size + 3))   # zero padding stands for Z past the end
-    zb[0, :size] = diag[::-1]
-    zb[1, :size] = sub[::-1]
-    l1, l2, l3 = ratios
-    zb[2, :size] = -(l1 * zb[1, 1:size + 1] + l2 * zb[0, 2:size + 2] + l3 * zb[1, 2:size + 2])
-    zb[3, :size] = -(l1 * zb[2, 1:size + 1] + l2 * zb[1, 2:size + 2] + l3 * zb[0, 3:size + 3])
-    return zb[:, :size]
-
-
-# Per point, the batched sweep keeps 13 rows at column j: the symmetric
-# block M = Z[j+1..j+3, j+1..j+3] that the column reads (row-major), then
-# z, a1, a2, a3.  The block that column j - 1 reads,
-# [[z, a1, a2], [a1, M00, M01], [a2, M10, M11]], is these rows of them:
-_NEXT_BLOCK = [9, 10, 11, 10, 0, 1, 11, 1, 4]
-
-
-def _band_inverse_diagonals_batch(L):
-    """:func:`_band_inverse_diagonals` of a stack of factor bands ``L[p]``
-    (shape (count, 4, size)) in one sweep: the stack of bands of the
-    inverses, ``out[p]`` in the layout of the scalar result (a view).
-
-    Every operation of the scalar sweep runs, in the same order, on a
-    vector over the points, so each band is bit-identical to the scalar
-    one; the Python loop over the columns is paid once per stack instead
-    of once per point.  The sweep's ``a2`` and ``a3`` are the second and
-    third subdiagonals, which the scalar sweep recomputes after it by the
-    same formula.
-    """
-    count, _, size = L.shape
-    # column j holds (w, l1, l2, l3) of column j, then the band of Z there
-    zb = np.empty((size, 4, count))
-    inv = 1.0 / L[:, 0].T
-    np.square(inv, out=zb[:, 0])
-    np.multiply(L[:, 1:].transpose(2, 1, 0), inv[:, None], out=zb[:, 1:])
-    states = np.zeros((2, 13, count))
-    views = [(st, st[:9].reshape(3, 3, count), st[9], st[10:]) for st in states]
-    prod, lz, acc = np.empty((3, 3, count)), np.empty((3, count)), np.empty(count)
-    for j in range(size - 1, -1, -1):
-        state, block, z, a = views[j & 1]
-        col = zb[j]
-        ratios = col[1:]
-        np.multiply(block, ratios, out=prod)      # prod[k, m] = z_(k+1)(m+1) l_(m+1)
-        np.add(prod[:, 0], prod[:, 1], out=a)
-        a += prod[:, 2]
-        np.negative(a, out=a)
-        np.multiply(ratios, a, out=lz)
-        np.add(lz[0], lz[1], out=acc)
-        acc += lz[2]
-        np.subtract(col[0], acc, out=z)
-        col[...] = state[9:]
-        np.take(state, _NEXT_BLOCK, axis=0, out=views[~j & 1][0][:9])
-    return zb.transpose(2, 1, 0)
+    if system is None:
+        system = np.zeros((size, 4, 10))
+    inv = 1.0 / L[0]
+    l1, l2, l3 = L[1:] * inv
+    # the coefficient of unknown 4c + q in row i sits at system[c, q, 9 - (4c + q - i)]
+    system[:, 1, 8], system[:, 2, 7], system[:, 3, 6] = l1, l2, l3                      # 4j
+    system[1:, 0, 6], system[1:, 1, 5], system[1:, 2, 4] = l1[:-1], l2[:-1], l3[:-1]  # 4j + 1
+    system[1:, 1, 6], system[2:, 0, 3], system[2:, 1, 2] = l1[:-1], l2[:-2], l3[:-2]  # 4j + 2
+    system[1:, 2, 6], system[2:, 1, 3], system[3:, 0, 0] = l1[:-1], l2[:-2], l3[:-3]  # 4j + 3
+    x = np.zeros((size, 4))
+    np.multiply(inv, inv, out=x[:, 0])
+    x = dtbsv(9, system.reshape(-1, 10).T, x.reshape(-1), diag=1, overwrite_x=1)
+    return x.reshape(size, 4).T
 
 
 def _hat_diagonals(zb, bands):
@@ -573,12 +532,6 @@ def _dense_stack(band, lams, gammas, weights: _ErrorWeights, diagonals):
     return x.reshape(-1, 2, n).swapaxes(1, 2).reshape(-1, 2 * n), diags, errors
 
 
-# A vectorized selected-inverse sweep pays a fixed cost per column for the
-# whole stack, so it beats one scalar sweep per point only from about
-# _BATCH_MIN points on (measured at n = 60 and n = 5000).
-_BATCH_MIN = 24
-
-
 def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True):
     """The basis fit at a stack of points: the penalty ``band`` (unit lam)
     times ``lams[p]``, the velocity weight ``gammas[p]`` (both arrays), and
@@ -594,10 +547,10 @@ def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True):
     The banded route (``weights.bands``) assembles the stack by
     :func:`_normal_stack`, factors and solves each point by
     :func:`_factor_solve_stack`, and takes the diagonals from the band of
-    ``A^-1``: one vectorized sweep over a stack of ``_BATCH_MIN`` points or
-    more, else one scalar sweep per point that did not fail.  A point has
-    the same bits alone and in any stack.  The dense route
-    (:func:`_dense_stack`) fits point by point.
+    ``A^-1`` by :func:`_band_inverse`, one banded solve per point that did
+    not fail, all in one buffer.  A point has the same bits alone and in
+    any stack.  The dense route (:func:`_dense_stack`) fits point by
+    point.
     """
     if weights.bands is None:
         x, diags, errors = _dense_stack(band, lams, gammas, weights, diagonals)
@@ -609,12 +562,12 @@ def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True):
         for p in np.flatnonzero(~np.isfinite(x).all(axis=1)):
             errors[p], x[p] = _overflowed("solution"), 0.0
     if diagonals and weights.bands is not None:
-        if lams.size >= _BATCH_MIN:
-            zb = _band_inverse_diagonals_batch(ab)
-        else:   # a failed point is not swept: it scores NaN anyway
-            zb = np.array([_band_inverse_diagonals(L) if error is None else np.zeros(L.shape)
-                           for L, error in zip(ab, errors)])
-        del ab   # the factors are not needed past the sweep
+        zb = np.zeros(ab.shape)
+        system = np.zeros((ab.shape[2], 4, 10))   # one buffer for the stack
+        for p, error in enumerate(errors):
+            if error is None:   # a failed point is not solved for: it scores NaN anyway
+                zb[p] = _band_inverse(ab[p], system)
+        del ab, system   # the factors are not needed past the inverse
         diags = _hat_diagonals(zb, weights.bands)
     return x[:, 0::2], x[:, 1::2], diags, errors
 

@@ -232,7 +232,7 @@ def gp_joint_posterior(t, y, v, t_eval, cfg, beta, rho, lam, gamma):
     return mean, var
 
 
-def mp_band_inverse_diagonals(ab, digits=40):
+def mp_band_inverse_diagonals(ab, digits=40, factored=False):
     """All ``p + 1`` band rows of ``A^-1`` for a symmetric band matrix.
 
     ``ab`` is the lower band in scipy's layout (row ``r`` holds the r-th
@@ -241,21 +241,28 @@ def mp_band_inverse_diagonals(ab, digits=40):
     are taken exactly, then factored by banded Cholesky and inverted
     inside the band by the selected-inverse recursion, all in
     ``digits``-digit mpmath arithmetic, so the result is the exact answer
-    for that band up to the final rounding to double.
+    for that band up to the final rounding to double.  With ``factored``,
+    ``ab`` is the band of a Cholesky factor ``L`` instead, taken exactly,
+    and the result is the band of ``(L L')^-1``: what an inversion of that
+    factor, without the rounding of the factorization, should give.
     """
     import mpmath
 
     p, size = ab.shape[0] - 1, ab.shape[1]
     with mpmath.workdps(digits):
-        A = {(j + r, j): mpmath.mpf(float(ab[r, j]))
-             for r in range(p + 1) for j in range(size - r)}
-        L = {}
-        for j in range(size):
-            first = max(0, j - p)
-            L[j, j] = mpmath.sqrt(A[j, j] - mpmath.fsum(L[j, k] ** 2 for k in range(first, j)))
-            for i in range(j + 1, min(size, j + p + 1)):
-                dot = mpmath.fsum(L[i, k] * L[j, k] for k in range(max(0, i - p), j))
-                L[i, j] = (A[i, j] - dot) / L[j, j]
+        band = {(j + r, j): mpmath.mpf(float(ab[r, j]))
+                for r in range(p + 1) for j in range(size - r)}
+        if factored:
+            L = band
+        else:
+            A, L = band, {}
+            for j in range(size):
+                first = max(0, j - p)
+                L[j, j] = mpmath.sqrt(A[j, j] - mpmath.fsum(L[j, k] ** 2
+                                                            for k in range(first, j)))
+                for i in range(j + 1, min(size, j + p + 1)):
+                    dot = mpmath.fsum(L[i, k] * L[j, k] for k in range(max(0, i - p), j))
+                    L[i, j] = (A[i, j] - dot) / L[j, j]
         Z = {}
 
         def z(i, k):

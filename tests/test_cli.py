@@ -286,7 +286,7 @@ class TestFit:
             monkeypatch.setattr(hermite_mod, name, counting)
         assert main(["fit", str(data), "--lambda", "0.01", "--gamma", "1",
                      "--corr", str(corr), "--out", str(tmp_path / "f.json")]) == 0
-        # a 3 x 3 grid is scored point by point, an 8 x 6 grid batched
+        # a 3 x 6 grid is scored in one small stack, an 8 x 6 grid in a full chunk
         for steps in ("3", "6"), ("8", "6"):
             assert main(["select", str(data), "--criterion", "gcv-corr", "--corr", str(corr),
                          "--lambda-steps", steps[0], "--gamma-steps", steps[1],
@@ -432,6 +432,31 @@ class TestDatasetFormat:
         rc, _ = self._fit(tmp_path, text)
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["fit", "--lambda", "0.1"], ["select"]],
+                             ids=["fit", "select"])
+    @pytest.mark.parametrize("times, velocity, message", [
+        (["-1", "0", "1e-20", "1"], "0", "strictly increasing inside (0, 1)"),
+        (["0", "5e-324", "1e-323"], "0", "strictly increasing inside (0, 1)"),
+        (["-1e308", "0", "1e308"], "0", "the span of the sample times overflows"),
+        (["0", "1e300", "2e300"], "1e10", "velocities overflow on the unit axis"),
+    ], ids=["colliding", "subnormal", "overflowing-span", "overflowing-velocity"])
+    def test_unrepresentable_time_axis_exit_2(self, tmp_path, capsys, command, times, velocity,
+                                              message):
+        # distinct, finite raw samples that the unit rescaling cannot
+        # represent (times that collide at 0.5 or land past 1, a span or
+        # velocities that overflow): an input error while reading, without
+        # a numpy warning, and no file written
+        path = tmp_path / "d.csv"
+        path.write_text("t,y,v\n" + "".join(f"{t},{i},{velocity}\n"
+                                             for i, t in enumerate(times)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command[0], str(path), *command[1:], "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error while reading input: {path}: ") and message in err
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestSelect:

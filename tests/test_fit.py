@@ -1,5 +1,7 @@
 """Representer-system assembly, solve, and evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,18 @@ class TestRescaleDomain:
             rescale_domain([1.0, 1.0, 2.0], np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             rescale_domain([1.0, 2.0], np.zeros(2), np.zeros(2), margin=0.0)
+        # distinct, finite raw samples that do not survive the map onto the
+        # unit axis: a ValueError that names the cause, not a numpy warning
+        for s, v, message in (
+                ([-1.0, 0.0, 1e-20, 1.0], np.zeros(4), "strictly increasing inside"),  # at 0.5
+                ([0.0, 5e-324, 1e-323], np.zeros(3), "strictly increasing inside"),    # at 1.05
+                ([-1e308, 0.0, 1e308], np.zeros(3), "span of the sample times overflows"),
+                ([0.0, 1.7e308], np.zeros(2), "span of the sample times overflows"),
+                ([0.0, 1e300], np.full(2, 1e10), "velocities overflow")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    rescale_domain(s, np.zeros(len(s)), v)
 
 
 class TestBuildGram:

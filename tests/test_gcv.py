@@ -15,7 +15,7 @@ from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
 from vspline.gcv import (_GRID_CHUNK, _criterion, _design_for, _golden_min, _psd_sqrt, _score,
                          _Scorer)
 from vspline.errors import DegenerateScoreError, SingularSystemError
-from vspline.hermite import _BATCH_MIN, _ErrorWeights, _fit_point
+from vspline.hermite import _ErrorWeights, _fit_point
 
 UNIFORM = KernelConfig.uniform()
 
@@ -117,19 +117,17 @@ class TestBandedMemory:
             assert peak < dense_bytes / 100
 
     def test_search_allocates_no_dense_matrix(self):
-        # the 5 x 5 grid of a search at n = 5000 runs batched (25 points) and
-        # stays below a tenth of one 2n-by-2n array (800 MB); the golden-
-        # section points are single scores, bounded by the test above (and
-        # slow to trace: the scalar sweep allocates a float per entry)
+        # a search at n = 5000, its 5 x 5 grid as one stack of 25 points and
+        # its golden-section points as stacks of one, stays below a tenth of
+        # one 2n-by-2n array (800 MB)
         n = 5000
         t = np.linspace(0.05, 0.95, n)
         y = np.sin(6 * t)
         v = 6 * np.cos(6 * t)
-        assert 25 >= _BATCH_MIN
         tracemalloc.start()
         try:
             res = optimize_params(t, y, v, UNIFORM, lam_bounds=(1e-8, 1e-2),
-                                  lam_points=5, gamma_points=5, refine=False)
+                                  lam_points=5, gamma_points=5, refine=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -442,7 +440,7 @@ class TestOptimizeParams:
         from vspline import gcv as gcv_mod
 
         # every denominator is below an infinite floor: the cv score of every
-        # fit, with per-point sweeps (4 x 3) or batched (8 x 8), is degenerate
+        # fit, in one small stack (4 x 3) or a full chunk (8 x 8), is degenerate
         monkeypatch.setattr(gcv_mod, "_DENOM_FLOOR", np.inf)
         for lam_points, gamma_points in ((4, 3), (8, 8)):
             with pytest.raises(DegenerateGridError):
@@ -573,7 +571,7 @@ class TestOptimizeParams:
     @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
     def test_degenerate_and_overflowing_points_warn_nothing(self, criterion):
         # lam = 1e-300 interpolates (degenerate), lam = 1e305 overflows; the
-        # 4 x 5 grid sweeps point by point, the 15 x 5 grid batched
+        # 4 x 5 grid is one stack of 20 points, the 15 x 5 grid a full chunk
         t = np.linspace(0.05, 0.95, 20)
         y = np.sin(2 * np.pi * t)
         v = 2 * np.pi * np.cos(2 * np.pi * t)
@@ -594,8 +592,8 @@ class TestOptimizeParams:
     def test_overflowing_solutions_are_failed_points(self, criterion):
         # y = 1e308: at these lam the systems are finite but their solutions
         # overflow; each such point carries its SingularSystemError and is
-        # NaN by mask, in a stack swept point by point and in one swept
-        # batched, on the banded and the dense route, without a warning;
+        # NaN by mask, in a stack of one and in a full chunk, on the banded
+        # and the dense route, without a warning;
         # the public score raises it
         n = 8
         t = np.linspace(0.1, 0.9, n)
@@ -608,7 +606,7 @@ class TestOptimizeParams:
                      CorrelationSpec(W=wide, Ucorr=np.eye(n))]
         for corr in specs:
             scorer = _Scorer(_design_for(t, 1.0, UNIFORM), y, v, criterion, corr)
-            for count in (_BATCH_MIN - 1, _BATCH_MIN):
+            for count in (1, _GRID_CHUNK):
                 lams, gammas = np.geomspace(0.1, 10.0, count), np.ones(count)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -658,9 +656,9 @@ class TestOptimizeParams:
 
     @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
     def test_stack_of_one_is_bitwise_the_chunk(self, criterion):
-        # a golden-section point is a stack of one with a per-point sweep;
-        # inside a chunk the same point gets the same bits, on the banded
-        # route and (gcv-corr with a wider W) on the dense one
+        # a golden-section point is a stack of one; inside a chunk the same
+        # point gets the same bits, on the banded route and (gcv-corr with a
+        # wider W) on the dense one
         rng = np.random.default_rng(28)
         for weighted in (False, True):
             t, y, v, cfg, _, _ = random_instance(rng, n_range=(8, 30), weighted=weighted)
@@ -680,14 +678,14 @@ class TestOptimizeParams:
                     np.testing.assert_array_equal(one, chunk[i:i + 1])
 
     def test_failed_point_is_not_swept(self, monkeypatch):
-        # a point swept on its own whose factorization fails (no penalty,
-        # no velocity weight) is NaN without its O(n) selected-inverse
-        # sweep; at n = 5000 that sweep is most of a golden point's cost
+        # a point whose factorization fails (no penalty, no velocity weight)
+        # is NaN without its O(n) solve for the band of A^-1; at n = 5000
+        # that solve is the largest part of a golden point's cost
         import vspline.hermite as hermite_mod
-        real = hermite_mod._band_inverse_diagonals
+        real = hermite_mod._band_inverse
         swept = []
-        monkeypatch.setattr(hermite_mod, "_band_inverse_diagonals",
-                            lambda L: swept.append(L) or real(L))
+        monkeypatch.setattr(hermite_mod, "_band_inverse",
+                            lambda L, system=None: swept.append(L) or real(L, system))
         t = np.linspace(0.05, 0.95, 20)
         y = np.sin(2 * np.pi * t)
         v = 2 * np.pi * np.cos(2 * np.pi * t)

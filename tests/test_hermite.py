@@ -13,10 +13,9 @@ from conftest import (ar1_precision, jittered_knots, random_config, random_insta
 from vspline import (HermiteBasis, KernelConfig, SingularSystemError, build_design,
                      build_gram, fit_theta, fit_vspline, hat_matrices,
                      hat_matrices_correlated, solve_coefficients)
-from vspline.gcv import _design_for
-from vspline.hermite import (_BATCH_MIN, _band_inverse_diagonals,
-                             _band_inverse_diagonals_batch, _ErrorWeights, _factor_band,
-                             _factor_normal, _fit_point, _fit_stack, _normal_stack)
+from vspline.gcv import _GRID_CHUNK, _design_for
+from vspline.hermite import (_band_inverse, _ErrorWeights, _factor_band, _factor_normal,
+                             _fit_point, _fit_stack, _normal_stack)
 
 UNIFORM = KernelConfig.uniform()
 
@@ -307,8 +306,8 @@ class TestBandedEngine:
 
     def test_absent_weights_are_the_identity_band(self):
         # W = Ucorr = None is the explicit identity: the same band, the same
-        # fit and the same diagonals, bit for bit, alone and in a stack
-        # swept batched
+        # fit and the same diagonals, bit for bit, alone and in stacks of one
+        # and of a full chunk
         rng = np.random.default_rng(32)
         for weighted in (False, True):
             for _ in range(10):
@@ -325,11 +324,12 @@ class TestBandedEngine:
                 want = _fit_point(design, y, v, gamma, eye, eye, diagonals=True)
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
-                lams, gammas = 10.0 ** rng.uniform(-4.0, 0.0, (2, _BATCH_MIN))
-                got = _fit_stack(design.band, lams, gammas, _ErrorWeights(y, v))
-                want = _fit_stack(design.band, lams, gammas, _ErrorWeights(y, v, eye, eye))
-                for a, b in zip(got[:3], want[:3]):
-                    np.testing.assert_array_equal(a, b)
+                for count in (1, _GRID_CHUNK):
+                    lams, gammas = 10.0 ** rng.uniform(-4.0, 0.0, (2, count))
+                    got = _fit_stack(design.band, lams, gammas, _ErrorWeights(y, v))
+                    want = _fit_stack(design.band, lams, gammas, _ErrorWeights(y, v, eye, eye))
+                    for a, b in zip(got[:3], want[:3]):
+                        np.testing.assert_array_equal(a, b)
 
     def test_diagonals_match_high_precision_oracle(self):
         rng = np.random.default_rng(17)
@@ -426,40 +426,76 @@ class TestBandedEngine:
                                                         diagonals=True)[0])
 
     def test_band_rows_match_high_precision_oracle(self):
-        # all four band rows of A^-1 with AR(1) precision weights, n = 300
+        # all four band rows of A^-1 with AR(1) precision weights, n = 300,
+        # a stiff point at lam = 0.1 included (3.2e-7 there)
         rng = np.random.default_rng(19)
         n = 300
         t = jittered_knots(rng, n)
         weights = rng.uniform(0.3, 3.0, n + 1)
         mats = (ar1_precision(n, 0.5), ar1_precision(n, 0.3))
-        for lam, gamma in ((1e-4, 1.0), (1e-2, 0.2)):
+        for lam, gamma in ((1e-4, 1.0), (1e-2, 0.2), (0.1, 1.0)):
             design = build_design(t, lam * weights)
             ab = _normal_band(design, gamma, *mats)
             want = oracles.mp_band_inverse_diagonals(ab)
-            got = _band_inverse_diagonals(cholesky_banded(ab, lower=True))
+            got = _band_inverse(cholesky_banded(ab, lower=True))
             assert got.shape == want.shape == (4, 2 * n)
             for r in range(4):
                 assert _max_rel(got[r], want[r]) < 1e-6
                 assert not np.any(got[r, 2 * n - r:])
 
-    def test_batched_sweep_is_bitwise_the_scalar_sweep(self):
-        # one sweep over a stack of factors gives each point's band exactly,
-        # signed zeros past the end of each row included
+    def test_band_rows_are_the_inverse_of_their_factor(self):
+        # on the instance above, the band of (L L')^-1 for the double-
+        # precision factor L, to rounding: at the stiff points (lam = 0.1)
+        # the digits that the band of A^-1 loses are lost in the factor
+        rng = np.random.default_rng(19)
+        n = 300
+        t = jittered_knots(rng, n)
+        weights = rng.uniform(0.3, 3.0, n + 1)
+        mats = (ar1_precision(n, 0.5), ar1_precision(n, 0.3))
+        for lam, gamma in ((1e-4, 1.0), (0.1, 1.0), (0.1, 1e-4)):
+            L = cholesky_banded(_normal_band(build_design(t, lam * weights), gamma, *mats),
+                                lower=True)
+            want = oracles.mp_band_inverse_diagonals(L, factored=True)
+            got = _band_inverse(L)
+            for r in range(4):
+                assert _max_rel(got[r], want[r]) < 1e-12
+
+    def test_band_is_bitwise_the_same_alone_and_in_a_stack(self, monkeypatch):
+        # each point of a stack gets its own banded solve in one shared
+        # buffer: its band of A^-1 has the bits of the point fitted alone,
+        # signed zeros and the zero tail past the end of each row included
+        import vspline.hermite as hermite_mod
+        real = hermite_mod._band_inverse
+        bands = []
+
+        def spy(L, system=None):
+            bands.append(real(L, system))
+            return bands[-1]
+
+        monkeypatch.setattr(hermite_mod, "_band_inverse", spy)
         rng = np.random.default_rng(23)
         n = 37
         t = jittered_knots(rng, n)
         design = build_design(t, rng.uniform(0.3, 3.0, n + 1))
+        y, v = rng.standard_normal((2, n))
+        count = 29
         for mats in ((None, None), (random_tridiagonal_spd(rng, n), ar1_precision(n, -0.4))):
-            factors = np.stack([
-                _factor_band(_normal_band(design, gamma, *mats))
-                for gamma in np.geomspace(1e-4, 1e4, 29)])
-            factors[::3, 1:] *= np.geomspace(1e-6, 1e2, 10)[:, None, None]  # vary the ratios
-            got = _band_inverse_diagonals_batch(factors)
-            assert got.shape == factors.shape
-            for L, zb in zip(factors, got):
-                want = _band_inverse_diagonals(L)
-                np.testing.assert_array_equal(zb, want)
-                np.testing.assert_array_equal(np.signbit(zb), np.signbit(want))
+            weights = _ErrorWeights(y, v, *mats)
+            lams = rng.permutation(np.geomspace(1e-6, 1e2, count))
+            gammas = rng.permutation(np.geomspace(1e-4, 1e4, count))
+            bands.clear()
+            _fit_stack(design.band, lams, gammas, weights)
+            stack = list(bands)
+            assert len(stack) == count
+            for p in range(count):
+                bands.clear()
+                _fit_stack(design.band, lams[p:p + 1], gammas[p:p + 1], weights)
+                (alone,) = bands
+                assert alone.shape == (4, 2 * n)
+                np.testing.assert_array_equal(stack[p], alone)
+                np.testing.assert_array_equal(np.signbit(stack[p]), np.signbit(alone))
+                for r in range(1, 4):
+                    assert not np.any(alone[r, 2 * n - r:])
 
     def test_overflowing_band_raises_singular_system_error(self):
         # lam so large that n * lam * omega overflows: a numerical failure,
