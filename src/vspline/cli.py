@@ -164,14 +164,14 @@ def _fit_report(tu, yu, vu, scale, lam, gamma, weights, corr, grid, out_path,
     and write the report and curve files.
 
     Every report comes from the Hermite-basis fit: one factorization gives
-    the knot values and slopes and the hat diagonals, and the curve is the
+    the knot values and slopes and the hat traces, and the curve is the
     cubic Hermite interpolant of that knot fit.  A curve that overflowed
     raises :class:`SingularSystemError` before any file is written.
     """
     n = tu.size
     design = gcv._design_for(tu, lam, _penalty_config(tu, weights))
     mats = () if corr is None else (corr.W, corr.Ucorr)
-    theta, (s_diag, _, _, v_diag) = _fit_point(design, yu, vu, gamma, *mats, diagonals=True)
+    theta, (trace_s, _, _, trace_v) = _fit_point(design, yu, vu, gamma, *mats, hats="traces")
 
     grid_raw = np.linspace(scale.s_min, scale.s_max, grid)
     grid_unit = scale.to_unit(grid_raw)
@@ -191,8 +191,8 @@ def _fit_report(tu, yu, vu, scale, lam, gamma, weights, corr, grid, out_path,
         "weighted": weights is not None,
         "correlated": corr is not None,
         "method": "hermite-basis",
-        "trace_s": float(np.sum(s_diag)),
-        "trace_v": float(np.sum(v_diag)),
+        "trace_s": float(trace_s),
+        "trace_v": float(trace_v),
         "coefficients": {"values": theta[:n].tolist(), "slopes": theta[n:].tolist()},
         "domain": {"t_min": scale.s_min, "t_max": scale.s_max, "margin": MARGIN},
         "curve_file": curve_file,
@@ -221,6 +221,11 @@ def _check_grid(grid):
         raise CliError(2, "parsing flags", "--grid must be at least 2")
 
 
+def _too_large(stage, what):
+    """The input error of a flag whose arrays do not fit in memory."""
+    return CliError(2, stage, f"{what} too large to allocate; choose fewer points")
+
+
 def _check_range(name, lo, hi, steps):
     """The search range check of :func:`optimize_params`, run on the flags
     before any input is read."""
@@ -246,6 +251,8 @@ def cmd_fit(args) -> int:
         raise CliError(3, "fitting", str(exc))
     except ValueError as exc:
         raise CliError(2, "fitting", str(exc))
+    except MemoryError:
+        raise _too_large("fitting", f"--grid {args.grid} is")
     print(f"wrote {args.out} and {report['curve_file']}")
     return 0
 
@@ -275,6 +282,10 @@ def cmd_select(args) -> int:
         raise CliError(4, "selecting parameters", str(exc))
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise CliError(3, "selecting parameters", str(exc))
+    except MemoryError:
+        raise _too_large("selecting parameters",
+                         f"the search grid of --lambda-steps {args.lambda_steps} by "
+                         f"--gamma-steps {args.gamma_steps} points is")
     surface_file = _sibling_path(args.out, ".surface.csv")
     selected = {"lambda": result.lam, "gamma": result.gamma}
     at_bound = {
@@ -301,6 +312,8 @@ def cmd_select(args) -> int:
                     args.grid, args.out, selection=selection)
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise CliError(3, "fitting at selected parameters", str(exc))
+    except MemoryError:
+        raise _too_large("fitting at selected parameters", f"--grid {args.grid} is")
     _write_rows(surface_file, ["lambda", "gamma", "score"], result.surface)
     print(f"selected lambda={result.lam:.6g} gamma={result.gamma:.6g} "
           f"(criterion={result.criterion}, score={result.score:.6g})")

@@ -84,14 +84,15 @@ class CorrelationSpec:
     """Known precision structures of the two error channels.
 
     ``W`` weights position residuals, ``Ucorr`` velocity residuals; both
-    must be symmetric positive definite (checked by factorization).  Each
-    is stored as ``(M + M') / 2``, so every route reads the same exactly
-    symmetric matrix (bit-identical for exactly symmetric input).  The
-    name ``Ucorr`` keeps the correlation matrix distinct from the hat
-    block ``U`` of :class:`vspline.hermite.HatMatrices`.  The symmetric
-    PSD square roots that whiten the residuals of the correlated GCV
-    numerator are formed on their first read (``_roots``): no fit needs
-    their two eigendecompositions.
+    must be finite and symmetric positive definite (checked by
+    factorization).  Each is stored as ``(M + M') / 2``, so every route
+    reads the same exactly symmetric matrix (bit-identical for exactly
+    symmetric input).  The name ``Ucorr`` keeps the correlation matrix
+    distinct from the hat block ``U`` of
+    :class:`vspline.hermite.HatMatrices`.  The symmetric PSD square roots
+    that whiten the residuals of the correlated GCV numerator are formed
+    on their first read (``_roots``): no fit needs their two
+    eigendecompositions.
     """
 
     W: np.ndarray
@@ -101,6 +102,8 @@ class CorrelationSpec:
         mats = []
         for name, raw in (("W", self.W), ("Ucorr", self.Ucorr)):
             mat = np.asarray(raw, dtype=float)
+            if not np.isfinite(mat).all():
+                raise ValueError(f"{name} must be finite")
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be square")
             if not np.allclose(mat, mat.T, atol=1e-10):
@@ -187,30 +190,33 @@ def cv_brute_force(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     return CvScore(value=float(np.mean(errors**2)), lam=lam, gamma=gamma)
 
 
-def _criterion(criterion, r, rp, diags, gammas, corr: CorrelationSpec | None = None):
+def _criterion(criterion, r, rp, hats, gammas, corr: CorrelationSpec | None = None):
     """The score ``criterion`` at a stack of points, from each point's fit:
     the residuals ``r`` and ``rp`` of its values and slopes, (count, n),
-    and its hat diagonals ``(S_ii, T_ii, U_ii, V_ii)``, the C-ordered
-    (4, count, n) array ``diags``, at the velocity weights ``gammas``.
-    The formulas are those of :func:`cv_closed_form`, :func:`gcv_score`
-    and :func:`gcv_correlated`; "gcv-corr" is "gcv" on the residuals
-    whitened point by point, ``W^(1/2) r`` and ``Ucorr^(1/2) rp``.
+    and its ``hats`` of :func:`vspline.hermite._fit_stack`, at the
+    velocity weights ``gammas``: for "cv" the hat diagonals
+    ``(S_ii, T_ii, U_ii, V_ii)``, the C-ordered (4, count, n) array, for
+    "gcv" and "gcv-corr" their traces ``(tr S, tr T, tr U, tr V)``,
+    (4, count).  The formulas are those of :func:`cv_closed_form`,
+    :func:`gcv_score` and :func:`gcv_correlated`; "gcv-corr" is "gcv" on
+    the residuals whitened point by point, ``W^(1/2) r`` and
+    ``Ucorr^(1/2) rp``, by one batched ``matmul`` each.
 
     Returns the scores and the masks of the points whose velocity and
     whose position denominator is degenerate (below ``_DENOM_FLOOR``; the
     trace denominator relative to ``n``).  The score is NaN there and
-    wherever it is not finite (overflow).  Every operation is elementwise
-    or reduces one point's row, so a point's score has the same bits in
-    any stack.
+    wherever it is not finite (overflow).  Every operation is elementwise,
+    reduces one point's row or multiplies one point's vector, so a point's
+    score has the same bits in any stack.
     """
     n = r.shape[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if criterion == "gcv-corr":   # one product per point, the bits of a stack of one
             w_root, u_root = corr._roots
-            r = np.array([w_root @ x for x in r])
-            rp = np.array([u_root @ x for x in rp])
+            r = np.matmul(w_root, r[:, :, None])[:, :, 0]
+            rp = np.matmul(u_root, rp[:, :, None])[:, :, 0]
         if criterion == "cv":
-            s_diag, t_diag, u_diag, v_diag = diags
+            s_diag, t_diag, u_diag, v_diag = hats
             g = gammas[:, None]
             dv = 1.0 - g * v_diag
             k = g * t_diag / dv
@@ -219,13 +225,13 @@ def _criterion(criterion, r, rp, diags, gammas, corr: CorrelationSpec | None = N
             bad_dv = (np.abs(dv) < _DENOM_FLOOR).any(axis=1)
             bad_den = (np.abs(den) < _DENOM_FLOOR).any(axis=1)
         else:
-            tr_s, tr_t, tr_u, tr_v = diags.sum(axis=2)
+            tr_s, tr_t, tr_u, tr_v = hats
             dv = n - gammas * tr_v
             k = gammas * tr_t / dv
-            den = n - tr_s - k * tr_u
+            den = (n - tr_s - k * tr_u) / n
             bad_dv = np.abs(dv) < _DENOM_FLOOR
-            bad_den = np.abs(den / n) < _DENOM_FLOOR
-            scores = ((r + k[:, None] * rp) ** 2).sum(axis=1) / n / (den / n) ** 2
+            bad_den = np.abs(den) < _DENOM_FLOOR
+            scores = ((r + k[:, None] * rp) ** 2).sum(axis=1) / n / den ** 2
     scores[bad_dv | bad_den | ~np.isfinite(scores)] = np.nan
     return scores, (bad_dv, bad_den)
 
@@ -237,8 +243,10 @@ class _Scorer:
     data, the penalty at unit lam, and the error weights of
     :class:`vspline.hermite._ErrorWeights` (the route and the products
     ``W y`` and ``Ucorr v``).  A point then costs its share of one
-    :func:`vspline.hermite._fit_stack` call; :func:`_criterion` runs once
-    per stack.  A ``corr`` of another size than the data fails here.
+    :func:`vspline.hermite._fit_stack` call, which returns the hat
+    diagonals for "cv" and only the four traces for the GCV criteria;
+    :func:`_criterion` runs once per stack.  A ``corr`` of another size
+    than the data fails here.
     """
 
     def __init__(self, design, y, v, criterion, corr: CorrelationSpec | None = None):
@@ -266,9 +274,10 @@ class _Scorer:
         """The scores at a stack of points (NaN where a point failed), the
         :class:`SingularSystemError` of each point or ``None``, and the
         degenerate masks of :func:`_criterion`."""
-        values, slopes, diags, errors = _fit_stack(self.band, lams, gammas, self.weights)
+        hats = "diagonals" if self.criterion == "cv" else "traces"
+        values, slopes, out, errors = _fit_stack(self.band, lams, gammas, self.weights, hats)
         scores, degenerate = _criterion(self.criterion, values - self.y, slopes - self.v,
-                                        diags, gammas, self.corr)
+                                        out, gammas, self.corr)
         if any(errors):
             scores[[error is not None for error in errors]] = np.nan
         return scores, errors, degenerate
@@ -409,20 +418,23 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     axis stays at its lower bound.
 
     What no (lam, gamma) changes is computed once per search: the penalty
-    at unit lam (it is linear in lam), the route, and ``W y`` and
-    ``Ucorr v``.  Without ``corr`` every score is O(n) (banded route).
+    at unit lam (it is linear in lam), the route, ``W y`` and ``Ucorr v``,
+    and on the banded route the weight bands laid out like ``A`` and the
+    trace matrix.  Without ``corr`` every score is O(n) (banded route).
     "gcv-corr" takes the banded route too when ``W`` and ``Ucorr`` are at
     most tridiagonal (plus the O(n^2) whitening of its residuals) and is
     dense, O(n^3) per score, only for wider matrices.  The grid is scored
     in chunks of at most ``2 * _GRID_CHUNK - 1`` points, and each
-    golden-section point is a stack of one; on the banded route every
-    point's band of ``A^-1`` is one BLAS banded triangular solve, whatever
-    its stack.  The hat diagonals and the criterion run as whole-array
-    operations over each stack, and a degenerate, singular or overflowing
-    point, or one whose score is not finite, scores NaN without a
-    warning.  No (lam, gamma) pair is scored twice in one search: a point
-    that a sweep revisits takes the score already computed.  Scores and
-    selection are the same bits as scoring every point on its own.
+    golden-section point is a stack of one.  On the banded route a stack
+    of any size costs one LAPACK factorization, one LAPACK solve, and one
+    BLAS banded triangular solve per group of points for their bands of
+    ``A^-1``; the GCV criteria read each point's four traces from one
+    product.  The criterion runs as whole-array operations over each
+    stack, and a degenerate, singular or overflowing point, or one whose
+    score is not finite, scores NaN without a warning.  No (lam, gamma)
+    pair is scored twice in one search: a point that a sweep revisits
+    takes the score already computed.  Scores and selection are the same
+    bits as scoring every point on its own.
     """
     t, y, v, _, _ = _check_inputs(t, y, v, 1.0, 1.0)
     if criterion not in _DEGENERATE:

@@ -18,17 +18,20 @@ four consecutive unknowns, so ``A`` has bandwidth 3.
 One engine, :func:`_fit_stack`, runs every basis fit: :func:`fit_theta`,
 the command-line report, and each score and parameter search of
 :mod:`vspline.gcv`.  It fits a stack of (lam, gamma) points (a single fit
-is a stack of one) and returns their values, slopes, hat diagonals if
-asked, and per-point errors.  The route is decided once per problem, by
-:class:`_ErrorWeights` from the bandwidth of the error weights
-``W``/``Ucorr``; absent weights are the identity, an ordinary diagonal
-band.  At most tridiagonal (none, diagonal weights, or AR(1)
+is a stack of one) and returns their values, slopes, hat diagonals or
+traces if asked, and per-point errors.  The route is decided once per
+problem, by :class:`_ErrorWeights` from the bandwidth of the error
+weights ``W``/``Ucorr``; absent weights are the identity, an ordinary
+diagonal band.  At most tridiagonal (none, diagonal weights, or AR(1)
 precisions), they keep the bandwidth of ``A``: the stack is assembled as
-bands, each point is factored by banded Cholesky, and the hat diagonals
-come from the band of ``A^-1``, which the selected-inverse recursion
-gives as the solution of one banded triangular system per point: O(n)
-time and memory, no 2n-by-2n matrix.  Wider ``W``/``Ucorr`` fill ``A``
-in and take the dense route.  The full hat blocks of
+one block-diagonal band, which one banded Cholesky factorization and one
+banded solve cover, and the hat diagonals and traces come from the band
+of ``A^-1``, which the selected-inverse recursion gives as the solution
+of one banded triangular system per group of points; the traces are one
+product of that band with a fixed matrix.  So a point costs three
+LAPACK/BLAS calls and a few array operations, shared by its whole stack:
+O(n) time and memory, no 2n-by-2n matrix.  Wider ``W``/``Ucorr`` fill
+``A`` in and take the dense route.  The full hat blocks of
 :func:`hat_matrices` and :func:`hat_matrices_correlated` stay dense, as
 the tests' oracles.
 """
@@ -36,6 +39,7 @@ the tests' oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -213,8 +217,8 @@ def _check_normal_args(n, gamma, y=None, v=None, W=None, Ucorr=None):
     """The argument checks of every fit and hat computation below.
 
     Non-finite data are rejected here, so a non-finite system or solution
-    further on can only come from overflow (:func:`_factor_band`,
-    :func:`_solve_band`, :func:`_fit_stack`).
+    further on can only come from overflow (:func:`_factor_solve_stack`,
+    :func:`_fit_stack`).
     """
     gamma = float(gamma)
     if gamma < 0.0 or not np.isfinite(gamma):
@@ -315,7 +319,9 @@ class _ErrorWeights:
     wider, which leaves only the dense route.  ``wy`` and ``uv`` are
     ``W y`` and ``Ucorr v``, the data part of every right-hand side; an
     overflow leaves them non-finite, without a warning, for the solve to
-    reject.  Detecting the bands is O(n^2).
+    reject.  Detecting the bands is O(n^2).  On the banded route the trace
+    matrix of :func:`_fit_stack` (``trace_matrix``) is formed on its first
+    read, once per problem.
     """
 
     def __init__(self, y, v, W=None, Ucorr=None):
@@ -336,54 +342,48 @@ class _ErrorWeights:
                 self.wy = y if self.W is None else self.W @ y
                 self.uv = v if self.Ucorr is None else self.Ucorr @ v
 
+    @cached_property
+    def trace_matrix(self):
+        """The (8n, 4) matrix ``C`` whose product with a point's band of
+        ``Z = A^-1``, read unknown by unknown as :func:`_band_inverse`
+        returns it (``x[4j + r] = Z[j + r, j]``), gives its four traces
+        ``(tr S, tr T, tr U, tr V)``.
 
-def _factor_band(ab):
-    """Lower banded Cholesky factor ``L`` of the band ``ab``, ``A = L L'``.
-
-    The factor helper of the banded route.  It calls LAPACK ``dpbtrf``
-    directly, the routine that ``scipy.linalg.cholesky_banded`` calls
-    (same bits), without that wrapper's overhead; a Fortran-ordered ``ab``
-    is factored in place.  A non-finite band (lam or gamma so large that
-    ``A`` overflowed) and a matrix that is not positive definite raise
-    :class:`SingularSystemError`.
-    """
-    if not np.isfinite(ab).all():
-        raise _overflowed("band")
-    L, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-    if info > 0:
-        raise _not_positive_definite(f"{info}-th leading minor")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
-    return L
-
-
-def _solve_band(L, rhs):
-    """``A^-1 rhs`` from the factor of :func:`_factor_band` (LAPACK
-    ``dpbtrs``, as ``scipy.linalg.cho_solve_banded``).  A right-hand side
-    that overflowed raises :class:`SingularSystemError`."""
-    if not np.isfinite(rhs).all():
-        raise _overflowed("right-hand side")
-    x, info = dpbtrs(L, rhs, lower=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpbtrs")
-    return x
+        The diagonal of each hat block sums three products inside the band
+        (:func:`_hat_diagonals`); summed over the knots, the products of an
+        off-diagonal weight with the entries after and before it add up.
+        Knot ``i`` owns ``x[8i .. 8i + 7]``: ``Z[v_i, v_i]``,
+        ``Z[s_i, v_i]``, ``Z[v_i+1, v_i]``, ``Z[s_i+1, v_i]``,
+        ``Z[s_i, s_i]``, ``Z[v_i+1, s_i]``, ``Z[s_i+1, s_i]`` and one entry
+        no trace reads.
+        """
+        (w, w_sub), (u, u_sub) = self.bands
+        C = np.zeros((w.size, 8, 4))
+        C[:, 0, 0], C[:, 2, 0] = w, 2.0 * w_sub                        # tr S
+        C[:, 1, 1], C[:, 3, 1], C[:, 5, 1] = u, u_sub, u_sub           # tr T
+        C[:, 1, 2], C[:, 3, 2], C[:, 5, 2] = w, w_sub, w_sub           # tr U
+        C[:, 4, 3], C[:, 6, 3] = u, 2.0 * u_sub                        # tr V
+        return C.reshape(-1, 4)
 
 
 def _normal_stack(band, lams, gammas, weights: _ErrorWeights):
     """The banded systems of a stack of points: the (count, 4, 2n) bands of
     ``A`` with the penalty ``band`` (unit lam) times ``lams[p]`` and the
-    velocity weight ``gammas[p]`` (both arrays), each Fortran-ordered so
-    that ``dpbtrf`` factors it in place, and the (count, 2n) interleaved
-    right-hand sides ``[W y; gamma Ucorr v]``, for the tridiagonal bands of
-    ``weights`` (the identity's included).
+    velocity weight ``gammas[p]`` (both arrays), and the (count, 2n)
+    interleaved right-hand sides ``[W y; gamma Ucorr v]``, for the
+    tridiagonal bands of ``weights`` (the identity's included).
 
     Value ``i`` is unknown ``2i`` and slope ``i`` is ``2i + 1``, so
     ``W[i, i]`` and ``W[i + 1, i]`` land on band rows 0 and 2 of the even
     columns and ``gamma Ucorr`` on the same rows of the odd columns: ``A``
-    keeps the penalty's bandwidth 3.  The penalty is rounded as on a
-    design built at that lam, ``(band lam) n``.  Overflow leaves
-    non-finite entries, which :func:`_factor_band` and :func:`_solve_band`
-    reject.
+    keeps the penalty's bandwidth 3.  The bands are views of one C-ordered
+    (count, 2n, 4) buffer, so each is Fortran-ordered and the whole stack,
+    read as a Fortran (4, count 2n) band, is one block-diagonal band
+    (every band is zero past the end of each row), which
+    :func:`_factor_solve_stack` factors and solves in place.  The penalty
+    is rounded as on a design built at that lam, ``(band lam) n``.
+    Overflow leaves non-finite entries, which :func:`_factor_solve_stack`
+    rejects.
     """
     count, size = lams.size, band.shape[1]
     ab = np.empty((count, size, 4)).transpose(0, 2, 1)
@@ -400,31 +400,60 @@ def _normal_stack(band, lams, gammas, weights: _ErrorWeights):
 
 
 def _factor_solve_stack(ab, rhs):
-    """Factor each band ``ab[p]`` of :func:`_normal_stack` in place by
-    :func:`_factor_band` and overwrite ``rhs[p]`` with its solution by
-    :func:`_solve_band`.
+    """Factor the bands ``ab`` of :func:`_normal_stack` in place and
+    overwrite the right-hand sides ``rhs`` with the solutions: one LAPACK
+    ``dpbtrf`` and one ``dpbtrs`` for the whole stack, read as one
+    block-diagonal band.
 
-    Returns, per point, ``None`` or the :class:`SingularSystemError` raised
-    there.  A failed point's solution is replaced by zeros, so the
-    criterion runs over the whole stack; its band is left as the failure
-    left it, and never read again.
+    Returns, per point, ``None`` or its :class:`SingularSystemError`: a
+    non-finite band (lam or gamma so large that ``A`` overflowed), a band
+    that is not positive definite, or a non-finite right-hand side, in
+    that order.  A non-finite band is reset to the identity band before
+    the factorization; when ``dpbtrf`` stops at a column, that column
+    names the point, whose band is reset to the identity band, and the
+    factorization resumes at the next point.  A failed point's right-hand
+    side is zeroed, so its solution is zero and its neighbours' are those
+    of a stack without it.  A finite stack can still give a non-finite
+    solution; in a joined call ``0 * inf`` spreads it to the neighbouring
+    blocks, which :func:`_fit_stack` handles.
     """
-    errors = []
-    for p in range(len(ab)):
-        try:
-            ab[p] = _factor_band(ab[p])
-            rhs[p] = _solve_band(ab[p], rhs[p])
-            errors.append(None)
-        except SingularSystemError as exc:
-            errors.append(exc)
-            rhs[p] = 0.0
+    count, size = rhs.shape
+    errors = [None] * count
+    joined = ab.transpose(1, 0, 2).reshape(4, -1)   # a view: (4, count size), Fortran
+    if not np.isfinite(ab).all():
+        for p in np.flatnonzero(~np.isfinite(ab).all(axis=(1, 2))):
+            errors[p] = _overflowed("band")
+            ab[p], ab[p, 0] = 0.0, 1.0
+    start = 0
+    while True:
+        _, info = dpbtrf(joined[:, start:], lower=1, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+        if info == 0:
+            break
+        p = (start + info - 1) // size
+        errors[p] = _not_positive_definite(f"{start + info - p * size}-th leading minor")
+        ab[p], ab[p, 0] = 0.0, 1.0
+        start = (p + 1) * size
+        if start == joined.shape[1]:
+            break
+    if not np.isfinite(rhs).all():
+        for p in np.flatnonzero(~np.isfinite(rhs).all(axis=1)):
+            errors[p] = errors[p] or _overflowed("right-hand side")
+    if any(errors):
+        rhs[[error is not None for error in errors]] = 0.0
+    _, info = dpbtrs(joined, rhs.reshape(-1), lower=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrs")
     return errors
 
 
 def _band_inverse(L, system=None):
-    """The band of ``Z = A^-1`` from the band of ``L``, in the same layout:
-    row ``r`` of the returned (4, size) array holds ``Z[j + r, j]``, zero
-    past the end of each row.
+    """The bands of ``Z = A^-1`` of a stack of factors: ``L[p]`` is point
+    ``p``'s band of ``L``, (size, 4), ``L[p, j, r] = L[j + r, j]``, zero
+    past the end of each row (the buffer layout of :func:`_normal_stack`);
+    the returned (count, size, 4) array holds ``Z[j + r, j]`` in the same
+    place.
 
     The selected-inverse recursion (Takahashi, Fagan & Chin 1973;
     Hutchinson & de Hoog 1985): ``L' Z = L^-1`` gives, for
@@ -434,37 +463,43 @@ def _band_inverse(L, system=None):
 
     which reads ``Z`` only inside the band of the three later columns.
     The recursion is affine in the band of ``Z``, so the whole band is the
-    solution of one unit upper triangular banded system, which one BLAS
-    ``dtbsv`` solves: O(size) work, no inverse formed and no Python loop
-    over the columns.  The unknowns are ``x[4j + r] = Z[j + r, j]``; with
-    ``l_k = L[j + k, j] / L[j, j]``, column ``j`` gives the four rows
+    solution of one unit upper triangular banded system: O(size) work, no
+    inverse formed and no Python loop over the columns.  The unknowns are
+    ``x[4j + r] = Z[j + r, j]``; with ``l_k = L[j + k, j] / L[j, j]``,
+    column ``j`` gives the four rows
 
         4j:      Z[j, j]   + l1 Z[j+1, j]   + l2 Z[j+2, j]   + l3 Z[j+3, j]   = 1 / L[j, j]^2
         4j + 1:  Z[j+1, j] + l1 Z[j+1, j+1] + l2 Z[j+2, j+1] + l3 Z[j+3, j+1] = 0
         4j + 2:  Z[j+2, j] + l1 Z[j+2, j+1] + l2 Z[j+2, j+2] + l3 Z[j+3, j+2] = 0
         4j + 3:  Z[j+3, j] + l1 Z[j+3, j+1] + l2 Z[j+3, j+2] + l3 Z[j+3, j+3] = 0
 
-    with every coefficient 1 to 9 places right of the diagonal.
-    ``system`` holds that band, (size, 4, 10), unknown by unknown: zeros,
-    or a buffer that an earlier call filled at the same size, since each
-    call rewrites the same 12 slots (the unit diagonal is never read).
-    The band of ``L`` must be zero past the end of each row, as every
-    band here is.
+    with every coefficient 1 to 9 places right of the diagonal.  The
+    stack is solved as one system, its columns joined end to end, by one
+    BLAS ``dtbsv``: ``l_k`` is zero wherever ``j + k`` passes the end of a
+    point, so no coefficient couples two points and the joined system is
+    block diagonal.  ``system`` holds its band, (count size, 40): per
+    column, the 10 band entries of each of its four unknowns in turn.  It
+    is zeros, or a buffer of at least as many columns that an earlier call
+    filled at the same point size, since each call rewrites the same 12
+    slots per column (the unit diagonal is never read).
     """
-    size = L.shape[1]
-    if system is None:
-        system = np.zeros((size, 4, 10))
-    inv = 1.0 / L[0]
-    l1, l2, l3 = L[1:] * inv
-    # the coefficient of unknown 4c + q in row i sits at system[c, q, 9 - (4c + q - i)]
-    system[:, 1, 8], system[:, 2, 7], system[:, 3, 6] = l1, l2, l3                      # 4j
-    system[1:, 0, 6], system[1:, 1, 5], system[1:, 2, 4] = l1[:-1], l2[:-1], l3[:-1]  # 4j + 1
-    system[1:, 1, 6], system[2:, 0, 3], system[2:, 1, 2] = l1[:-1], l2[:-2], l3[:-2]  # 4j + 2
-    system[1:, 2, 6], system[2:, 1, 3], system[3:, 0, 0] = l1[:-1], l2[:-2], l3[:-3]  # 4j + 3
-    x = np.zeros((size, 4))
-    np.multiply(inv, inv, out=x[:, 0])
-    x = dtbsv(9, system.reshape(-1, 10).T, x.reshape(-1), diag=1, overwrite_x=1)
-    return x.reshape(size, 4).T
+    count, size = L.shape[:2]
+    L = L.reshape(-1, 4)
+    system = np.zeros((L.shape[0], 40)) if system is None else system[:L.shape[0]]
+    inv = 1.0 / L[:, 0]
+    ratios = L[:, 1:] * inv[:, None]   # l1, l2, l3 of each column
+    # the coefficient of unknown 4c + q in row i sits at system[c, 10 q + 9 - (4c + q - i)];
+    # column j's ratios enter the rows 4j .. 4j + 3 at the unknowns of columns j .. j + 3
+    system[:, 18:37:9] = ratios               # row 4j: unknowns 4j + 1, 4j + 2, 4j + 3
+    system[1:, 6:25:9] = ratios[:-1]          # row 4j + 1: unknowns 4j + 4, 4j + 5, 4j + 6
+    system[1:, 16:27:10] = ratios[:-1, :1]    # l1 in rows 4j + 2 and 4j + 3
+    system[2:, 3:14:10] = ratios[:-2, 1:2]    # l2 in rows 4j + 2 and 4j + 3
+    system[2:, 12] = ratios[:-2, 2]           # l3 in row 4j + 2
+    system[3:, 0] = ratios[:-3, 2]            # l3 in row 4j + 3
+    x = np.zeros((count, size, 4))
+    np.multiply(inv, inv, out=x.reshape(-1, 4)[:, 0])
+    return dtbsv(9, system.reshape(-1, 10).T, x.reshape(-1), diag=1,
+                 overwrite_x=1).reshape(count, size, 4)
 
 
 def _hat_diagonals(zb, bands):
@@ -472,8 +507,8 @@ def _hat_diagonals(zb, bands):
     one C-ordered (4, count, n) array, from their bands ``zb`` of
     ``Z = A^-1`` (count, 4, 2n) and the tridiagonal ``bands`` of ``W`` and
     ``Ucorr`` (the identity's included).  C order, whatever the order of
-    ``zb``: each point's later sums (the traces) run over its own
-    contiguous row, with the bits of a stack of one.
+    ``zb``: each point's later sums run over its own contiguous row, with
+    the bits of a stack of one.
 
     With ``Zvv``, ``Zvs``, ``Zsv``, ``Zss`` the value/slope blocks of
     ``Z``, the hat blocks are ``S = Zvv W``, ``T = Zvs Ucorr``,
@@ -506,7 +541,8 @@ def _dense_stack(band, lams, gammas, weights: _ErrorWeights, diagonals):
 
     With ``diagonals`` one ``cho_solve`` on ``[rhs | I]`` gives the
     coefficients and ``A^-1`` (the coefficients by a direct solve, never
-    ``A^-1`` times the data); without, one ``cho_solve`` on ``rhs``.
+    ``A^-1`` times the data); without, one ``cho_solve`` on ``rhs``.  A
+    solution that is not finite is the point's :class:`SingularSystemError`.
     """
     n = band.shape[1] // 2
     x = np.zeros((lams.size, 2 * n))
@@ -519,70 +555,125 @@ def _dense_stack(band, lams, gammas, weights: _ErrorWeights, diagonals):
                 rhs = np.concatenate([weights.wy, gamma * weights.uv])
             if not np.isfinite(rhs).all():
                 raise _overflowed("right-hand side")
+            sol = cho_solve(cho, np.column_stack([rhs, np.eye(2 * n)]) if diagonals else rhs)
+            coefs = sol[:, 0] if diagonals else sol
+            if not np.isfinite(coefs).all():
+                raise _overflowed("solution")
             if diagonals:
-                sol = cho_solve(cho, np.column_stack([rhs, np.eye(2 * n)]))
                 hats = _hat_blocks(sol[:, 1:], weights.W, weights.Ucorr)
                 diags[:, p] = [np.diagonal(h) for h in (hats.S, hats.T, hats.U, hats.V)]
-                x[p] = sol[:, 0]
-            else:
-                x[p] = cho_solve(cho, rhs)
+            x[p] = coefs
             errors.append(None)
         except SingularSystemError as exc:
             errors.append(exc)
     return x.reshape(-1, 2, n).swapaxes(1, 2).reshape(-1, 2 * n), diags, errors
 
 
-def _fit_stack(band, lams, gammas, weights: _ErrorWeights, diagonals=True):
+# The bands of A^-1 of a stack are solved in groups of ceil(count / 10)
+# points, so that the system buffer (40 doubles per column) is no larger than
+# the stack's bands of A^-1 (4 per column), and of at most _INVERSE_COLUMNS
+# columns (one point when a point is larger): a larger joined system leaves
+# the cache between its strided writes, its solve and its hats.  Groups of
+# ceil(count / 10) points alone made a 65-point cv chunk at n = 5000 1.6
+# times slower than one solve per point (2-vCPU VM, one BLAS thread).
+_INVERSE_COLUMNS = 2048
+
+
+def _banded_stack(band, lams, gammas, weights: _ErrorWeights, hats):
+    """:func:`_fit_stack` on the banded route: the interleaved solutions,
+    the hats and the errors, or ``None`` when a joined call of a stack of
+    more than one point gave a non-finite solution or band of ``A^-1``."""
+    ab, x = _normal_stack(band, lams, gammas, weights)
+    errors = _factor_solve_stack(ab, x)
+    if not np.isfinite(x).all():
+        if lams.size > 1:
+            return None
+        errors[0], x[0] = _overflowed("solution"), 0.0
+    if hats is None:
+        return x, None, errors
+    L = ab.transpose(0, 2, 1)   # the factors, (count, size, 4), in the order of the buffer
+    count, size = L.shape[:2]
+    ok = [p for p, error in enumerate(errors) if error is None]
+    group = max(1, min(-(-count // 10), _INVERSE_COLUMNS // size))
+    system = np.zeros((min(group, len(ok)) * size, 40))
+    parts = []
+    for start in range(0, len(ok), group):
+        part = ok[start:start + group]
+        if part[-1] - part[0] == len(part) - 1:   # consecutive points: a view, not a copy
+            part = slice(part[0], part[-1] + 1)
+        zb = _band_inverse(L[part], system)
+        if len(zb) > 1 and not np.isfinite(zb).all():
+            return None
+        if hats == "traces":
+            parts.append(np.matmul(zb.reshape(len(zb), 1, -1), weights.trace_matrix)[:, 0].T)
+        else:
+            parts.append(_hat_diagonals(np.ascontiguousarray(zb.transpose(0, 2, 1)),
+                                        weights.bands))
+    if len(parts) == 1 and len(ok) == count:   # one group of every point
+        return x, parts[0], errors
+    out = np.zeros((4, count, size // 2) if hats == "diagonals" else (4, count))
+    if ok:   # a failed point keeps zeros
+        out[:, ok] = np.concatenate(parts, axis=1)
+    return x, out, errors
+
+
+def _fit_stack(band, lams, gammas, weights: _ErrorWeights, hats="diagonals"):
     """The basis fit at a stack of points: the penalty ``band`` (unit lam)
     times ``lams[p]``, the velocity weight ``gammas[p]`` (both arrays), and
     the error ``weights``.  Every basis fit, report and score runs here.
 
-    Returns the fitted values and slopes, (count, n) each; with
-    ``diagonals``, the hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` as one
-    C-ordered (4, count, n) array, else ``None``; and, per point, ``None``
-    or the :class:`SingularSystemError` it raised (its values and slopes
-    are then zeros and its diagonals meaningless); so does a finite system
-    whose solution overflowed, on either route.
+    Returns the fitted values and slopes, (count, n) each; the ``hats``:
+    with "diagonals", the hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` as one
+    C-ordered (4, count, n) array, with "traces" their sums
+    ``(tr S, tr T, tr U, tr V)``, (4, count), with ``None`` nothing; and,
+    per point, ``None`` or the :class:`SingularSystemError` it raised (its
+    values and slopes are then zeros and its hats meaningless); so does a
+    finite system whose solution overflowed, on either route.
 
     The banded route (``weights.bands``) assembles the stack by
-    :func:`_normal_stack`, factors and solves each point by
-    :func:`_factor_solve_stack`, and takes the diagonals from the band of
-    ``A^-1`` by :func:`_band_inverse`, one banded solve per point that did
-    not fail, all in one buffer.  A point has the same bits alone and in
-    any stack.  The dense route (:func:`_dense_stack`) fits point by
-    point.
+    :func:`_normal_stack`, factors and solves the whole stack by one
+    ``dpbtrf`` and one ``dpbtrs`` (:func:`_factor_solve_stack`), and
+    takes the band of ``A^-1`` of every point that did not fail by
+    :func:`_band_inverse`, one ``dtbsv`` per group of ``ceil(count / 10)``
+    points and at most ``_INVERSE_COLUMNS`` columns.  Each group's hats are
+    taken while its bands are in cache: the diagonals by
+    :func:`_hat_diagonals`, the traces by one product per point with
+    ``weights.trace_matrix`` (a batched ``matmul``); no stack of bands of
+    ``A^-1`` is kept.  In a joined call a
+    non-finite value spreads to the neighbouring blocks (``0 * inf`` is
+    NaN), so a stack of more than one point that meets one is refitted
+    one point at a time, through the same code.  A point has the same bits
+    alone and in any stack.  The dense route (:func:`_dense_stack`) fits
+    point by point.
     """
     if weights.bands is None:
-        x, diags, errors = _dense_stack(band, lams, gammas, weights, diagonals)
+        x, out, errors = _dense_stack(band, lams, gammas, weights, hats is not None)
+        if hats == "traces":
+            out = out.sum(axis=2)
     else:
-        ab, x = _normal_stack(band, lams, gammas, weights)
-        errors = _factor_solve_stack(ab, x)
-        diags = None
-    if not np.isfinite(x).all():   # a finite system can still overflow in the solve
-        for p in np.flatnonzero(~np.isfinite(x).all(axis=1)):
-            errors[p], x[p] = _overflowed("solution"), 0.0
-    if diagonals and weights.bands is not None:
-        zb = np.zeros(ab.shape)
-        system = np.zeros((ab.shape[2], 4, 10))   # one buffer for the stack
-        for p, error in enumerate(errors):
-            if error is None:   # a failed point is not solved for: it scores NaN anyway
-                zb[p] = _band_inverse(ab[p], system)
-        del ab, system   # the factors are not needed past the inverse
-        diags = _hat_diagonals(zb, weights.bands)
-    return x[:, 0::2], x[:, 1::2], diags, errors
+        fit = _banded_stack(band, lams, gammas, weights, hats)
+        if fit is None:
+            fits = [_banded_stack(band, lams[p:p + 1], gammas[p:p + 1], weights, hats)
+                    for p in range(lams.size)]
+            x = np.concatenate([part[0] for part in fits])
+            out = None if hats is None else np.concatenate([part[1] for part in fits], axis=1)
+            errors = [part[2][0] for part in fits]
+        else:
+            x, out, errors = fit
+    return x[:, 0::2], x[:, 1::2], out, errors
 
 
-def _fit_point(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None, diagonals=False):
+def _fit_point(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None, hats=None):
     """One basis fit at the design's penalty through :func:`_fit_stack` (a
-    stack of one): the coefficients (values, then slopes) and, with
-    ``diagonals``, the hat diagonals as a (4, n) array, else ``None``.
-    Raises the point's :class:`SingularSystemError`."""
+    stack of one): the coefficients (values, then slopes) and the point's
+    ``hats`` of :func:`_fit_stack` ("diagonals", (4, n); "traces", (4,);
+    ``None``).  Raises the point's :class:`SingularSystemError`."""
     gamma, y, v = _check_normal_args(design.n, gamma, y, v, W, Ucorr)
-    values, slopes, diags, errors = _fit_stack(design.band, np.ones(1), np.array([gamma]),
-                                               _ErrorWeights(y, v, W, Ucorr), diagonals)
+    values, slopes, out, errors = _fit_stack(design.band, np.ones(1), np.array([gamma]),
+                                             _ErrorWeights(y, v, W, Ucorr), hats)
     if errors[0] is not None:
         raise errors[0]
-    return np.concatenate([values[0], slopes[0]]), None if diags is None else diags[:, 0]
+    return np.concatenate([values[0], slopes[0]]), None if out is None else out[:, 0]
 
 
 def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.ndarray:

@@ -71,3 +71,46 @@ def random_instance(rng, n_range=(4, 16), lam_range=(1e-3, 1.0),
         weighted = bool(rng.integers(0, 2))
     cfg = random_config(rng, knots=t) if weighted else KernelConfig.uniform()
     return t, y, v, cfg, lam, gamma
+
+
+def mixed_failure_problems(rng):
+    """Problems on which one stack mixes fine points with points that fail.
+
+    Each is ``(t, y, v, cfg, (W, Ucorr), fine, failures)``: ``fine`` the
+    log10 boxes ``((lam_lo, lam_hi), (gamma_lo, gamma_hi))`` of points that
+    fit, ``failures`` the failing points as ``(lam, gamma, message)``.  The
+    4-row y = 1e308 data of the command-line tests (with velocities 1e300)
+    and a random weighted instance near the overflow threshold, with AR(1)
+    precisions, fail in all four ways: a system that is not positive
+    definite (no penalty, no velocity weight), a band that overflowed, a
+    right-hand side that overflowed (gamma Ucorr v) and a finite system
+    whose solution overflows.  A random instance of ordinary size fails in
+    the first three ways, and its fine points have finite scores.
+    """
+    from vspline.fit import rescale_domain
+    pd, band = (0.0, 0.0, "not positive definite"), (1e305, 1.0, "non-finite band")
+    near = [pd, band, (1e-8, 1e10, "non-finite right-hand side"),
+            (0.1, 1.0, "non-finite solution")]
+    t, y, v, _ = rescale_domain(np.arange(4.0), np.full(4, 1e308), np.full(4, 1e300),
+                                margin=0.05)
+    problems = [(t, y, v, KernelConfig.uniform(), (None, None), ((-9, -6), (-4, -2)), near)]
+    t, y, v, cfg, _, _ = random_instance(rng, n_range=(20, 30), weighted=True)
+    mats = ar1_precision(t.size, 0.5), ar1_precision(t.size, -0.3)
+    problems.append((t, y / np.abs(y).max() * 1e306, v / np.abs(v).max() * 1e300, cfg, mats,
+                     ((-9, -6), (-4, -2)), near))
+    t, y, v, cfg, _, _ = random_instance(rng, n_range=(20, 30), weighted=True)
+    mats = ar1_precision(t.size, 0.4), ar1_precision(t.size, 0.2)
+    rhs = (1e-3, 1e308 / np.abs(v).max(), "non-finite right-hand side")
+    problems.append((t, y, 100.0 * v, cfg, mats, ((-6, -1), (-2, 2)), [pd, band, rhs]))
+    return problems
+
+
+def mixed_chunk(rng, fine, failures, first, count=65):
+    """``count`` points drawn log-uniformly from the ``fine`` boxes, with
+    ``failures`` (as above) in a row from position ``first``."""
+    (lam_lo, lam_hi), (gamma_lo, gamma_hi) = fine
+    lams = 10.0 ** rng.uniform(lam_lo, lam_hi, count)
+    gammas = 10.0 ** rng.uniform(gamma_lo, gamma_hi, count)
+    for i, (lam, gamma, _) in enumerate(failures):
+        lams[first + i], gammas[first + i] = lam, gamma
+    return lams, gammas

@@ -267,6 +267,27 @@ class TestFit:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["method"] == "hermite-basis"
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("block", [0, 1], ids=["W", "Ucorr"])
+    def test_non_finite_corr_file_exit_2(self, tmp_path, capsys, block, bad):
+        # a NaN or inf in either block is an input error with its own
+        # message, from fit and from a gcv-corr select, and writes no report
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "6", "--seed", "4", "--out", str(data)])
+        blocks = np.vstack([ar1_precision(6, 0.5), ar1_precision(6, 0.3)]).astype(object)
+        blocks[6 * block + 2, 2] = bad
+        corr = tmp_path / "c.csv"
+        corr.write_text("\n".join(",".join(map(str, row)) for row in blocks) + "\n")
+        capsys.readouterr()
+        name = ("W", "Ucorr")[block]
+        for command in (["fit", str(data), "--lambda", "0.01"],
+                        ["select", str(data), "--criterion", "gcv-corr"]):
+            out = tmp_path / "r.json"
+            assert main([*command, "--corr", str(corr), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error while reading correlation matrices: {corr}: {name} must be finite\n"
+            assert sorted(tmp_path.iterdir()) == sorted([data, corr])
+
     def test_tridiagonal_corr_file_runs_banded(self, tmp_path, monkeypatch):
         # AR(1) precision blocks: fit and select factor only banded (LAPACK
         # dpbtrf, never the dense cho_factor)
@@ -376,6 +397,54 @@ class TestFit:
             tracemalloc.stop()
         assert rc == 0
         assert peak < 8 * (2 * n) ** 2 / 100
+
+
+class TestTooLarge:
+    """Flags whose arrays do not fit in memory exit 2 without a traceback.
+
+    The allocation is made to raise ``MemoryError``: a real one of hundreds
+    of GiB could be killed by an overcommitting host instead of failing.
+    """
+
+    def test_fit_grid(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "6", "--seed", "4", "--out", str(data)])
+        capsys.readouterr()
+        real = np.linspace
+
+        def refusing(start, stop, num=50, *args, **kwargs):
+            if num > 1e9:
+                raise MemoryError("refused")
+            return real(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", refusing)
+        for command in (["fit", str(data), "--lambda", "1e-3"],
+                        ["select", str(data), "--lambda-steps", "2", "--gamma-steps", "2"]):
+            rc = main([*command, "--grid", "100000000000", "--out", str(tmp_path / "r.json")])
+            assert rc == 2
+            err = capsys.readouterr().err.splitlines()[-1]
+            assert err.startswith("error while fitting") and "--grid 100000000000" in err
+            assert list(tmp_path.iterdir()) == [data]
+
+    def test_select_steps(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "6", "--seed", "4", "--out", str(data)])
+        capsys.readouterr()
+        real = np.meshgrid
+
+        def refusing(*axes, **kwargs):
+            if np.prod([np.size(axis) for axis in axes], dtype=float) > 1e9:
+                raise MemoryError("refused")
+            return real(*axes, **kwargs)
+
+        monkeypatch.setattr(np, "meshgrid", refusing)
+        rc = main(["select", str(data), "--lambda-steps", "100000", "--gamma-steps", "100000",
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error while selecting parameters: ")
+        assert "--lambda-steps 100000 by --gamma-steps 100000" in err
+        assert list(tmp_path.iterdir()) == [data]
 
 
 class TestDatasetFormat:

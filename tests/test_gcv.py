@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import ar1_precision, random_config, random_instance, random_knots
+from conftest import (ar1_precision, mixed_chunk, mixed_failure_problems, random_config,
+                      random_instance, random_knots)
 from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
                      build_design, cv_brute_force, cv_closed_form, fit_theta, fit_vspline,
                      gcv_correlated, gcv_score, hat_matrices_correlated, optimize_params)
@@ -178,7 +179,7 @@ class TestGcvScore:
         diags = np.array([0.31, 0.12, 0.05, 0.22])[:, None, None] * np.ones((1, n))
         gammas = np.array([gamma])
         cv = _criterion("cv", r[None], rp[None], diags, gammas)[0]
-        gcv = _criterion("gcv", r[None], rp[None], diags, gammas)[0]
+        gcv = _criterion("gcv", r[None], rp[None], diags.sum(axis=2), gammas)[0]
         assert gcv == pytest.approx(cv, rel=1e-12)
 
     def test_close_to_cv_on_equispaced_instance(self):
@@ -220,6 +221,17 @@ class TestCorrelationSpec:
         with pytest.raises(ValueError, match="gamma must be"):
             hat_matrices_correlated(design, -1.0, np.eye(3), np.eye(3))
 
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["W", "Ucorr"])
+    def test_non_finite_matrix_is_named(self, name, bad):
+        # checked first: NaN used to read "must be symmetric", inf scipy's
+        # "array must not contain infs or NaNs" from the Cholesky test
+        mats = {"W": _ar1(4, 0.5), "Ucorr": np.eye(4)}
+        mats[name] = mats[name].copy()
+        mats[name][1, 1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            CorrelationSpec(**mats)
 
     def test_square_roots_are_formed_on_first_read(self, tmp_path, monkeypatch):
         # only the gcv-corr numerator reads the square roots: building a
@@ -321,10 +333,10 @@ class TestCorrelatedGcv:
             for corr in specs:
                 count = 5
                 r, rp = rng.standard_normal((2, count, n))
-                diags = rng.uniform(0.0, 0.4, (4, count, n))
+                traces = rng.uniform(0.0, 0.4, (4, count, n)).sum(axis=2)
                 gammas = 10.0 ** rng.uniform(-2, 2, count)
-                got = _criterion("gcv-corr", r, rp, diags, gammas, corr)[0]
-                tr_s, tr_t, tr_u, tr_v = diags.sum(axis=2)
+                got = _criterion("gcv-corr", r, rp, traces, gammas, corr)[0]
+                tr_s, tr_t, tr_u, tr_v = traces
                 k = gammas * tr_t / (n - gammas * tr_v)
                 den = n - tr_s - k * tr_u
                 cross = _psd_sqrt(corr.W) @ _psd_sqrt(corr.Ucorr)
@@ -525,7 +537,7 @@ class TestOptimizeParams:
 
         def closed_form(design, y, v, gamma):
             theta, (s_diag, t_diag, u_diag, v_diag) = _fit_point(design, y, v, gamma,
-                                                                 diagonals=True)
+                                                                 hats="diagonals")
             n = y.size
             k = gamma * t_diag / (1.0 - gamma * v_diag)
             deleted = (theta[:n] - y + k * (theta[n:] - v)) / (1.0 - s_diag - k * u_diag)
@@ -677,6 +689,31 @@ class TestOptimizeParams:
                     one = scorer.stack(lams[i:i + 1], gammas[i:i + 1])[0]
                     np.testing.assert_array_equal(one, chunk[i:i + 1])
 
+    @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
+    def test_failed_points_do_not_change_their_neighbours(self, criterion):
+        # the chunk of the engine's test, scored: each point's score, error
+        # and degenerate flags are those of the point scored alone
+        rng = np.random.default_rng(35)
+        for t, y, v, cfg, mats, fine, failures in mixed_failure_problems(rng):
+            corr = None
+            if criterion == "gcv-corr":
+                corr = CorrelationSpec(*(np.eye(t.size) if m is None else m for m in mats))
+            scorer = _Scorer(_design_for(t, 1.0, cfg), y, v, criterion, corr)
+            for first in (0, 31, 65 - len(failures)):
+                lams, gammas = mixed_chunk(rng, fine, failures, first)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    scores, errors, degenerate = scorer.stack(lams, gammas)
+                    alone = [scorer.stack(lams[p:p + 1], gammas[p:p + 1])
+                             for p in range(lams.size)]
+                assert sum(error is None for error in errors) == 65 - len(failures)
+                for p, (score, error, flags) in enumerate(alone):
+                    np.testing.assert_array_equal(score, scores[p:p + 1])
+                    assert repr(error[0]) == repr(errors[p])
+                    assert [bool(f[0]) for f in flags] == [bool(f[p]) for f in degenerate]
+            if np.abs(y).max() < 1e300:   # ordinary data: every fine point scores
+                assert np.isfinite(scores).sum() == 65 - len(failures)
+
     def test_failed_point_is_not_swept(self, monkeypatch):
         # a point whose factorization fails (no penalty, no velocity weight)
         # is NaN without its O(n) solve for the band of A^-1; at n = 5000
@@ -685,7 +722,7 @@ class TestOptimizeParams:
         real = hermite_mod._band_inverse
         swept = []
         monkeypatch.setattr(hermite_mod, "_band_inverse",
-                            lambda L, system=None: swept.append(L) or real(L, system))
+                            lambda L, *args: swept.append(L) or real(L, *args))
         t = np.linspace(0.05, 0.95, 20)
         y = np.sin(2 * np.pi * t)
         v = 2 * np.pi * np.cos(2 * np.pi * t)

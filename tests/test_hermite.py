@@ -8,14 +8,14 @@ import pytest
 import oracles
 from scipy.linalg import cho_solve, cholesky_banded
 
-from conftest import (ar1_precision, jittered_knots, random_config, random_instance,
-                      random_knots, random_tridiagonal_spd)
+from conftest import (ar1_precision, jittered_knots, mixed_chunk, mixed_failure_problems,
+                      random_config, random_instance, random_knots, random_tridiagonal_spd)
 from vspline import (HermiteBasis, KernelConfig, SingularSystemError, build_design,
                      build_gram, fit_theta, fit_vspline, hat_matrices,
                      hat_matrices_correlated, solve_coefficients)
 from vspline.gcv import _GRID_CHUNK, _design_for
-from vspline.hermite import (_band_inverse, _ErrorWeights, _factor_band, _factor_normal,
-                             _fit_point, _fit_stack, _normal_stack)
+from vspline.hermite import (_band_inverse, _ErrorWeights, _factor_normal, _fit_point,
+                             _fit_stack, _normal_stack)
 
 UNIFORM = KernelConfig.uniform()
 
@@ -273,6 +273,12 @@ def _dense_theta(design, y, v, gamma, W=None, Ucorr=None):
     return cho_solve(cho, rhs)
 
 
+def _inverse_band(L):
+    """The (4, size) band of A^-1 from the (4, size) band of its factor, by
+    the engine's solve on a stack of one."""
+    return _band_inverse(L.T[None])[0].T
+
+
 def _normal_band(design, gamma, W=None, Ucorr=None):
     """The band of A at the design's penalty, as the engine assembles it."""
     zeros = np.zeros(design.n)
@@ -297,7 +303,7 @@ class TestBandedEngine:
                 y = np.sin(2 * np.pi * t) + 0.15 * rng.standard_normal(n)
                 v = 2 * np.pi * np.cos(2 * np.pi * t) + 0.15 * rng.standard_normal(n)
                 design = _design_for(t, lam, cfg)
-                theta, diags = _fit_point(design, y, v, gamma, diagonals=True)
+                theta, diags = _fit_point(design, y, v, gamma, hats="diagonals")
                 np.testing.assert_array_equal(fit_theta(design, y, v, gamma), theta)
                 assert _max_rel(theta, _dense_theta(design, y, v, gamma)) < 1e-7
                 hats = hat_matrices(design, gamma)
@@ -320,8 +326,8 @@ class TestBandedEngine:
                                               _ErrorWeights(y, v, eye, eye).bands)
                 design = _design_for(t, 10.0 ** rng.uniform(-4.0, 0.0), cfg)
                 gamma = 10.0 ** rng.uniform(-2.0, 2.0)
-                got = _fit_point(design, y, v, gamma, diagonals=True)
-                want = _fit_point(design, y, v, gamma, eye, eye, diagonals=True)
+                got = _fit_point(design, y, v, gamma, hats="diagonals")
+                want = _fit_point(design, y, v, gamma, eye, eye, hats="diagonals")
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
                 for count in (1, _GRID_CHUNK):
@@ -341,7 +347,8 @@ class TestBandedEngine:
             design = build_design(t, lam * weights)
             zb = oracles.mp_band_inverse_diagonals(_normal_band(design, 1.0))
             z, z_sub = zb[0], zb[1]
-            _, (s_diag, t_diag, u_diag, v_diag) = _fit_point(design, y, v, 1.0, diagonals=True)
+            _, (s_diag, t_diag, u_diag, v_diag) = _fit_point(design, y, v, 1.0,
+                                                             hats="diagonals")
             np.testing.assert_allclose(s_diag, z[0::2], rtol=1e-6)
             np.testing.assert_allclose(v_diag, z[1::2], rtol=1e-6)
             assert _max_rel(t_diag, z_sub[0::2]) < 1e-6
@@ -367,7 +374,7 @@ class TestBandedEngine:
                 W, Ucorr = random_tridiagonal_spd(rng, n), random_tridiagonal_spd(rng, n)
             design = _design_for(t, lam, cfg)
             assert _ErrorWeights(y, v, W, Ucorr).bands is not None
-            theta, diags = _fit_point(design, y, v, gamma, W, Ucorr, diagonals=True)
+            theta, diags = _fit_point(design, y, v, gamma, W, Ucorr, hats="diagonals")
             np.testing.assert_array_equal(fit_theta(design, y, v, gamma, W, Ucorr), theta)
             assert _max_rel(theta, _dense_theta(design, y, v, gamma, W, Ucorr)) < 1e-7
             hats = hat_matrices_correlated(design, gamma, W, Ucorr)
@@ -404,15 +411,16 @@ class TestBandedEngine:
         assert not np.array_equal(Ucorr, Ucorr.T)
         sym = (Ucorr + Ucorr.T) / 2
         design = build_design(t, 1e-3)
+        assert _ErrorWeights(y, v, W, Ucorr).bands is not None
         calls = []
-        for name in ("cho_factor", "_factor_band"):
+        for name in ("cho_factor", "dpbtrf"):
             def counting(*args, _name=name, _real=getattr(hermite_mod, name), **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(hermite_mod, name, counting)
         theta = fit_theta(design, y, v, 0.7, W, Ucorr)
-        assert calls == ["_factor_band"]
+        assert calls == ["dpbtrf"]   # one banded factorization, no dense one
         assert _max_rel(theta, _dense_theta(design, y, v, 0.7, W, sym)) < 1e-10
         # exactly symmetric input is used as it is: bit-identical
         np.testing.assert_array_equal(fit_theta(design, y, v, 0.7, W, sym), theta)
@@ -421,9 +429,9 @@ class TestBandedEngine:
         np.testing.assert_array_equal(_ErrorWeights(y, v, W, Ucorr).Ucorr, sym)
         wide = W.copy()
         wide[3, 0] = wide[0, 3] = 0.1
-        dense, _ = _fit_point(design, y, v, 0.7, wide, Ucorr, diagonals=True)
+        dense, _ = _fit_point(design, y, v, 0.7, wide, Ucorr, hats="diagonals")
         np.testing.assert_array_equal(dense, _fit_point(design, y, v, 0.7, wide, sym,
-                                                        diagonals=True)[0])
+                                                        hats="diagonals")[0])
 
     def test_band_rows_match_high_precision_oracle(self):
         # all four band rows of A^-1 with AR(1) precision weights, n = 300,
@@ -437,7 +445,7 @@ class TestBandedEngine:
             design = build_design(t, lam * weights)
             ab = _normal_band(design, gamma, *mats)
             want = oracles.mp_band_inverse_diagonals(ab)
-            got = _band_inverse(cholesky_banded(ab, lower=True))
+            got = _inverse_band(cholesky_banded(ab, lower=True))
             assert got.shape == want.shape == (4, 2 * n)
             for r in range(4):
                 assert _max_rel(got[r], want[r]) < 1e-6
@@ -456,21 +464,23 @@ class TestBandedEngine:
             L = cholesky_banded(_normal_band(build_design(t, lam * weights), gamma, *mats),
                                 lower=True)
             want = oracles.mp_band_inverse_diagonals(L, factored=True)
-            got = _band_inverse(L)
+            got = _inverse_band(L)
             for r in range(4):
                 assert _max_rel(got[r], want[r]) < 1e-12
 
     def test_band_is_bitwise_the_same_alone_and_in_a_stack(self, monkeypatch):
-        # each point of a stack gets its own banded solve in one shared
-        # buffer: its band of A^-1 has the bits of the point fitted alone,
-        # signed zeros and the zero tail past the end of each row included
+        # a stack of 29 points is factored and solved in joined calls and its
+        # bands of A^-1 come from ten joined solves of three points or fewer:
+        # each point's band, traces and diagonals have the bits of the point
+        # fitted alone, signed zeros and the zero tail past the end of each
+        # row included
         import vspline.hermite as hermite_mod
         real = hermite_mod._band_inverse
-        bands = []
+        solves = []
 
-        def spy(L, system=None):
-            bands.append(real(L, system))
-            return bands[-1]
+        def spy(L, *args):
+            solves.append(real(L, *args))
+            return solves[-1]
 
         monkeypatch.setattr(hermite_mod, "_band_inverse", spy)
         rng = np.random.default_rng(23)
@@ -483,19 +493,63 @@ class TestBandedEngine:
             weights = _ErrorWeights(y, v, *mats)
             lams = rng.permutation(np.geomspace(1e-6, 1e2, count))
             gammas = rng.permutation(np.geomspace(1e-4, 1e4, count))
-            bands.clear()
-            _fit_stack(design.band, lams, gammas, weights)
-            stack = list(bands)
-            assert len(stack) == count
+            solves.clear()
+            stack = {hats: _fit_stack(design.band, lams, gammas, weights, hats)
+                     for hats in ("diagonals", "traces")}
+            assert len(solves) == 2 * 10 and all(len(band) <= 3 for band in solves)
+            # the traces of one product are the sums of the diagonals, to the
+            # rounding of sums of O(1) terms (tr T and tr U cancel for AR(1) weights)
+            np.testing.assert_allclose(stack["traces"][2], stack["diagonals"][2].sum(axis=2),
+                                       rtol=1e-12, atol=1e-12)
+            bands = np.concatenate(solves[:10])
+            assert bands.shape == (count, 2 * n, 4)
             for p in range(count):
-                bands.clear()
-                _fit_stack(design.band, lams[p:p + 1], gammas[p:p + 1], weights)
-                (alone,) = bands
-                assert alone.shape == (4, 2 * n)
-                np.testing.assert_array_equal(stack[p], alone)
-                np.testing.assert_array_equal(np.signbit(stack[p]), np.signbit(alone))
-                for r in range(1, 4):
-                    assert not np.any(alone[r, 2 * n - r:])
+                solves.clear()
+                for hats, fit in stack.items():
+                    alone = _fit_stack(design.band, lams[p:p + 1], gammas[p:p + 1], weights,
+                                       hats)
+                    assert alone[3] == [None]
+                    in_stack = fit[0][p:p + 1], fit[1][p:p + 1], fit[2][:, p:p + 1]
+                    for got, want in zip(alone[:3], in_stack):
+                        np.testing.assert_array_equal(got, want)
+                        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+                assert len(solves) == 2
+                for (alone,) in solves:
+                    assert alone.shape == (2 * n, 4)
+                    np.testing.assert_array_equal(bands[p], alone)
+                    np.testing.assert_array_equal(np.signbit(bands[p]), np.signbit(alone))
+                    for r in range(1, 4):
+                        assert not np.any(alone[2 * n - r:, r])
+
+    def test_failed_points_do_not_change_their_neighbours(self):
+        # a chunk of 65 points whose failing points (not positive definite,
+        # an overflowed band, an overflowed right-hand side, a finite system
+        # whose solution overflows) sit first, in the middle and last: the
+        # joined calls give every point the bits and the error of the point
+        # fitted alone, without a warning
+        rng = np.random.default_rng(34)
+        for t, y, v, cfg, mats, fine, failures in mixed_failure_problems(rng):
+            band = _design_for(t, 1.0, cfg).band
+            weights = _ErrorWeights(y, v, *mats)
+            for first in (0, 31, 65 - len(failures)):
+                lams, gammas = mixed_chunk(rng, fine, failures, first)
+                for hats in (None, "diagonals", "traces"):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        chunk = _fit_stack(band, lams, gammas, weights, hats)
+                        alone = [_fit_stack(band, lams[p:p + 1], gammas[p:p + 1], weights, hats)
+                                 for p in range(lams.size)]
+                    for i, (_, _, message) in enumerate(failures):
+                        assert message in str(chunk[3][first + i])
+                    assert sum(error is None for error in chunk[3]) == 65 - len(failures)
+                    for p, point in enumerate(alone):
+                        in_chunk = chunk[0][p:p + 1], chunk[1][p:p + 1]
+                        if hats is not None:
+                            in_chunk += (chunk[2][:, p:p + 1],)
+                        for got, want in zip(point, in_chunk):
+                            np.testing.assert_array_equal(got, want)
+                            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+                        assert repr(point[3][0]) == repr(chunk[3][p])
 
     def test_overflowing_band_raises_singular_system_error(self):
         # lam so large that n * lam * omega overflows: a numerical failure,
@@ -507,7 +561,7 @@ class TestBandedEngine:
             with pytest.raises(SingularSystemError, match="overflowed"):
                 fit_theta(design, y, v, 1.0)
             with pytest.raises(SingularSystemError, match="overflowed"):
-                _fit_point(design, y, v, 1.0, diagonals=True)
+                _fit_point(design, y, v, 1.0, hats="diagonals")
         with pytest.raises(ValueError, match="finite"):
             fit_theta(build_design(t, 1e-3), np.full(12, np.nan), v, 1.0)
 
@@ -534,7 +588,8 @@ class TestBandedEngine:
     def test_overflowing_solution_is_one_error_on_every_route(self):
         # a finite system whose solution overflows: SingularSystemError, not
         # NaN coefficients, on the identity, tridiagonal and dense routes,
-        # with and without the hat diagonals, and without a numpy warning
+        # with and without the hat diagonals or traces, and without a numpy
+        # warning
         n = 8
         design = build_design(np.linspace(0.1, 0.9, n), 1e-3)
         big, zeros = np.full(n, 1e308), np.zeros(n)
@@ -542,11 +597,11 @@ class TestBandedEngine:
         wide = np.eye(n)
         wide[0, 3] = wide[3, 0] = 0.1
         for W in (None, tridiagonal, wide):
-            for diagonals in (False, True):
+            for hats in (None, "diagonals", "traces"):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     with pytest.raises(SingularSystemError, match="non-finite solution"):
-                        _fit_point(design, big, zeros, 1.0, W, diagonals=diagonals)
+                        _fit_point(design, big, zeros, 1.0, W, hats=hats)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(SingularSystemError, match="non-finite solution"):
@@ -558,4 +613,4 @@ class TestBandedEngine:
         with pytest.raises(SingularSystemError):
             fit_theta(design, np.zeros(3), np.zeros(3), 0.0)
         with pytest.raises(SingularSystemError):
-            _fit_point(design, np.zeros(3), np.zeros(3), 0.0, diagonals=True)
+            _fit_point(design, np.zeros(3), np.zeros(3), 0.0, hats="diagonals")
