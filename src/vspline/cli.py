@@ -13,8 +13,10 @@ Exit codes: 0 success, 2 parse or input error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -138,11 +140,79 @@ def _read_corr(path, n):
         raise CliError(2, "reading correlation matrices", f"{path}: {exc}")
 
 
-def _write_rows(path, header, rows):
-    # csv.writer's bytes: CRLF line ends; repr of a Python float (tolist) needs no quotes
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+_JSON_NUMBERS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _reprs(a):
+    """The ``repr`` of each value of a float array, in one pass: the text
+    that ``csv.writer`` and ``json`` write for a Python float."""
+    return list(map(float.__repr__, np.asarray(a, dtype=float).ravel().tolist()))
+
+
+def _csv_text(header, rows):
+    """``csv.writer``'s text for a header and an array of float rows: CRLF
+    line ends, and no quotes, which no float repr needs."""
+    cells = iter(_reprs(rows))
+    lines = map(",".join, zip(*[cells] * len(header)))
+    return "\r\n".join([",".join(header), *lines, ""])
+
+
+def _json_text(value):
+    """``json.dumps(value, indent=2, sort_keys=True) + "\n"`` for dicts with
+    str keys, lists, str, int, float, bool and None, where a 1-D float array
+    stands for the list of its values.  Each array is formatted once,
+    however often ``value`` holds it."""
+    numbers = {}   # id of each array -> the JSON text of its values
+
+    def encode(value, indent):
+        if isinstance(value, float):
+            text = float.__repr__(value)
+            return _JSON_NUMBERS.get(text, text)
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner, brackets = indent + "  ", "[]"
+        if isinstance(value, dict):
+            items = [encode_basestring_ascii(key) + ": " + encode(item, inner)
+                     for key, item in sorted(value.items())]
+            brackets = "{}"
+        elif isinstance(value, np.ndarray):
+            if id(value) not in numbers:
+                texts = _reprs(value)
+                numbers[id(value)] = list(map(_JSON_NUMBERS.get, texts, texts))
+            items = numbers[id(value)]
+        elif isinstance(value, list):
+            items = [encode(item, inner) for item in value]
+        else:
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        if not items:
+            return brackets
+        return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+    return encode(value, "\n") + "\n"
+
+
+def _write_outputs(files):
+    """Write each ``(path, text)`` of ``files`` in turn.  An ``OSError`` is an
+    output error (exit 2) that leaves none of the files behind."""
+    written = []
+    try:
+        for path, text in files:
+            with open(path, "w", newline="") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError as exc:
+        for done in written:
+            with contextlib.suppress(OSError):
+                os.remove(done)
+        raise CliError(2, "writing output", f"cannot write {path}: {exc}")
 
 
 def _sibling_path(out_path: str, suffix: str) -> str:
@@ -161,12 +231,12 @@ def _penalty_config(tu, weights) -> KernelConfig:
 def _fit_report(tu, yu, vu, scale, lam, gamma, weights, corr, grid, out_path,
                 selection=None):
     """Fit at fixed parameters, on the unit-axis data of :func:`_read_dataset`,
-    and write the report and curve files.
+    and return the curve and report files as ``(path, text)`` pairs.
 
     Every report comes from the Hermite-basis fit: one factorization gives
     the knot values and slopes and the hat traces, and the curve is the
     cubic Hermite interpolant of that knot fit.  A curve that overflowed
-    raises :class:`SingularSystemError` before any file is written.
+    raises :class:`SingularSystemError`.
     """
     n = tu.size
     design = gcv._design_for(tu, lam, _penalty_config(tu, weights))
@@ -182,8 +252,7 @@ def _fit_report(tu, yu, vu, scale, lam, gamma, weights, corr, grid, out_path,
         raise SingularSystemError("the fitted curve overflowed: non-finite values on its grid")
 
     curve_file = _sibling_path(out_path, ".curve.csv")
-    _write_rows(curve_file, ["t", "f", "df"], np.column_stack([grid_raw, f_curve, df_curve]))
-
+    values = theta[:n]   # one array under two keys, formatted once
     report = {
         "n": int(n),
         "lambda": float(lam),
@@ -193,17 +262,15 @@ def _fit_report(tu, yu, vu, scale, lam, gamma, weights, corr, grid, out_path,
         "method": "hermite-basis",
         "trace_s": float(trace_s),
         "trace_v": float(trace_v),
-        "coefficients": {"values": theta[:n].tolist(), "slopes": theta[n:].tolist()},
+        "coefficients": {"values": values, "slopes": theta[n:]},
         "domain": {"t_min": scale.s_min, "t_max": scale.s_max, "margin": MARGIN},
         "curve_file": curve_file,
-        "knot_fit": {"f": theta[:n].tolist(),
-                     "df_raw": (theta[n:] / scale.time_factor).tolist()},
+        "knot_fit": {"f": values, "df_raw": theta[n:] / scale.time_factor},
     }
     if selection is not None:
         report["selection"] = selection
-    with open(out_path, "w") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
+    curve = np.column_stack([grid_raw, f_curve, df_curve])
+    return [(curve_file, _csv_text(["t", "f", "df"], curve)), (out_path, _json_text(report))]
 
 
 def cmd_simulate(args) -> int:
@@ -211,7 +278,7 @@ def cmd_simulate(args) -> int:
         t, y, v = simulate_dataset(args.kind, args.n, args.noise, args.seed)
     except ValueError as exc:
         raise CliError(2, "simulating", str(exc))
-    _write_rows(args.out, ["t", "y", "v"], np.column_stack([t, y, v]))
+    _write_outputs([(args.out, _csv_text(["t", "y", "v"], np.column_stack([t, y, v])))])
     print(f"wrote {args.out} ({args.kind}, n={args.n}, seed={args.seed})")
     return 0
 
@@ -246,14 +313,15 @@ def cmd_fit(args) -> int:
     weights = _read_weights(args.weights, n) if args.weights else None
     corr = _read_corr(args.corr, n) if args.corr else None
     try:
-        report = _fit_report(*data, args.lam, args.gamma, weights, corr, args.grid, args.out)
+        files = _fit_report(*data, args.lam, args.gamma, weights, corr, args.grid, args.out)
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise CliError(3, "fitting", str(exc))
     except ValueError as exc:
         raise CliError(2, "fitting", str(exc))
     except MemoryError:
         raise _too_large("fitting", f"--grid {args.grid} is")
-    print(f"wrote {args.out} and {report['curve_file']}")
+    _write_outputs(files)
+    print(f"wrote {args.out} and {files[0][0]}")
     return 0
 
 
@@ -308,13 +376,14 @@ def cmd_select(args) -> int:
         "surface_file": surface_file,
     }
     try:
-        _fit_report(*data, result.lam, result.gamma, weights, corr,
-                    args.grid, args.out, selection=selection)
+        files = _fit_report(*data, result.lam, result.gamma, weights, corr,
+                            args.grid, args.out, selection=selection)
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         raise CliError(3, "fitting at selected parameters", str(exc))
     except MemoryError:
         raise _too_large("fitting at selected parameters", f"--grid {args.grid} is")
-    _write_rows(surface_file, ["lambda", "gamma", "score"], result.surface)
+    files.append((surface_file, _csv_text(["lambda", "gamma", "score"], result.surface)))
+    _write_outputs(files)
     print(f"selected lambda={result.lam:.6g} gamma={result.gamma:.6g} "
           f"(criterion={result.criterion}, score={result.score:.6g})")
     print(f"wrote {args.out} and {surface_file}")

@@ -9,8 +9,9 @@ channels.  :func:`optimize_params` grid-searches the penalty and the
 velocity weight on log scales and then refines each coordinate with
 golden-section sweeps.  One scorer per search holds everything that no
 (lam, gamma) changes and evaluates the criterion as whole-array
-operations over a stack of points (a chunk of the grid, or one
-golden-section point); no (lam, gamma) is scored twice.
+operations over a stack of points (a chunk of the grid, the opening points
+of a golden-section sweep, or one later point); no (lam, gamma) is scored
+twice.
 
 All scores are computed through the Hermite-basis formulation of
 :mod:`vspline.hermite`, which covers ``gamma = 0`` and penalties constant
@@ -374,17 +375,22 @@ def _check_range(bounds, points, bounds_name, points_name):
         raise ValueError(f"{points_name} must be at least 1")
 
 
-def _golden_min(f, lo, hi, iters=40):
+def _golden_min(f, lo, hi, iters=40, prefetch=None):
     """Deterministic golden-section minimum of f on [lo, hi].
 
-    Returns the best point actually evaluated, so a non-unimodal f cannot
-    make the result worse than the bracket endpoints.
+    ``prefetch``, if given, is called once with the four opening points
+    (both ends and the two interior points) before f is asked for any of
+    them, so that they can be computed together.  Returns the best point
+    actually evaluated, so a non-unimodal f cannot make the result worse
+    than the bracket endpoints.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    pts = [(f(lo), lo), (f(hi), hi)]
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
+    if prefetch is not None:
+        prefetch([lo, hi, c, d])
+    pts = [(f(lo), lo), (f(hi), hi)]
     fc, fd = f(c), f(d)
     pts += [(fc, c), (fd, d)]
     for _ in range(iters):
@@ -424,8 +430,9 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     "gcv-corr" takes the banded route too when ``W`` and ``Ucorr`` are at
     most tridiagonal (plus the O(n^2) whitening of its residuals) and is
     dense, O(n^3) per score, only for wider matrices.  The grid is scored
-    in chunks of at most ``2 * _GRID_CHUNK - 1`` points, and each
-    golden-section point is a stack of one.  On the banded route a stack
+    in chunks of at most ``2 * _GRID_CHUNK - 1`` points; the four opening
+    points of each golden-section sweep not already scored are one stack,
+    and each later point is a stack of one.  On the banded route a stack
     of any size costs one LAPACK factorization, one LAPACK solve, and one
     BLAS banded triangular solve per group of points for their bands of
     ``A^-1``; the GCV criteria read each point's four traces from one
@@ -461,6 +468,13 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
         val = memo[key]
         return np.inf if np.isnan(val) else val
 
+    def prefetch(points):
+        """Score the ``(lam, gamma)`` points not yet scored as one stack."""
+        keys = dict.fromkeys((float(lam), float(gamma)) for lam, gamma in points)
+        new = [key for key in keys if key not in memo]
+        if new:
+            memo.update(zip(new, scorer.scores(*zip(*new)).tolist()))
+
     degenerate = int(np.sum(np.isnan(scores)))
     if degenerate == surface.shape[0]:
         raise DegenerateGridError("every grid point produced a degenerate score")
@@ -477,12 +491,14 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
             # an axis whose bracket is a single point has nothing to refine
             if lam_lo < lam_hi:
                 score, log_best = _golden_min(
-                    lambda ll: sweep_score(10.0**ll, best_gamma), lam_lo, lam_hi)
+                    lambda ll: sweep_score(10.0**ll, best_gamma), lam_lo, lam_hi,
+                    prefetch=lambda lls: prefetch([(10.0**ll, best_gamma) for ll in lls]))
                 if np.isfinite(score) and score <= best_score:
                     best_lam, best_score = 10.0**log_best, score
             if gam_lo < gam_hi:
                 score, log_best = _golden_min(
-                    lambda lg: sweep_score(best_lam, 10.0**lg), gam_lo, gam_hi)
+                    lambda lg: sweep_score(best_lam, 10.0**lg), gam_lo, gam_hi,
+                    prefetch=lambda lgs: prefetch([(best_lam, 10.0**lg) for lg in lgs]))
                 if np.isfinite(score) and score <= best_score:
                     best_gamma, best_score = 10.0**log_best, score
 

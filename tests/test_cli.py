@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import ar1_precision
-from vspline.cli import main, simulate_dataset
+from vspline.cli import _csv_text, _json_text, main, simulate_dataset
 from vspline import KernelConfig, build_gram, fitted_knot_values, solve_coefficients
 from vspline.errors import DegenerateGridError
 from vspline.fit import rescale_domain
@@ -665,6 +667,64 @@ class TestSelect:
         assert list(tmp_path.iterdir()) == [data]
 
 
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 and leaves no file behind."""
+
+    @staticmethod
+    def _data(tmp_path):
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--kind", "sine", "--n", "10", "--noise", "0.1",
+                     "--seed", "2", "--out", str(data)]) == 0
+        return data
+
+    @staticmethod
+    def _assert_refused(rc, capsys, path):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error while writing output: cannot write {path}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_out_is_a_directory(self, tmp_path, capsys, command):
+        data = self._data(tmp_path)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        flags = ["--lambda", "1e-3"] if command == "fit" else ["--lambda-steps", "3",
+                                                               "--gamma-steps", "3"]
+        rc = main([command, str(data), *flags, "--out", str(out)])
+        # the curve file outdir.curve.csv, written first, is removed again
+        self._assert_refused(rc, capsys, out)
+        assert sorted(tmp_path.iterdir()) == [data, out]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "select", "simulate"])
+    def test_out_in_a_missing_directory(self, tmp_path, capsys, command):
+        data = self._data(tmp_path)
+        out = tmp_path / "missing" / "x.json"
+        args = {"fit": ["fit", str(data), "--lambda", "1e-3"],
+                "select": ["select", str(data), "--lambda-steps", "3", "--gamma-steps", "3"],
+                "simulate": ["simulate", "--n", "5", "--seed", "1"]}[command]
+        rc = main([*args, "--out", str(out)])
+        # fit and select fail at their first file, the curve
+        first = out if command == "simulate" else out.with_name("x.curve.csv")
+        self._assert_refused(rc, capsys, first)
+        assert list(tmp_path.iterdir()) == [data]
+
+    def test_simulate_out_is_a_directory(self, tmp_path, capsys):
+        rc = main(["simulate", "--n", "5", "--seed", "1", "--out", str(tmp_path)])
+        self._assert_refused(rc, capsys, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_select_unwritable_surface_removes_report_and_curve(self, tmp_path, capsys):
+        data = self._data(tmp_path)
+        blocker = tmp_path / "r.surface.csv"
+        blocker.mkdir()
+        rc = main(["select", str(data), "--lambda-steps", "3", "--gamma-steps", "3",
+                   "--out", str(tmp_path / "r.json")])
+        self._assert_refused(rc, capsys, blocker)
+        assert sorted(tmp_path.iterdir()) == [data, blocker]
+
+
 class TestRoundTrip:
     def test_simulate_fit_tiny_lambda_reproduces_knots(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -753,3 +813,64 @@ class TestOutputBytes:
         report = json.loads(sel.read_text())
         self._assert_csv(report["curve_file"])
         self._assert_csv(report["selection"]["surface_file"])
+
+    def test_fit_at_5000_samples_matches_the_stdlib_writers(self, tmp_path):
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--kind", "sine", "--n", "5000", "--noise", "0.1",
+                     "--seed", "4", "--out", str(data)]) == 0
+        rep = tmp_path / "fit.json"
+        assert main(["fit", str(data), "--lambda", "1e-3", "--gamma", "1",
+                     "--out", str(rep)]) == 0
+        self._assert_report(rep)
+        self._assert_csv(json.loads(rep.read_text())["curve_file"])
+
+
+# deterministic and small, so the suite's run time barely moves
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5]),
+    st.floats().map(np.float64))
+_ARRAYS = st.lists(_FLOATS, max_size=6).map(lambda xs: np.array(xs, dtype=float))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, st.text(max_size=8), _ARRAYS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24)
+
+
+def _plain(value):
+    """``value`` with each array replaced by the list of its values."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+class TestWriters:
+    """The report and CSV writers against the standard library's."""
+
+    @PROPERTY
+    @given(_JSON)
+    def test_json_text_is_indented_sorted_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
+
+    def test_json_text_formats_a_repeated_array_alike(self):
+        values = np.array([0.1, np.nan, -np.inf, 1e300])
+        value = {"b": [values, {"c": values}], "a": values, "é": []}
+        assert _json_text(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
+
+    @PROPERTY
+    @given(st.integers(1, 4), st.integers(0, 6), st.data())
+    def test_csv_text_is_csv_writer(self, columns, count, data):
+        header = data.draw(st.lists(st.text("tfdvylambdagmscore", min_size=1, max_size=6),
+                                    min_size=columns, max_size=columns))
+        rows = np.array(data.draw(st.lists(st.lists(_FLOATS, min_size=columns,
+                                                    max_size=columns),
+                                           min_size=count, max_size=count)),
+                        dtype=float).reshape(count, columns)
+        assert _csv_text(header, rows).encode() == TestOutputBytes._csv_oracle(header, rows)

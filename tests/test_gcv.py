@@ -483,6 +483,43 @@ class TestOptimizeParams:
         assert {lam for lam, _ in calls} == {1e-3}
         assert res.lam == 1e-3
 
+    def test_golden_sweep_opens_with_one_stack(self, monkeypatch):
+        # every sweep scores its ends and its two interior points at once
+        # (those not already scored), then each of its 40 later points alone
+        from vspline import gcv as gcv_mod
+        t = np.linspace(0.05, 0.95, 20)
+        y = np.sin(2 * np.pi * t) + np.random.default_rng(3).normal(0.0, 0.1, 20)
+        v = 2 * np.pi * np.cos(2 * np.pi * t)
+        sizes = []
+        real = gcv_mod._Scorer.stack
+
+        def spy(self, lams, gammas):
+            sizes.append(len(lams))
+            return real(self, lams, gammas)
+
+        monkeypatch.setattr(gcv_mod._Scorer, "stack", spy)
+        one_axis = optimize_params(t, y, v, UNIFORM, criterion="cv", lam_bounds=(1e-3, 1.0),
+                                   lam_points=1, gamma_points=5)
+        # the gamma sweep's ends are grid points; the second round scores nothing
+        assert sizes == [5, 2] + [1] * 40
+        sizes.clear()
+        two_axes = optimize_params(t, y, v, UNIFORM, criterion="gcv", lam_points=4,
+                                   gamma_points=3)
+        # the lambda sweep's ends are grid points, and one end of the gamma
+        # sweep is the point the lambda sweep selected
+        assert sizes == [12, 2] + [1] * 40 + [3] + [1] * 40
+        monkeypatch.undo()
+        # the same selection, and scores, as scoring each point alone
+        alone = gcv_mod._Scorer.scores
+        monkeypatch.setattr(gcv_mod._Scorer, "scores", lambda self, lams, gammas: np.array(
+            [alone(self, [lam], [gamma])[0] for lam, gamma in zip(lams, gammas)]))
+        for got, kwargs in ((one_axis, dict(criterion="cv", lam_bounds=(1e-3, 1.0),
+                                            lam_points=1, gamma_points=5)),
+                            (two_axes, dict(criterion="gcv", lam_points=4, gamma_points=3))):
+            want = optimize_params(t, y, v, UNIFORM, **kwargs)
+            assert (got.lam, got.gamma, got.score) == (want.lam, want.gamma, want.score)
+            np.testing.assert_array_equal(got.surface, want.surface)
+
     @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
     def test_batched_grid_is_bitwise_the_per_point_scores(self, criterion, monkeypatch):
         # chunks of a grid that is no multiple of the chunk size, on random
