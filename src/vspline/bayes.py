@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lu_solve
 
 from . import kernels
-from .fit import GramSystem, VSplineFit, _lu_checked, build_gram, solve_coefficients
+from .fit import GramSystem, VSplineFit, _check_data, _lu_checked, build_gram, solve_coefficients
 from .kernels import KernelConfig
 
 __all__ = [
@@ -156,10 +156,7 @@ def posterior_mean_finite_rho(knots, y, v, prior: GpPrior,
     n = gram.n
     if n < 2:
         raise ValueError("need at least 2 knots")
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if y.shape != (n,) or v.shape != (n,):
-        raise ValueError(f"y and v must have shape ({n},)")
+    y, v = _check_data("y", y, n), _check_data("v", v, n)
     mlu = _lu_checked(gram.M, "the kernel block system")
     sol = lu_solve(mlu, np.column_stack([gram.T, np.concatenate([y, v])]))
     MiT, Miz = sol[:, :2], sol[:, 2]

@@ -6,8 +6,10 @@ position, velocity).  Time axes are rescaled internally onto (0, 1) with a
 curves are mapped back to raw units.  Reports are single JSON documents;
 curves and search surfaces are plot-ready CSV.
 
-Exit codes: 0 success, 2 parse or input error, 3 numerical failure
-(singular system), 4 all search-grid points degenerate.
+Exit codes: 0 success, 2 parse or input error (a ``ValueError``, or flags
+whose arrays do not fit in memory), 3 numerical failure (a singular or
+overflowed system), 4 all search-grid points degenerate; :func:`_stage`
+maps the library's exceptions to them for every stage.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__, gcv
 from .errors import DegenerateGridError, SingularSystemError
-from .fit import rescale_domain
+from .fit import _check_param, rescale_domain
 from .gcv import CorrelationSpec, optimize_params
 from .hermite import _fit_point
 from .kernels import KernelConfig
@@ -35,6 +37,25 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
         self.stage = stage
+
+
+@contextlib.contextmanager
+def _stage(stage, sized="the input is"):
+    """Run one stage of a command under the one map from exceptions to exit
+    codes: :class:`DegenerateGridError` 4, ``np.linalg.LinAlgError``
+    (:class:`SingularSystemError` included; a ``ValueError`` subclass, so
+    caught first) 3, ``ValueError`` 2, and ``MemoryError`` 2, naming the
+    flag ``sized`` whose arrays did not fit."""
+    try:
+        yield
+    except DegenerateGridError as exc:
+        raise CliError(4, stage, str(exc))
+    except np.linalg.LinAlgError as exc:
+        raise CliError(3, stage, str(exc))
+    except ValueError as exc:
+        raise CliError(2, stage, str(exc))
+    except MemoryError:
+        raise CliError(2, stage, f"{sized} too large to allocate; choose fewer points")
 
 
 def simulate_dataset(kind: str, n: int, noise: float, seed: int):
@@ -50,6 +71,8 @@ def simulate_dataset(kind: str, n: int, noise: float, seed: int):
         raise ValueError("need n >= 2")
     if noise < 0.0:
         raise ValueError("noise must be nonnegative")
+    if not np.isfinite(noise):
+        raise ValueError("noise must be finite")
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, n)
     if kind == "line":
@@ -274,10 +297,8 @@ def _fit_report(tu, yu, vu, scale, lam, gamma, weights, corr, grid, out_path,
 
 
 def cmd_simulate(args) -> int:
-    try:
+    with _stage("simulating", f"--n {args.n} is"):
         t, y, v = simulate_dataset(args.kind, args.n, args.noise, args.seed)
-    except ValueError as exc:
-        raise CliError(2, "simulating", str(exc))
     _write_outputs([(args.out, _csv_text(["t", "y", "v"], np.column_stack([t, y, v])))])
     print(f"wrote {args.out} ({args.kind}, n={args.n}, seed={args.seed})")
     return 0
@@ -288,38 +309,17 @@ def _check_grid(grid):
         raise CliError(2, "parsing flags", "--grid must be at least 2")
 
 
-def _too_large(stage, what):
-    """The input error of a flag whose arrays do not fit in memory."""
-    return CliError(2, stage, f"{what} too large to allocate; choose fewer points")
-
-
-def _check_range(name, lo, hi, steps):
-    """The search range check of :func:`optimize_params`, run on the flags
-    before any input is read."""
-    try:
-        gcv._check_range((lo, hi), steps, f"--{name}-min/--{name}-max", f"--{name}-steps")
-    except ValueError as exc:
-        raise CliError(2, "parsing flags", str(exc))
-
-
 def cmd_fit(args) -> int:
-    if not (np.isfinite(args.lam) and args.lam > 0.0):
-        raise CliError(2, "parsing flags", "--lambda must be positive and finite")
-    if not (np.isfinite(args.gamma) and args.gamma >= 0.0):
-        raise CliError(2, "parsing flags", "--gamma must be nonnegative and finite")
+    with _stage("parsing flags"):
+        _check_param("--lambda", args.lam, positive=True)
+        _check_param("--gamma", args.gamma, positive=False)
     _check_grid(args.grid)
     data = _read_dataset(args.input)
     n = data[0].size
     weights = _read_weights(args.weights, n) if args.weights else None
     corr = _read_corr(args.corr, n) if args.corr else None
-    try:
+    with _stage("fitting", f"--grid {args.grid} is"):
         files = _fit_report(*data, args.lam, args.gamma, weights, corr, args.grid, args.out)
-    except (SingularSystemError, np.linalg.LinAlgError) as exc:
-        raise CliError(3, "fitting", str(exc))
-    except ValueError as exc:
-        raise CliError(2, "fitting", str(exc))
-    except MemoryError:
-        raise _too_large("fitting", f"--grid {args.grid} is")
     _write_outputs(files)
     print(f"wrote {args.out} and {files[0][0]}")
     return 0
@@ -332,28 +332,24 @@ def _at_bound(value, lo, hi, steps):
 
 
 def cmd_select(args) -> int:
-    _check_range("lambda", args.lambda_min, args.lambda_max, args.lambda_steps)
-    _check_range("gamma", args.gamma_min, args.gamma_max, args.gamma_steps)
+    with _stage("parsing flags"):   # the range checks of optimize_params, before any input
+        gcv._check_range((args.lambda_min, args.lambda_max), args.lambda_steps,
+                         "--lambda-min/--lambda-max", "--lambda-steps")
+        gcv._check_range((args.gamma_min, args.gamma_max), args.gamma_steps,
+                         "--gamma-min/--gamma-max", "--gamma-steps")
     _check_grid(args.grid)
     if args.criterion == "gcv-corr" and args.corr is None:
         raise CliError(2, "parsing flags", "--criterion gcv-corr requires --corr")
     data = tu, yu, vu, _ = _read_dataset(args.input)
     weights = _read_weights(args.weights, tu.size) if args.weights else None
     corr = _read_corr(args.corr, tu.size) if args.corr else None
-    try:
+    with _stage("selecting parameters", f"the search grid of --lambda-steps "
+                f"{args.lambda_steps} by --gamma-steps {args.gamma_steps} points is"):
         result = optimize_params(
             tu, yu, vu, _penalty_config(tu, weights), corr=corr, criterion=args.criterion,
             lam_bounds=(args.lambda_min, args.lambda_max),
             gamma_bounds=(args.gamma_min, args.gamma_max),
             lam_points=args.lambda_steps, gamma_points=args.gamma_steps)
-    except DegenerateGridError as exc:
-        raise CliError(4, "selecting parameters", str(exc))
-    except (SingularSystemError, np.linalg.LinAlgError) as exc:
-        raise CliError(3, "selecting parameters", str(exc))
-    except MemoryError:
-        raise _too_large("selecting parameters",
-                         f"the search grid of --lambda-steps {args.lambda_steps} by "
-                         f"--gamma-steps {args.gamma_steps} points is")
     surface_file = _sibling_path(args.out, ".surface.csv")
     selected = {"lambda": result.lam, "gamma": result.gamma}
     at_bound = {
@@ -375,13 +371,9 @@ def cmd_select(args) -> int:
         "at_bound": at_bound,
         "surface_file": surface_file,
     }
-    try:
+    with _stage("fitting at selected parameters", f"--grid {args.grid} is"):
         files = _fit_report(*data, result.lam, result.gamma, weights, corr,
                             args.grid, args.out, selection=selection)
-    except (SingularSystemError, np.linalg.LinAlgError) as exc:
-        raise CliError(3, "fitting at selected parameters", str(exc))
-    except MemoryError:
-        raise _too_large("fitting at selected parameters", f"--grid {args.grid} is")
     files.append((surface_file, _csv_text(["lambda", "gamma", "score"], result.surface)))
     _write_outputs(files)
     print(f"selected lambda={result.lam:.6g} gamma={result.gamma:.6g} "

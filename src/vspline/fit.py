@@ -62,7 +62,19 @@ def check_knots(t) -> np.ndarray:
     return t
 
 
+def _check_param(name, value, *, positive) -> float:
+    """A scalar parameter (``lam``, ``gamma`` or the CLI flag ``name``) as a
+    float: finite and positive (``positive``) or nonnegative, else
+    ``ValueError`` naming it."""
+    value = float(value)
+    if not (np.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'} and finite")
+    return value
+
+
 def _check_data(name, x, n):
+    """The data channel ``name`` (``y`` or ``v``) as a finite float array of
+    shape ``(n,)``, else ``ValueError`` naming it."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},)")
@@ -128,8 +140,7 @@ def rescale_domain(s, y, v, margin: float = 0.05):
         raise ValueError("sample times must be strictly increasing (no duplicates)")
     if not (0.0 < margin < 0.5):
         raise ValueError("margin must lie in (0, 0.5)")
-    y = _check_data("y", y, s.size)
-    v = _check_data("v", v, s.size)
+    y, v = _check_data("y", y, s.size), _check_data("v", v, s.size)
     scale = DomainScale(float(s[0]), float(s[-1]), float(margin))
     if not np.isfinite(scale.time_factor):   # float arithmetic: inf, no warning
         raise ValueError("the span of the sample times overflows")
@@ -176,12 +187,8 @@ class GramSystem:
 def build_gram(knots, config: KernelConfig, lam: float, gamma: float) -> GramSystem:
     """Populate the Gram system for the given knots and parameters."""
     knots = check_knots(knots)
-    lam = float(lam)
-    gamma = float(gamma)
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be positive and finite")
-    if not (np.isfinite(gamma) and gamma > 0.0):
-        raise ValueError("gamma must be positive and finite")
+    lam = _check_param("lam", lam, positive=True)
+    gamma = _check_param("gamma", gamma, positive=True)
     n = knots.size
     s_grid = knots[None, :]
     t_grid = knots[:, None]
@@ -266,8 +273,7 @@ def solve_coefficients(gram: GramSystem, y, v) -> VSplineFit:
     n = gram.n
     if n < 2:
         raise ValueError("need at least 2 knots to determine the affine part")
-    y = _check_data("y", y, n)
-    v = _check_data("v", v, n)
+    y, v = _check_data("y", y, n), _check_data("v", v, n)
     z = np.concatenate([y, v])
     lu = _lu_checked(gram.M, "the kernel block system")
     sol = lu_solve(lu, np.column_stack([gram.T, z]))
@@ -309,8 +315,7 @@ def objective_value(gram: GramSystem, d, c, b, y, v) -> float:
     velocity residual plus lam times the curvature quadratic form.
     """
     n = gram.n
-    y = _check_data("y", y, n)
-    v = _check_data("v", v, n)
+    y, v = _check_data("y", y, n), _check_data("v", v, n)
     f, fp = fitted_knot_values(gram, np.asarray(d, float), np.asarray(c, float),
                                np.asarray(b, float))
     loss = np.sum((y - f) ** 2) / n + gram.gamma * np.sum((v - fp) ** 2) / n
@@ -329,8 +334,7 @@ def stationarity_residuals(gram: GramSystem, d, c, b, y, v) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
-    y = _check_data("y", y, n)
-    v = _check_data("v", v, n)
+    y, v = _check_data("y", y, n), _check_data("v", v, n)
     gamma = gram.gamma
     ridge = n * gram.lam
     e_y = gram.S @ d + gram.Q @ c + gram.P @ b - y

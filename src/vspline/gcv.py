@@ -31,8 +31,8 @@ import numpy as np
 from scipy.linalg import cholesky, eigh
 
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
-from .fit import check_knots
-from .hermite import _check_normal_args, _ErrorWeights, _fit_stack, build_design, fit_theta
+from .fit import _check_data, _check_param, check_knots
+from .hermite import _ErrorWeights, _fit_stack, _weight_matrix, build_design, fit_theta
 from .kernels import KernelConfig
 
 __all__ = [
@@ -85,8 +85,9 @@ class CorrelationSpec:
     """Known precision structures of the two error channels.
 
     ``W`` weights position residuals, ``Ucorr`` velocity residuals; both
-    must be finite and symmetric positive definite (checked by
-    factorization).  Each is stored as ``(M + M') / 2``, so every route
+    must be square, finite and symmetric positive definite (checked by
+    factorization).  Each is stored as the symmetric part that
+    :func:`vspline.hermite._weight_matrix` gives every fit, so every route
     reads the same exactly symmetric matrix (bit-identical for exactly
     symmetric input).  The name ``Ucorr`` keeps the correlation matrix
     distinct from the hat block ``U`` of
@@ -102,19 +103,17 @@ class CorrelationSpec:
     def __post_init__(self):
         mats = []
         for name, raw in (("W", self.W), ("Ucorr", self.Ucorr)):
-            mat = np.asarray(raw, dtype=float)
-            if not np.isfinite(mat).all():
-                raise ValueError(f"{name} must be finite")
+            mat = np.array(raw, dtype=float)   # a copy, made read-only below
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be square")
+            sym = _weight_matrix(name, mat, mat.shape[0])   # finite; its symmetric part
             if not np.allclose(mat, mat.T, atol=1e-10):
                 raise ValueError(f"{name} must be symmetric")
-            mat = (mat + mat.T) / 2
             try:
-                cholesky(mat, lower=True)
+                cholesky(sym, lower=True)
             except np.linalg.LinAlgError:
                 raise ValueError(f"{name} must be positive definite")
-            mats.append(mat)
+            mats.append(sym)
         W, U = mats
         if W.shape != U.shape:
             raise ValueError("W and Ucorr must have the same size")
@@ -134,19 +133,9 @@ class CorrelationSpec:
 
 def _check_inputs(t, y, v, lam, gamma):
     t = check_knots(t)
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if y.shape != t.shape or v.shape != t.shape:
-        raise ValueError("t, y, v must have equal shapes")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(v))):
-        raise ValueError("y and v must be finite")
-    lam = float(lam)
-    gamma = float(gamma)
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be positive and finite")
-    if not (np.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError("gamma must be nonnegative and finite")
-    return t, y, v, lam, gamma
+    return (t, _check_data("y", y, t.size), _check_data("v", v, t.size),
+            _check_param("lam", lam, positive=True),
+            _check_param("gamma", gamma, positive=False))
 
 
 def _design_for(t, lam, cfg: KernelConfig):
@@ -246,15 +235,17 @@ class _Scorer:
     ``W y`` and ``Ucorr v``).  A point then costs its share of one
     :func:`vspline.hermite._fit_stack` call, which returns the hat
     diagonals for "cv" and only the four traces for the GCV criteria;
-    :func:`_criterion` runs once per stack.  A ``corr`` of another size
-    than the data fails here.
+    :func:`_criterion` runs once per stack.  A missing ``corr`` for
+    "gcv-corr", or one of another size than the data
+    (:class:`vspline.hermite._ErrorWeights`), fails here.
     """
 
     def __init__(self, design, y, v, criterion, corr: CorrelationSpec | None = None):
         self.band, self.y, self.v = design.band, y, v
         self.criterion, self.corr = criterion, corr
+        if criterion == "gcv-corr" and corr is None:
+            raise ValueError("corr must be a CorrelationSpec for criterion 'gcv-corr'")
         mats = () if corr is None else (corr.W, corr.Ucorr)
-        _check_normal_args(design.n, 0.0, None, None, *mats)   # the spec's size
         self.weights = _ErrorWeights(y, v, *mats)
 
     def scores(self, lams, gammas):
@@ -446,8 +437,6 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     t, y, v, _, _ = _check_inputs(t, y, v, 1.0, 1.0)
     if criterion not in _DEGENERATE:
         raise ValueError("criterion must be 'cv', 'gcv', or 'gcv-corr'")
-    if criterion == "gcv-corr" and corr is None:
-        raise ValueError("criterion 'gcv-corr' requires a CorrelationSpec")
     if criterion != "gcv-corr":
         corr = None
     _check_range(lam_bounds, lam_points, "lam_bounds", "lam_points")

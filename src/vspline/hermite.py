@@ -47,7 +47,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SingularSystemError
-from .fit import check_knots
+from .fit import _check_data, _check_param, check_knots
 
 __all__ = [
     "DesignMatrices",
@@ -213,28 +213,28 @@ def build_design(knots, lam) -> DesignMatrices:
     return DesignMatrices(basis=basis, band=_penalty_band(basis, values))
 
 
-def _check_normal_args(n, gamma, y=None, v=None, W=None, Ucorr=None):
-    """The argument checks of every fit and hat computation below.
+def _weight_matrix(name, M, n):
+    """The error weight ``W`` or ``Ucorr`` (``name``) of ``n`` samples, as
+    every fit and hat block reads it: ``None`` (the identity) as it is,
+    else the finite (n, n) matrix's symmetric part ``(M + M') / 2``
+    (exactly symmetric input as it is, without a copy); ``ValueError``
+    naming it otherwise.
 
-    Non-finite data are rejected here, so a non-finite system or solution
-    further on can only come from overflow (:func:`_factor_solve_stack`,
-    :func:`_fit_stack`).
+    The dense factorization reads only the lower triangle while ``W y`` and
+    the hat blocks read all of ``W``, so on the symmetric part every route
+    solves the same problem, and rounding asymmetry does not change the
+    route.  With the data checked by :func:`vspline.fit._check_data`, a
+    non-finite system or solution further on can only come from overflow
+    (:func:`_factor_solve_stack`, :func:`_fit_stack`).
     """
-    gamma = float(gamma)
-    if gamma < 0.0 or not np.isfinite(gamma):
-        raise ValueError("gamma must be a finite, nonnegative number")
-    for name, mat in (("W", W), ("Ucorr", Ucorr)):
-        if mat is not None and np.shape(mat) != (n, n):
-            raise ValueError(f"{name} must be an ({n}, {n}) matrix for {n} samples, "
-                             f"not {np.shape(mat)}")
-    if y is not None:
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if y.shape != (n,) or v.shape != (n,):
-            raise ValueError(f"y and v must have shape ({n},)")
-        if not (np.isfinite(y).all() and np.isfinite(v).all()):
-            raise ValueError("y and v must be finite")
-    return gamma, y, v
+    if M is None:
+        return None
+    M = np.asarray(M, dtype=float)
+    if M.shape != (n, n):
+        raise ValueError(f"{name} must be an ({n}, {n}) matrix for {n} samples, not {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} must be finite")
+    return M if np.array_equal(M, M.T) else (M + M.T) / 2
 
 
 def _not_positive_definite(exc):
@@ -306,17 +306,14 @@ def _band_matvec(band, x):
 
 class _ErrorWeights:
     """The error weights ``W`` and ``Ucorr`` of one problem (``None`` is the
-    identity) and its data ``y``, ``v``, read once for every fit of it.
-    The route is decided here and nowhere else.
+    identity) and its checked data ``y``, ``v``, read once for every fit of
+    it.  The route is decided here and nowhere else.
 
-    ``W`` and ``Ucorr`` hold the symmetric parts ``(M + M') / 2`` (exactly
-    symmetric input as it is, without a copy): the dense factorization
-    reads only the lower triangle while ``W y`` reads all of ``W``, so on
-    the symmetric part every route solves the same problem, and rounding
-    asymmetry does not change the route.  ``bands`` holds their
-    tridiagonal bands as one (2, 2, n) array, the identity's for an
-    absent matrix, which selects the banded route; ``None`` when either is
-    wider, which leaves only the dense route.  ``wy`` and ``uv`` are
+    ``W`` and ``Ucorr`` hold the checked symmetric parts of
+    :func:`_weight_matrix`, so every route solves the same problem.
+    ``bands`` holds their tridiagonal bands as one (2, 2, n) array, the
+    identity's for an absent matrix, which selects the banded route;
+    ``None`` when either is wider, which leaves only the dense route.  ``wy`` and ``uv`` are
     ``W y`` and ``Ucorr v``, the data part of every right-hand side; an
     overflow leaves them non-finite, without a warning, for the solve to
     reject.  Detecting the bands is O(n^2).  On the banded route the trace
@@ -325,14 +322,8 @@ class _ErrorWeights:
     """
 
     def __init__(self, y, v, W=None, Ucorr=None):
-        mats = []
-        for M in (W, Ucorr):
-            if M is not None:
-                M = np.asarray(M, dtype=float)
-                if not np.array_equal(M, M.T):
-                    M = (M + M.T) / 2
-            mats.append(M)
-        self.W, self.Ucorr = mats
+        self.W, self.Ucorr = mats = (_weight_matrix("W", W, y.size),
+                                     _weight_matrix("Ucorr", Ucorr, y.size))
         bands = [_tridiagonal_band(M, y.size) for M in mats]
         self.bands = None if bands[0] is None or bands[1] is None else np.array(bands)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -668,7 +659,8 @@ def _fit_point(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None, hats=Non
     stack of one): the coefficients (values, then slopes) and the point's
     ``hats`` of :func:`_fit_stack` ("diagonals", (4, n); "traces", (4,);
     ``None``).  Raises the point's :class:`SingularSystemError`."""
-    gamma, y, v = _check_normal_args(design.n, gamma, y, v, W, Ucorr)
+    gamma = _check_param("gamma", gamma, positive=False)
+    y, v = _check_data("y", y, design.n), _check_data("v", v, design.n)
     values, slopes, out, errors = _fit_stack(design.band, np.ones(1), np.array([gamma]),
                                              _ErrorWeights(y, v, W, Ucorr), hats)
     if errors[0] is not None:
@@ -687,8 +679,9 @@ def fit_theta(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None) -> np.nda
     banded Cholesky; wider matrices take the dense O(n^3) route.  Both
     are read as their symmetric part ``(M + M') / 2``, so rounding
     asymmetry does not change the route.  Zeroing a sample's weights
-    leaves it out while keeping the objective's normalization.  A system
-    or solution that overflowed raises :class:`SingularSystemError`.
+    leaves it out while keeping the objective's normalization.  A bad
+    argument raises ``ValueError`` naming it; a system or solution that
+    overflowed raises :class:`SingularSystemError`.
     """
     return _fit_point(design, y, v, gamma, W, Ucorr)[0]
 
@@ -721,22 +714,24 @@ def _hat_blocks(Ainv, W=None, Ucorr=None) -> HatMatrices:
 
 
 def hat_matrices(design: DesignMatrices, gamma) -> HatMatrices:
-    """Hat blocks for the uncorrelated fit at the design's penalty.
+    """Hat blocks for the uncorrelated fit at the design's penalty: those of
+    :func:`hat_matrices_correlated` without error weights.
 
     Dense, from the full inverse; the fits and scores need only the
     diagonals, which the banded route computes without it.
     """
-    gamma, _, _ = _check_normal_args(design.n, gamma)
-    cho = _factor_normal(design.band, 1.0, gamma)
-    return _hat_blocks(cho_solve(cho, np.eye(2 * design.n)))
+    return hat_matrices_correlated(design, gamma, None, None)
 
 
 def hat_matrices_correlated(design: DesignMatrices, gamma, W, Ucorr) -> HatMatrices:
     """Hat blocks of the correlated-error fit: ``f = S y + gamma T v``.
 
     Same structure as :func:`hat_matrices` with the precision matrices
-    inserted, so the blocks are no longer symmetric.
+    inserted, so the blocks are no longer symmetric.  ``W`` and ``Ucorr``
+    are read as in :func:`fit_theta`, as their symmetric part (``None`` is
+    the identity).
     """
-    gamma, _, _ = _check_normal_args(design.n, gamma, W=W, Ucorr=Ucorr)
+    gamma = _check_param("gamma", gamma, positive=False)
+    W, Ucorr = _weight_matrix("W", W, design.n), _weight_matrix("Ucorr", Ucorr, design.n)
     cho = _factor_normal(design.band, 1.0, gamma, W, Ucorr)
     return _hat_blocks(cho_solve(cho, np.eye(2 * design.n)), W, Ucorr)

@@ -215,3 +215,12 @@ class TestGpPriorValidation:
         prior = GpPrior(beta=1.0, rho=math.inf, config=UNIFORM)
         with pytest.raises(ValueError):
             posterior_mean_finite_rho(t, np.zeros(2), np.zeros(2), prior, 0.1, 1.0)
+
+    def test_non_finite_data_is_named(self):
+        # checked like every other route, not by scipy's "array must not
+        # contain infs or NaNs" from inside the solve
+        t = np.array([0.2, 0.5, 0.8])
+        prior = GpPrior(beta=1.0, rho=10.0, config=UNIFORM)
+        with pytest.raises(ValueError, match="^y must be finite$"):
+            posterior_mean_finite_rho(t, np.array([0.0, np.nan, 1.0]), np.zeros(3),
+                                      prior, 0.1, 1.0)

@@ -92,6 +92,17 @@ class TestSimulate:
         assert not (tmp_path / "r.json").exists()
         assert not (tmp_path / "r.curve.csv").exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exit_2(self, tmp_path, capsys, noise):
+        # nan used to write noise-free data (nan > 0 is false), inf a file of inf
+        rc = main(["simulate", "--kind", "sine", "--n", "5", "--noise", noise, "--seed", "1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error while simulating: noise must be finite\n"
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="^noise must be finite$"):
+            simulate_dataset("sine", 5, float(noise), 1)
+
 
 def _hermite_curve(knots, f, df, x):
     """Cubic Hermite interpolant of values ``f`` and slopes ``df`` at the
@@ -427,6 +438,24 @@ class TestTooLarge:
             err = capsys.readouterr().err.splitlines()[-1]
             assert err.startswith("error while fitting") and "--grid 100000000000" in err
             assert list(tmp_path.iterdir()) == [data]
+
+    def test_simulate_n(self, tmp_path, capsys, monkeypatch):
+        # exited 1 with numpy's MemoryError traceback
+        real = np.linspace
+
+        def refusing(start, stop, num=50, *args, **kwargs):
+            if num > 1e9:
+                raise MemoryError("refused")
+            return real(start, stop, num, *args, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", refusing)
+        for kind in ("iwp", "line", "sine"):
+            rc = main(["simulate", "--kind", kind, "--n", "10000000000000", "--seed", "1",
+                       "--out", str(tmp_path / "x.csv")])
+            assert rc == 2
+            assert capsys.readouterr().err == ("error while simulating: --n 10000000000000 is "
+                                               "too large to allocate; choose fewer points\n")
+            assert list(tmp_path.iterdir()) == []
 
     def test_select_steps(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "d.csv"

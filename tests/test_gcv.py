@@ -362,6 +362,16 @@ class TestCorrelatedGcv:
         with pytest.raises(SingularSystemError, match="overflowed"):
             gcv_correlated(t, y, v, 1e-3, 1e305, UNIFORM, corr)
 
+    def test_missing_spec_is_named(self):
+        # gcv_correlated without a spec used to fail in the criterion with
+        # an AttributeError on None
+        t = np.linspace(0.05, 0.95, 10)
+        y, v = np.sin(6 * t), 6 * np.cos(6 * t)
+        with pytest.raises(ValueError, match="^corr must be a CorrelationSpec"):
+            gcv_correlated(t, y, v, 1e-3, 1.0, UNIFORM, None)
+        with pytest.raises(ValueError, match="^corr must be a CorrelationSpec"):
+            optimize_params(t, y, v, UNIFORM, criterion="gcv-corr", lam_points=3, gamma_points=3)
+
     def test_spec_of_another_size_is_named(self):
         # a 12 x 12 spec for 10 samples: a ValueError naming both sizes
         # before any fit, not numpy's broadcast error from inside the engine

@@ -244,6 +244,42 @@ class TestCorrelatedHats:
         np.testing.assert_allclose(hats.S @ y + 0.8 * (hats.T @ v), theta[:6],
                                    atol=1e-9)
 
+    def test_asymmetric_weights_read_as_the_fit_reads_them(self):
+        # the fit reads the symmetric part of W; the hat oracle used to read
+        # the raw matrix, so S y + gamma T v missed the fit by 3e-5 here
+        n = 8
+        t = np.linspace(0.1, 0.9, n)
+        rng = np.random.default_rng(3)
+        y, v = np.sin(5 * t) + 0.1 * rng.standard_normal(n), 5 * np.cos(5 * t)
+        i = np.arange(n)
+        W = 0.5 ** np.abs(i[:, None] - i[None, :])
+        W[0, 5] += 1e-3
+        design = build_design(t, 1e-3)
+        theta = fit_theta(design, y, v, 0.7, W, np.eye(n))
+        hats = hat_matrices_correlated(design, 0.7, W, np.eye(n))
+        np.testing.assert_allclose(hats.S @ y + 0.7 * (hats.T @ v), theta[:n], rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["W", "Ucorr"])
+    def test_non_finite_weights_are_input_errors(self, name, bad):
+        # a NaN or inf weight is the caller's input, not an overflow: it used
+        # to raise SingularSystemError "overflowed ... (lambda or gamma too large)"
+        n = 6
+        t = np.linspace(0.1, 0.9, n)
+        y, v = np.sin(t), np.cos(t)
+        design = build_design(t, 1e-2)
+        for tridiagonal in (True, False):   # the banded and the dense route
+            mats = {"W": ar1_precision(n, 0.5), "Ucorr": np.eye(n)}
+            if not tridiagonal:
+                mats["W"][0, 3] = mats["W"][3, 0] = 0.1
+            mats[name][2, 2] = bad
+            for call in (lambda: fit_theta(design, y, v, 0.7, **mats),
+                         lambda: _fit_point(design, y, v, 0.7, **mats, hats="diagonals"),
+                         lambda: hat_matrices_correlated(design, 0.7, **mats)):
+                with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                    call()
+
 
 class TestKeystoneEquivalence:
     """Basis regression and the representer system are the same minimizer."""
