@@ -9,9 +9,9 @@ channels.  :func:`optimize_params` grid-searches the penalty and the
 velocity weight on log scales and then refines each coordinate with
 golden-section sweeps.  One scorer per search holds everything that no
 (lam, gamma) changes and evaluates the criterion as whole-array
-operations over a stack of points (a chunk of the grid, the opening points
-of a golden-section sweep, or one later point); no (lam, gamma) is scored
-twice.
+operations over a stack of points (at most ``_STACK_COLUMNS`` unknowns of
+the grid, the opening points of a golden-section sweep, or one later
+point); no (lam, gamma) is scored twice.
 
 All scores are computed through the Hermite-basis formulation of
 :mod:`vspline.hermite`, which covers ``gamma = 0`` and penalties constant
@@ -24,6 +24,7 @@ full problem, so the closed form and the brute force agree to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +33,8 @@ from scipy.linalg import cholesky, eigh
 
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import _check_data, _check_param, check_knots
-from .hermite import _ErrorWeights, _fit_stack, _weight_matrix, build_design, fit_theta
+from .hermite import (_ErrorWeights, _fit_stack, _overflowed, _weight_matrix, build_design,
+                      fit_theta)
 from .kernels import KernelConfig
 
 __all__ = [
@@ -58,10 +60,10 @@ _DEGENERATE = {
 }
 _DEGENERATE["gcv-corr"] = _DEGENERATE["gcv"]
 
-# A search scores its coarse grid in chunks of _GRID_CHUNK to
-# 2 * _GRID_CHUNK - 1 points, one engine call each, which bounds the
-# memory of a stack: its bands of A and A^-1 and its hat diagonals.
-_GRID_CHUNK = 64
+# The most unknowns (2n per point) of one engine call: the stack's bands of
+# A and A^-1, its band system and its hats stay within a few megabytes.  A
+# point with more unknowns is a stack of its own.
+_STACK_COLUMNS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,9 +146,13 @@ def _design_for(t, lam, cfg: KernelConfig):
     where a :class:`KernelConfig` meets the basis route.  The basis is one
     cubic per knot interval, so a value that changes strictly inside one
     raises ``ValueError`` naming the breakpoint; breakpoints on the knots,
-    outside ``[t1, tn]``, or between equal values are accepted.
+    outside ``[t1, tn]``, or between equal values are accepted.  A lam so
+    large that a weighted value overflows raises the engine's overflow
+    :class:`SingularSystemError`, as the band it would fill does.
     """
-    breaks, values = cfg.breakpoints, lam * cfg.weights
+    breaks = cfg.breakpoints
+    with np.errstate(over="ignore"):   # checked below
+        values = lam * cfg.weights
     inner = breaks[1:-1]
     jumps = (values[1:] != values[:-1]) & (inner > t[0]) & (inner < t[-1]) & ~np.isin(inner, t)
     if jumps.any():
@@ -154,6 +160,8 @@ def _design_for(t, lam, cfg: KernelConfig):
         k = np.searchsorted(t, b)
         raise ValueError(f"the penalty changes at breakpoint {b!r}, inside the knot interval "
                          f"[{float(t[k - 1])!r}, {float(t[k])!r}] of the basis route")
+    if not np.isfinite(values).all():
+        raise _overflowed("penalty")
     mid = 0.5 * (np.append(0.0, t) + np.append(t, 1.0))
     return build_design(t, values[np.searchsorted(breaks, mid) - 1])
 
@@ -235,7 +243,9 @@ class _Scorer:
     ``W y`` and ``Ucorr v``).  A point then costs its share of one
     :func:`vspline.hermite._fit_stack` call, which returns the hat
     diagonals for "cv" and only the four traces for the GCV criteria;
-    :func:`_criterion` runs once per stack.  A missing ``corr`` for
+    :func:`_criterion` runs once per stack.  :meth:`scores` is the one
+    place that sizes the stacks: at most ``_STACK_COLUMNS`` unknowns each,
+    or one point when a point has more.  A missing ``corr`` for
     "gcv-corr", or one of another size than the data
     (:class:`vspline.hermite._ErrorWeights`), fails here.
     """
@@ -251,16 +261,13 @@ class _Scorer:
     def scores(self, lams, gammas):
         """Scores at the points ``(lams[i], gammas[i])``, NaN where the
         criterion is degenerate or not finite or the system singular or
-        overflowed; ``2 * _GRID_CHUNK`` points or more run in chunks of
-        ``_GRID_CHUNK`` to ``2 * _GRID_CHUNK - 1``, with the same bits."""
+        overflowed: consecutive stacks of at most ``_STACK_COLUMNS``
+        unknowns each (one point when a point has more), in order, with
+        the bits of each point scored alone."""
         lams, gammas = np.asarray(lams, dtype=float), np.asarray(gammas, dtype=float)
-        count = lams.size
-        if count < 2 * _GRID_CHUNK:
-            return self.stack(lams, gammas)[0]
-        out = np.empty(count)
-        for chunk in np.array_split(np.arange(count), count // _GRID_CHUNK):
-            out[chunk] = self.stack(lams[chunk], gammas[chunk])[0]
-        return out
+        step = max(1, _STACK_COLUMNS // self.band.shape[1])
+        return np.concatenate([self.stack(lams[i:i + step], gammas[i:i + step])[0]
+                               for i in range(0, lams.size, step)])
 
     def stack(self, lams, gammas):
         """The scores at a stack of points (NaN where a point failed), the
@@ -366,34 +373,30 @@ def _check_range(bounds, points, bounds_name, points_name):
         raise ValueError(f"{points_name} must be at least 1")
 
 
-def _golden_min(f, lo, hi, iters=40, prefetch=None):
-    """Deterministic golden-section minimum of f on [lo, hi].
-
-    ``prefetch``, if given, is called once with the four opening points
-    (both ends and the two interior points) before f is asked for any of
-    them, so that they can be computed together.  Returns the best point
-    actually evaluated, so a non-unimodal f cannot make the result worse
-    than the bracket endpoints.
+def _golden_min(f, lo, hi):
+    """Deterministic golden-section minimum on [lo, hi] of f, which scores
+    an array of points: the four opening points (both ends and the two
+    interior points) in one call, then each of 40 later points in its own.
+    Returns the best ``(score, point)`` actually evaluated, so a
+    non-unimodal f cannot make the result worse than the bracket
+    endpoints.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    if prefetch is not None:
-        prefetch([lo, hi, c, d])
-    pts = [(f(lo), lo), (f(hi), hi)]
-    fc, fd = f(c), f(d)
-    pts += [(fc, c), (fd, d)]
-    for _ in range(iters):
+    f_lo, f_hi, fc, fd = f(np.array([lo, hi, c, d]))
+    pts = [(f_lo, lo), (f_hi, hi), (fc, c), (fd, d)]
+    for _ in range(40):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            (fc,) = f(np.array([c]))
             pts.append((fc, c))
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
+            (fd,) = f(np.array([d]))
             pts.append((fd, d))
     return min(pts, key=lambda p: p[0])
 
@@ -420,13 +423,13 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     trace matrix.  Without ``corr`` every score is O(n) (banded route).
     "gcv-corr" takes the banded route too when ``W`` and ``Ucorr`` are at
     most tridiagonal (plus the O(n^2) whitening of its residuals) and is
-    dense, O(n^3) per score, only for wider matrices.  The grid is scored
-    in chunks of at most ``2 * _GRID_CHUNK - 1`` points; the four opening
-    points of each golden-section sweep not already scored are one stack,
-    and each later point is a stack of one.  On the banded route a stack
-    of any size costs one LAPACK factorization, one LAPACK solve, and one
-    BLAS banded triangular solve per group of points for their bands of
-    ``A^-1``; the GCV criteria read each point's four traces from one
+    dense, O(n^3) per score, only for wider matrices.  The grid, and the
+    four opening points of each golden-section sweep not already scored,
+    go to the engine in stacks of at most ``_STACK_COLUMNS`` unknowns
+    (:meth:`_Scorer.scores`), and each later point is a stack of one.  On
+    the banded route a stack of any size costs one LAPACK factorization,
+    one LAPACK solve, and one BLAS banded triangular solve for its bands
+    of ``A^-1``; the GCV criteria read each point's four traces from one
     product.  The criterion runs as whole-array operations over each
     stack, and a degenerate, singular or overflowing point, or one whose
     score is not finite, scores NaN without a warning.  No (lam, gamma)
@@ -450,19 +453,13 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     surface = np.column_stack([grid_lams, grid_gammas, scores])
     memo = dict(zip(zip(grid_lams.tolist(), grid_gammas.tolist()), scores.tolist()))
 
-    def sweep_score(lam, gamma):
-        key = (float(lam), float(gamma))
-        if key not in memo:
-            memo[key] = scorer.scores([lam], [gamma])[0]
-        val = memo[key]
-        return np.inf if np.isnan(val) else val
-
-    def prefetch(points):
-        """Score the ``(lam, gamma)`` points not yet scored as one stack."""
-        keys = dict.fromkeys((float(lam), float(gamma)) for lam, gamma in points)
-        new = [key for key in keys if key not in memo]
+    def sweep_scores(points):
+        """The scores at the ``(lam, gamma)`` points, inf for NaN; those not
+        yet scored are scored in one call."""
+        new = [key for key in dict.fromkeys(points) if key not in memo]
         if new:
             memo.update(zip(new, scorer.scores(*zip(*new)).tolist()))
+        return [math.inf if math.isnan(memo[key]) else memo[key] for key in points]
 
     degenerate = int(np.sum(np.isnan(scores)))
     if degenerate == surface.shape[0]:
@@ -480,14 +477,14 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
             # an axis whose bracket is a single point has nothing to refine
             if lam_lo < lam_hi:
                 score, log_best = _golden_min(
-                    lambda ll: sweep_score(10.0**ll, best_gamma), lam_lo, lam_hi,
-                    prefetch=lambda lls: prefetch([(10.0**ll, best_gamma) for ll in lls]))
+                    lambda lls: sweep_scores([(10.0**ll, best_gamma) for ll in lls]),
+                    lam_lo, lam_hi)
                 if np.isfinite(score) and score <= best_score:
                     best_lam, best_score = 10.0**log_best, score
             if gam_lo < gam_hi:
                 score, log_best = _golden_min(
-                    lambda lg: sweep_score(best_lam, 10.0**lg), gam_lo, gam_hi,
-                    prefetch=lambda lgs: prefetch([(best_lam, 10.0**lg) for lg in lgs]))
+                    lambda lgs: sweep_scores([(best_lam, 10.0**lg) for lg in lgs]),
+                    gam_lo, gam_hi)
                 if np.isfinite(score) and score <= best_score:
                     best_gamma, best_score = 10.0**log_best, score
 

@@ -27,11 +27,12 @@ precisions), they keep the bandwidth of ``A``: the stack is assembled as
 one block-diagonal band, which one banded Cholesky factorization and one
 banded solve cover, and the hat diagonals and traces come from the band
 of ``A^-1``, which the selected-inverse recursion gives as the solution
-of one banded triangular system per group of points; the traces are one
-product of that band with a fixed matrix.  So a point costs three
-LAPACK/BLAS calls and a few array operations, shared by its whole stack:
-O(n) time and memory, no 2n-by-2n matrix.  Wider ``W``/``Ucorr`` fill
-``A`` in and take the dense route.  The full hat blocks of
+of one banded triangular system for the whole stack; the traces are one
+product of that band with a fixed matrix.  So a stack costs three
+LAPACK/BLAS calls and a few array operations, whatever its size: O(n)
+time and memory per point, no 2n-by-2n matrix.  The caller bounds the
+size of a stack (:class:`vspline.gcv._Scorer`).  Wider ``W``/``Ucorr``
+fill ``A`` in and take the dense route.  The full hat blocks of
 :func:`hat_matrices` and :func:`hat_matrices_correlated` stay dense, as
 the tests' oracles.
 """
@@ -439,7 +440,7 @@ def _factor_solve_stack(ab, rhs):
     return errors
 
 
-def _band_inverse(L, system=None):
+def _band_inverse(L):
     """The bands of ``Z = A^-1`` of a stack of factors: ``L[p]`` is point
     ``p``'s band of ``L``, (size, 4), ``L[p, j, r] = L[j + r, j]``, zero
     past the end of each row (the buffer layout of :func:`_normal_stack`);
@@ -468,15 +469,13 @@ def _band_inverse(L, system=None):
     stack is solved as one system, its columns joined end to end, by one
     BLAS ``dtbsv``: ``l_k`` is zero wherever ``j + k`` passes the end of a
     point, so no coefficient couples two points and the joined system is
-    block diagonal.  ``system`` holds its band, (count size, 40): per
-    column, the 10 band entries of each of its four unknowns in turn.  It
-    is zeros, or a buffer of at least as many columns that an earlier call
-    filled at the same point size, since each call rewrites the same 12
-    slots per column (the unit diagonal is never read).
+    block diagonal.  Its band, ``system``, is (count size, 40): per column,
+    the 10 band entries of each of its four unknowns in turn, of which 12
+    are set (the unit diagonal is never read).
     """
     count, size = L.shape[:2]
     L = L.reshape(-1, 4)
-    system = np.zeros((L.shape[0], 40)) if system is None else system[:L.shape[0]]
+    system = np.zeros((L.shape[0], 40))
     inv = 1.0 / L[:, 0]
     ratios = L[:, 1:] * inv[:, None]   # l1, l2, l3 of each column
     # the coefficient of unknown 4c + q in row i sits at system[c, 10 q + 9 - (4c + q - i)];
@@ -560,16 +559,6 @@ def _dense_stack(band, lams, gammas, weights: _ErrorWeights, diagonals):
     return x.reshape(-1, 2, n).swapaxes(1, 2).reshape(-1, 2 * n), diags, errors
 
 
-# The bands of A^-1 of a stack are solved in groups of ceil(count / 10)
-# points, so that the system buffer (40 doubles per column) is no larger than
-# the stack's bands of A^-1 (4 per column), and of at most _INVERSE_COLUMNS
-# columns (one point when a point is larger): a larger joined system leaves
-# the cache between its strided writes, its solve and its hats.  Groups of
-# ceil(count / 10) points alone made a 65-point cv chunk at n = 5000 1.6
-# times slower than one solve per point (2-vCPU VM, one BLAS thread).
-_INVERSE_COLUMNS = 2048
-
-
 def _banded_stack(band, lams, gammas, weights: _ErrorWeights, hats):
     """:func:`_fit_stack` on the banded route: the interleaved solutions,
     the hats and the errors, or ``None`` when a joined call of a stack of
@@ -585,26 +574,19 @@ def _banded_stack(band, lams, gammas, weights: _ErrorWeights, hats):
     L = ab.transpose(0, 2, 1)   # the factors, (count, size, 4), in the order of the buffer
     count, size = L.shape[:2]
     ok = [p for p, error in enumerate(errors) if error is None]
-    group = max(1, min(-(-count // 10), _INVERSE_COLUMNS // size))
-    system = np.zeros((min(group, len(ok)) * size, 40))
-    parts = []
-    for start in range(0, len(ok), group):
-        part = ok[start:start + group]
-        if part[-1] - part[0] == len(part) - 1:   # consecutive points: a view, not a copy
-            part = slice(part[0], part[-1] + 1)
-        zb = _band_inverse(L[part], system)
-        if len(zb) > 1 and not np.isfinite(zb).all():
-            return None
-        if hats == "traces":
-            parts.append(np.matmul(zb.reshape(len(zb), 1, -1), weights.trace_matrix)[:, 0].T)
-        else:
-            parts.append(_hat_diagonals(np.ascontiguousarray(zb.transpose(0, 2, 1)),
-                                        weights.bands))
-    if len(parts) == 1 and len(ok) == count:   # one group of every point
-        return x, parts[0], errors
     out = np.zeros((4, count, size // 2) if hats == "diagonals" else (4, count))
-    if ok:   # a failed point keeps zeros
-        out[:, ok] = np.concatenate(parts, axis=1)
+    if not ok:   # a failed point keeps zeros
+        return x, out, errors
+    zb = _band_inverse(L if len(ok) == count else L[ok])
+    if len(zb) > 1 and not np.isfinite(zb).all():
+        return None
+    if hats == "traces":
+        hat = np.matmul(zb.reshape(len(zb), 1, -1), weights.trace_matrix)[:, 0].T
+    else:
+        hat = _hat_diagonals(np.ascontiguousarray(zb.transpose(0, 2, 1)), weights.bands)
+    if len(ok) == count:
+        return x, hat, errors
+    out[:, ok] = hat
     return x, out, errors
 
 
@@ -624,16 +606,14 @@ def _fit_stack(band, lams, gammas, weights: _ErrorWeights, hats="diagonals"):
     The banded route (``weights.bands``) assembles the stack by
     :func:`_normal_stack`, factors and solves the whole stack by one
     ``dpbtrf`` and one ``dpbtrs`` (:func:`_factor_solve_stack`), and
-    takes the band of ``A^-1`` of every point that did not fail by
-    :func:`_band_inverse`, one ``dtbsv`` per group of ``ceil(count / 10)``
-    points and at most ``_INVERSE_COLUMNS`` columns.  Each group's hats are
-    taken while its bands are in cache: the diagonals by
-    :func:`_hat_diagonals`, the traces by one product per point with
-    ``weights.trace_matrix`` (a batched ``matmul``); no stack of bands of
-    ``A^-1`` is kept.  In a joined call a
+    takes the bands of ``A^-1`` of the points that did not fail by one
+    ``dtbsv`` (:func:`_band_inverse`).  The hats come from those bands:
+    the diagonals by :func:`_hat_diagonals`, the traces by one product per
+    point with ``weights.trace_matrix`` (a batched ``matmul``).  Memory
+    grows with the stack, which the caller bounds.  In a joined call a
     non-finite value spreads to the neighbouring blocks (``0 * inf`` is
-    NaN), so a stack of more than one point that meets one is refitted
-    one point at a time, through the same code.  A point has the same bits
+    NaN), so a stack of more than one point that meets one is refitted one
+    point at a time, through the same code.  A point has the same bits
     alone and in any stack.  The dense route (:func:`_dense_stack`) fits
     point by point.
     """

@@ -220,6 +220,28 @@ class TestFit:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error while fitting: ")
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weights"])
+    def test_largest_lambda_exit_3_with_and_without_weights(self, tmp_path, capsys, weighted):
+        # lam = 1e308 overflows the band, or with a weight above 1 the
+        # weighted penalty itself: one numerical failure, exit 3, no
+        # report, and no numpy warning
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "30", "--seed", "1", "--out", str(data)])
+        capsys.readouterr()
+        args = ["fit", str(data), "--lambda", "1e308", "--out", str(tmp_path / "r.json")]
+        if weighted:
+            wfile = tmp_path / "w.txt"
+            wfile.write_text("\n".join(["0.5", "2.0"] * 15 + ["2.0"]) + "\n")
+            args += ["--weights", str(wfile)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(args)
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error while fitting: ")
+        assert "overflowed" in err[0]
+        assert not (tmp_path / "r.json").exists()
+
     def test_overflowing_solution_exit_3(self, tmp_path, capsys):
         # finite data whose fit overflows inside the solve: exit 3 and no
         # files, not a report full of NaN tokens (which is not JSON)

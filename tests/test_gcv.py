@@ -13,8 +13,8 @@ from conftest import (ar1_precision, mixed_chunk, mixed_failure_problems, random
 from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
                      build_design, cv_brute_force, cv_closed_form, fit_theta, fit_vspline,
                      gcv_correlated, gcv_score, hat_matrices_correlated, optimize_params)
-from vspline.gcv import (_GRID_CHUNK, _criterion, _design_for, _golden_min, _psd_sqrt, _score,
-                         _Scorer)
+from vspline.gcv import (_STACK_COLUMNS, _criterion, _design_for, _golden_min, _psd_sqrt,
+                         _score, _Scorer)
 from vspline.errors import DegenerateScoreError, SingularSystemError
 from vspline.hermite import _ErrorWeights, _fit_point
 
@@ -134,6 +134,24 @@ class TestBandedMemory:
             tracemalloc.stop()
         assert np.isfinite(res.score) and res.degenerate_count == 0
         assert peak < 8 * (2 * n) ** 2 / 10
+
+    @pytest.mark.parametrize("criterion", ["cv", "gcv"])
+    def test_default_grid_search_stays_small(self, criterion):
+        # the engine gets stacks of at most _STACK_COLUMNS unknowns, one
+        # point each at n = 1000: the default 15 x 13 search and its golden
+        # sweeps stay under 3 MB traced, a few of one point's bands
+        n = 1000
+        t = np.linspace(0.05, 0.95, n)
+        y = np.sin(6 * t) + np.random.default_rng(31).normal(0.0, 0.1, n)
+        v = 6 * np.cos(6 * t)
+        tracemalloc.start()
+        try:
+            res = optimize_params(t, y, v, UNIFORM, criterion=criterion)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(res.score) and res.surface.shape == (15 * 13, 3)
+        assert peak < 3e6
 
     def test_tridiagonal_correlated_route_allocates_no_dense_matrix(self):
         # the spec itself holds n-by-n matrices, the square roots of its
@@ -532,18 +550,18 @@ class TestOptimizeParams:
 
     @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
     def test_batched_grid_is_bitwise_the_per_point_scores(self, criterion, monkeypatch):
-        # chunks of a grid that is no multiple of the chunk size, on random
+        # stacks of a grid that is no multiple of the stack size, on random
         # instances with and without interval weights; a point with no
         # penalty and no velocity weight is not positive definite and is
         # NaN, alone
         import vspline.gcv as gcv_mod
         rng = np.random.default_rng(24)
-        count = 2 * _GRID_CHUNK + 7
+        count = 2 * 64 + 7
         chunks = []
         real = gcv_mod._Scorer.stack
 
         def spy(self, lams, gammas):
-            chunks.append(len(lams))
+            chunks.append(np.array(lams))
             return real(self, lams, gammas)
 
         monkeypatch.setattr(gcv_mod._Scorer, "stack", spy)
@@ -559,7 +577,10 @@ class TestOptimizeParams:
             lams[17], gammas[17] = 0.0, 0.0
             chunks.clear()
             got = _Scorer(unit, y, v, criterion, corr).scores(lams, gammas)
-            assert sorted(chunks) == [count // 2, count - count // 2]
+            # every stack holds at most the cap's columns, or one point, in grid order
+            assert len(chunks) > 1
+            assert all(len(c) * 2 * n <= _STACK_COLUMNS or len(c) == 1 for c in chunks)
+            np.testing.assert_array_equal(np.concatenate(chunks), lams)
             want = np.full(count, np.nan)
             for i in range(count):
                 try:
@@ -593,7 +614,7 @@ class TestOptimizeParams:
         for weighted in (False, True):
             t, y, v, cfg, _, _ = random_instance(rng, n_range=(8, 30), weighted=weighted)
             unit = _design_for(t, 1.0, cfg)
-            for count in (_GRID_CHUNK, 3):
+            for count in (64, 3):
                 lams = 10.0 ** rng.uniform(-4, 1, count)
                 gammas = 10.0 ** rng.uniform(-2, 2, count)
                 got = _Scorer(unit, y, v, "cv").scores(lams, gammas)
@@ -665,7 +686,7 @@ class TestOptimizeParams:
                      CorrelationSpec(W=wide, Ucorr=np.eye(n))]
         for corr in specs:
             scorer = _Scorer(_design_for(t, 1.0, UNIFORM), y, v, criterion, corr)
-            for count in (1, _GRID_CHUNK):
+            for count in (1, 64):
                 lams, gammas = np.geomspace(0.1, 10.0, count), np.ones(count)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -704,8 +725,8 @@ class TestOptimizeParams:
         public = {"cv": cv_closed_form, "gcv": gcv_score}[criterion]
         for weighted in (False, True):
             t, y, v, cfg, _, _ = random_instance(rng, n_range=(8, 30), weighted=weighted)
-            lams = 10.0 ** rng.uniform(-8, 2, _GRID_CHUNK)
-            gammas = 10.0 ** rng.uniform(-4, 4, _GRID_CHUNK)
+            lams = 10.0 ** rng.uniform(-8, 2, 64)
+            gammas = 10.0 ** rng.uniform(-4, 4, 64)
             tiny = [3, 20, 41]
             lams[tiny], gammas[tiny] = 1e-300, 1.0
             got = _Scorer(_design_for(t, 1.0, cfg), y, v, criterion).scores(lams, gammas)
@@ -728,7 +749,7 @@ class TestOptimizeParams:
                          CorrelationSpec(W=_ar1(n, 0.4), Ucorr=np.eye(n))]
             for corr in specs:
                 scorer = _Scorer(_design_for(t, 1.0, cfg), y, v, criterion, corr)
-                count = 8 if scorer.weights.bands is None else _GRID_CHUNK
+                count = 8 if scorer.weights.bands is None else 64
                 lams = 10.0 ** rng.uniform(-8, 2, count)
                 gammas = 10.0 ** rng.uniform(-4, 4, count)
                 chunk = scorer.stack(lams, gammas)[0]
@@ -796,6 +817,25 @@ class TestWeightedConfigScores:
             brute = cv_brute_force(t, y, v, lam, gamma, cfg)
             closed = cv_closed_form(t, y, v, lam, gamma, cfg)
             assert closed.value == pytest.approx(brute.value, rel=1e-6)
+
+    def test_overflowing_weighted_penalty_is_a_numerical_failure(self):
+        # lam times a weight above 1 overflows before the band is built: the
+        # engine's overflow error, as for an unweighted lam whose band
+        # overflows, without a warning; build_design still rejects an
+        # infinite penalty value as an input fault
+        n = 12
+        t = np.linspace(0.05, 0.95, n)
+        y, v = np.sin(6 * t), 6 * np.cos(6 * t)
+        cfg = KernelConfig.piecewise(np.concatenate([[0.0], t, [1.0]]),
+                                     np.where(np.arange(n + 1) % 2, 2.0, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for config in (cfg, UNIFORM):
+                with pytest.raises(SingularSystemError, match="overflowed"):
+                    cv_closed_form(t, y, v, 1e308, 1.0, config)
+            with pytest.raises(ValueError, match="penalty values must be finite") as info:
+                build_design(t, np.full(n + 1, np.inf))
+            assert not isinstance(info.value, SingularSystemError)
 
     def test_penalty_changing_inside_a_knot_interval_is_rejected(self):
         # the basis is cubic between knots, so it cannot represent the

@@ -13,7 +13,7 @@ from conftest import (ar1_precision, jittered_knots, mixed_chunk, mixed_failure_
 from vspline import (HermiteBasis, KernelConfig, SingularSystemError, build_design,
                      build_gram, fit_theta, fit_vspline, hat_matrices,
                      hat_matrices_correlated, solve_coefficients)
-from vspline.gcv import _GRID_CHUNK, _design_for
+from vspline.gcv import _design_for
 from vspline.hermite import (_band_inverse, _ErrorWeights, _factor_normal, _fit_point,
                              _fit_stack, _normal_stack)
 
@@ -366,7 +366,7 @@ class TestBandedEngine:
                 want = _fit_point(design, y, v, gamma, eye, eye, hats="diagonals")
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
-                for count in (1, _GRID_CHUNK):
+                for count in (1, 64):
                     lams, gammas = 10.0 ** rng.uniform(-4.0, 0.0, (2, count))
                     got = _fit_stack(design.band, lams, gammas, _ErrorWeights(y, v))
                     want = _fit_stack(design.band, lams, gammas, _ErrorWeights(y, v, eye, eye))
@@ -506,10 +506,9 @@ class TestBandedEngine:
 
     def test_band_is_bitwise_the_same_alone_and_in_a_stack(self, monkeypatch):
         # a stack of 29 points is factored and solved in joined calls and its
-        # bands of A^-1 come from ten joined solves of three points or fewer:
-        # each point's band, traces and diagonals have the bits of the point
-        # fitted alone, signed zeros and the zero tail past the end of each
-        # row included
+        # bands of A^-1 come from one joined solve: each point's band, traces
+        # and diagonals have the bits of the point fitted alone, signed zeros
+        # and the zero tail past the end of each row included
         import vspline.hermite as hermite_mod
         real = hermite_mod._band_inverse
         solves = []
@@ -532,12 +531,12 @@ class TestBandedEngine:
             solves.clear()
             stack = {hats: _fit_stack(design.band, lams, gammas, weights, hats)
                      for hats in ("diagonals", "traces")}
-            assert len(solves) == 2 * 10 and all(len(band) <= 3 for band in solves)
+            assert len(solves) == 2 and all(len(band) == count for band in solves)
             # the traces of one product are the sums of the diagonals, to the
             # rounding of sums of O(1) terms (tr T and tr U cancel for AR(1) weights)
             np.testing.assert_allclose(stack["traces"][2], stack["diagonals"][2].sum(axis=2),
                                        rtol=1e-12, atol=1e-12)
-            bands = np.concatenate(solves[:10])
+            bands = solves[0]
             assert bands.shape == (count, 2 * n, 4)
             for p in range(count):
                 solves.clear()
