@@ -8,10 +8,9 @@ variant accepts known precision structures for the two observation
 channels.  :func:`optimize_params` grid-searches the penalty and the
 velocity weight on log scales and then refines each coordinate with
 golden-section sweeps.  One scorer per search holds everything that no
-(lam, gamma) changes and evaluates the criterion as whole-array
-operations over a stack of points (at most ``_STACK_COLUMNS`` unknowns of
-the grid, the opening points of a golden-section sweep, or one later
-point); no (lam, gamma) is scored twice.
+(lam, gamma) changes and evaluates the criterion over a stack of points
+(at most ``_STACK_COLUMNS`` unknowns of the grid, the opening points of a
+golden-section sweep, or one later point); no (lam, gamma) is scored twice.
 
 All scores are computed through the Hermite-basis formulation of
 :mod:`vspline.hermite`, which covers ``gamma = 0`` and penalties constant
@@ -76,10 +75,11 @@ class CvScore:
 
 
 def _psd_sqrt(A):
-    """Symmetric PSD square root via eigendecomposition."""
+    """Symmetric PSD square root via eigendecomposition, read-only."""
     w, Q = eigh(np.asarray(A, dtype=float))
-    w = np.clip(w, 0.0, None)
-    return (Q * np.sqrt(w)) @ Q.T
+    root = (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.T
+    root.flags.writeable = False
+    return root
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,22 +115,18 @@ class CorrelationSpec:
                 cholesky(sym, lower=True)
             except np.linalg.LinAlgError:
                 raise ValueError(f"{name} must be positive definite")
+            sym.flags.writeable = False
             mats.append(sym)
         W, U = mats
         if W.shape != U.shape:
             raise ValueError("W and Ucorr must have the same size")
-        for mat in (W, U):
-            mat.flags.writeable = False
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "Ucorr", U)
 
     @cached_property
     def _roots(self):
         """``(W^(1/2), Ucorr^(1/2))``, read-only."""
-        roots = (_psd_sqrt(self.W), _psd_sqrt(self.Ucorr))
-        for root in roots:
-            root.flags.writeable = False
-        return roots
+        return _psd_sqrt(self.W), _psd_sqrt(self.Ucorr)
 
 
 def _check_inputs(t, y, v, lam, gamma):
@@ -154,7 +150,8 @@ def _design_for(t, lam, cfg: KernelConfig):
     with np.errstate(over="ignore"):   # checked below
         values = lam * cfg.weights
     inner = breaks[1:-1]
-    jumps = (values[1:] != values[:-1]) & (inner > t[0]) & (inner < t[-1]) & ~np.isin(inner, t)
+    on_knot = t.take(np.searchsorted(t, inner), mode="clip") == inner   # t is sorted
+    jumps = (values[1:] != values[:-1]) & (inner > t[0]) & (inner < t[-1]) & ~on_knot
     if jumps.any():
         b = float(inner[jumps][0])
         k = np.searchsorted(t, b)
@@ -189,23 +186,23 @@ def cv_brute_force(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
 
 
 def _criterion(criterion, r, rp, hats, gammas, corr: CorrelationSpec | None = None):
-    """The score ``criterion`` at a stack of points, from each point's fit:
+    """The score ``criterion`` at a stack of points from each point's fit:
     the residuals ``r`` and ``rp`` of its values and slopes, (count, n),
-    and its ``hats`` of :func:`vspline.hermite._fit_stack`, at the
-    velocity weights ``gammas``: for "cv" the hat diagonals
-    ``(S_ii, T_ii, U_ii, V_ii)``, the C-ordered (4, count, n) array, for
-    "gcv" and "gcv-corr" their traces ``(tr S, tr T, tr U, tr V)``,
-    (4, count).  The formulas are those of :func:`cv_closed_form`,
-    :func:`gcv_score` and :func:`gcv_correlated`; "gcv-corr" is "gcv" on
-    the residuals whitened point by point, ``W^(1/2) r`` and
-    ``Ucorr^(1/2) rp``, by one batched ``matmul`` each.
+    and its ``hats`` of :func:`vspline.hermite._fit_stack` at the velocity
+    weights ``gammas`` (a list of floats): the hat diagonals, C-ordered
+    (4, count, n), for "cv", their traces, (4, count), for "gcv" and
+    "gcv-corr".  The formulas are those of :func:`cv_closed_form`,
+    :func:`gcv_score` and :func:`gcv_correlated` ("gcv" on the residuals
+    whitened point by point, ``W^(1/2) r`` and ``Ucorr^(1/2) rp``).
 
-    Returns the scores and the masks of the points whose velocity and
-    whose position denominator is degenerate (below ``_DENOM_FLOOR``; the
-    trace denominator relative to ``n``).  The score is NaN there and
-    wherever it is not finite (overflow).  Every operation is elementwise,
-    reduces one point's row or multiplies one point's vector, so a point's
-    score has the same bits in any stack.
+    Returns, as lists, the scores (NaN where degenerate or not finite) and
+    the masks of the points whose velocity and whose position denominator
+    is below ``_DENOM_FLOOR`` (the trace denominator relative to ``n``).
+    Array operations are elementwise or reduce one point's row, so a point
+    has the same bits in any stack.  A point's GCV scalars are Python
+    floats in the order of the whole-array formula, so with its bits;
+    nothing raises: a ``dv`` of 0 gives a NaN ``k`` (numpy's inf or NaN,
+    masked either way), and ``den`` is squared as ``den * den``.
     """
     n = r.shape[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -215,22 +212,27 @@ def _criterion(criterion, r, rp, hats, gammas, corr: CorrelationSpec | None = No
             rp = np.matmul(u_root, rp[:, :, None])[:, :, 0]
         if criterion == "cv":
             s_diag, t_diag, u_diag, v_diag = hats
-            g = gammas[:, None]
+            g = np.array(gammas)[:, None]
             dv = 1.0 - g * v_diag
             k = g * t_diag / dv
             den = 1.0 - s_diag - k * u_diag
             scores = (((r + k * rp) / den) ** 2).sum(axis=1) / n   # np.mean's bits
             bad_dv = (np.abs(dv) < _DENOM_FLOOR).any(axis=1)
             bad_den = (np.abs(den) < _DENOM_FLOOR).any(axis=1)
-        else:
-            tr_s, tr_t, tr_u, tr_v = hats
-            dv = n - gammas * tr_v
-            k = gammas * tr_t / dv
-            den = (n - tr_s - k * tr_u) / n
-            bad_dv = np.abs(dv) < _DENOM_FLOOR
-            bad_den = np.abs(den) < _DENOM_FLOOR
-            scores = ((r + k[:, None] * rp) ** 2).sum(axis=1) / n / den ** 2
-    scores[bad_dv | bad_den | ~np.isfinite(scores)] = np.nan
+            scores[bad_dv | bad_den | ~np.isfinite(scores)] = np.nan
+            return scores.tolist(), (bad_dv.tolist(), bad_den.tolist())
+        ks, dvs, dens = [], [], []
+        for g, tr_s, tr_t, tr_u, tr_v in zip(gammas, *hats.tolist()):
+            dvs.append(n - g * tr_v)
+            ks.append(g * tr_t / dvs[-1] if dvs[-1] else math.nan)   # masked by bad_dv
+            dens.append((n - tr_s - ks[-1] * tr_u) / n)
+        norms = ((r + np.array(ks)[:, None] * rp) ** 2).sum(axis=1).tolist()
+    scores, bad_dv, bad_den = [], [], []
+    for norm, dv, den in zip(norms, dvs, dens):
+        bad_dv.append(abs(dv) < _DENOM_FLOOR)
+        bad_den.append(abs(den) < _DENOM_FLOOR)
+        score = math.nan if bad_dv[-1] or bad_den[-1] else norm / n / (den * den)
+        scores.append(score if math.isfinite(score) else math.nan)
     return scores, (bad_dv, bad_den)
 
 
@@ -259,26 +261,26 @@ class _Scorer:
         self.weights = _ErrorWeights(y, v, *mats)
 
     def scores(self, lams, gammas):
-        """Scores at the points ``(lams[i], gammas[i])``, NaN where the
-        criterion is degenerate or not finite or the system singular or
-        overflowed: consecutive stacks of at most ``_STACK_COLUMNS``
-        unknowns each (one point when a point has more), in order, with
-        the bits of each point scored alone."""
-        lams, gammas = np.asarray(lams, dtype=float), np.asarray(gammas, dtype=float)
+        """The scores at the points ``(lams[i], gammas[i])`` as a list, NaN as in
+        :meth:`stack`, in consecutive stacks of at most ``_STACK_COLUMNS``
+        unknowns (one point when a point has more), each point with its bits alone."""
         step = max(1, _STACK_COLUMNS // self.band.shape[1])
-        return np.concatenate([self.stack(lams[i:i + step], gammas[i:i + step])[0]
-                               for i in range(0, lams.size, step)])
+        if len(lams) <= step:
+            return self.stack(lams, gammas)[0]
+        return [score for i in range(0, len(lams), step)
+                for score in self.stack(lams[i:i + step], gammas[i:i + step])[0]]
 
     def stack(self, lams, gammas):
         """The scores at a stack of points (NaN where a point failed), the
         :class:`SingularSystemError` of each point or ``None``, and the
         degenerate masks of :func:`_criterion`."""
+        lams, gammas = np.asarray(lams, dtype=float), np.asarray(gammas, dtype=float)
         hats = "diagonals" if self.criterion == "cv" else "traces"
         values, slopes, out, errors = _fit_stack(self.band, lams, gammas, self.weights, hats)
         scores, degenerate = _criterion(self.criterion, values - self.y, slopes - self.v,
-                                        out, gammas, self.corr)
+                                        out, gammas.tolist(), self.corr)
         if any(errors):
-            scores[[error is not None for error in errors]] = np.nan
+            scores = [math.nan if e is not None else score for score, e in zip(scores, errors)]
         return scores, errors, degenerate
 
 
@@ -294,8 +296,7 @@ def cv_closed_form(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     these squared.  Equals :func:`cv_brute_force` to rounding.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "cv")
-    return CvScore(value=value, lam=lam, gamma=gamma)
+    return CvScore(_score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "cv"), lam, gamma)
 
 
 def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
@@ -306,8 +307,7 @@ def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     :func:`cv_closed_form` exactly.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv")
-    return CvScore(value=value, lam=lam, gamma=gamma)
+    return CvScore(_score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv"), lam, gamma)
 
 
 def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
@@ -325,7 +325,7 @@ def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
     value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv-corr", corr)
-    return CvScore(value=value, lam=lam, gamma=gamma)
+    return CvScore(value, lam, gamma)
 
 
 def _score(design, y, v, lam, gamma, criterion, corr: CorrelationSpec | None = None):
@@ -333,16 +333,15 @@ def _score(design, y, v, lam, gamma, criterion, corr: CorrelationSpec | None = N
     ``lam`` (checked arguments): the stack of one of a search, raising
     :class:`SingularSystemError` or :class:`DegenerateScoreError` where the
     search gives NaN."""
-    scorer = _Scorer(design, y, v, criterion, corr)
-    scores, errors, degenerate = scorer.stack(np.array([lam]), np.array([gamma]))
+    scores, errors, degenerate = _Scorer(design, y, v, criterion, corr).stack([lam], [gamma])
     if errors[0] is not None:
         raise errors[0]
     for message, mask in zip(_DEGENERATE[criterion], degenerate):
         if mask[0]:
             raise DegenerateScoreError(message)
-    if np.isnan(scores[0]):
+    if math.isnan(scores[0]):
         raise SingularSystemError("the score overflowed: non-finite criterion value")
-    return float(scores[0])
+    return scores[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,30 +372,36 @@ def _check_range(bounds, points, bounds_name, points_name):
         raise ValueError(f"{points_name} must be at least 1")
 
 
+def _exp10(x):
+    """``10 ** x``; inf past the float range, as numpy's scalar power gives."""
+    try:
+        return 10.0**x
+    except OverflowError:
+        return math.inf
+
+
 def _golden_min(f, lo, hi):
     """Deterministic golden-section minimum on [lo, hi] of f, which scores
-    an array of points: the four opening points (both ends and the two
+    a list of floats: the four opening points (both ends and the two
     interior points) in one call, then each of 40 later points in its own.
     Returns the best ``(score, point)`` actually evaluated, so a
-    non-unimodal f cannot make the result worse than the bracket
-    endpoints.
+    non-unimodal f cannot make the result worse than the bracket endpoints.
     """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    f_lo, f_hi, fc, fd = f(np.array([lo, hi, c, d]))
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    f_lo, f_hi, fc, fd = f([lo, hi, c, d])
     pts = [(f_lo, lo), (f_hi, hi), (fc, c), (fd, d)]
     for _ in range(40):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            (fc,) = f(np.array([c]))
+            (fc,) = f([c])
             pts.append((fc, c))
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            (fd,) = f(np.array([d]))
+            (fd,) = f([d])
             pts.append((fd, d))
     return min(pts, key=lambda p: p[0])
 
@@ -429,10 +434,11 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     (:meth:`_Scorer.scores`), and each later point is a stack of one.  On
     the banded route a stack of any size costs one LAPACK factorization,
     one LAPACK solve, and one BLAS banded triangular solve for its bands
-    of ``A^-1``; the GCV criteria read each point's four traces from one
-    product.  The criterion runs as whole-array operations over each
-    stack, and a degenerate, singular or overflowing point, or one whose
-    score is not finite, scores NaN without a warning.  No (lam, gamma)
+    of ``A^-1``, failed points included; the GCV criteria read each
+    point's four traces from one product.  Each point's GCV scalars and
+    the sweeps' points are Python floats (:func:`_criterion`); a
+    degenerate, singular or overflowing point, or one whose score is not
+    finite, scores NaN without a warning.  No (lam, gamma)
     pair is scored twice in one search: a point that a sweep revisits
     takes the score already computed.  Scores and selection are the same
     bits as scoring every point on its own.
@@ -448,28 +454,27 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
 
     lams = np.geomspace(lam_bounds[0], lam_bounds[1], lam_points)
     gammas = np.geomspace(gamma_bounds[0], gamma_bounds[1], gamma_points)
-    grid_lams, grid_gammas = (g.ravel() for g in np.meshgrid(lams, gammas, indexing="ij"))
+    grid_lams, grid_gammas = (g.ravel().tolist() for g in np.meshgrid(lams, gammas, indexing="ij"))
     scores = scorer.scores(grid_lams, grid_gammas)
     surface = np.column_stack([grid_lams, grid_gammas, scores])
-    memo = dict(zip(zip(grid_lams.tolist(), grid_gammas.tolist()), scores.tolist()))
+    memo = dict(zip(zip(grid_lams, grid_gammas), scores))
 
     def sweep_scores(points):
         """The scores at the ``(lam, gamma)`` points, inf for NaN; those not
         yet scored are scored in one call."""
         new = [key for key in dict.fromkeys(points) if key not in memo]
         if new:
-            memo.update(zip(new, scorer.scores(*zip(*new)).tolist()))
+            memo.update(zip(new, scorer.scores([lam for lam, _ in new], [g for _, g in new])))
         return [math.inf if math.isnan(memo[key]) else memo[key] for key in points]
 
-    degenerate = int(np.sum(np.isnan(scores)))
+    degenerate = int(np.isnan(surface[:, 2]).sum())
     if degenerate == surface.shape[0]:
         raise DegenerateGridError("every grid point produced a degenerate score")
-    best_row = int(np.nanargmin(scores))
-    best_lam, best_gamma, best_score = surface[best_row]
+    best_row = int(np.nanargmin(surface[:, 2]))
+    best_lam, best_gamma, best_score = surface[best_row].tolist()
 
     if refine:
-        log_lams = np.log10(lams)
-        log_gammas = np.log10(gammas)
+        log_lams, log_gammas = np.log10(lams).tolist(), np.log10(gammas).tolist()
         li, gi = divmod(best_row, gamma_points)
         lam_lo, lam_hi = log_lams[max(li - 1, 0)], log_lams[min(li + 1, lam_points - 1)]
         gam_lo, gam_hi = log_gammas[max(gi - 1, 0)], log_gammas[min(gi + 1, gamma_points - 1)]
@@ -477,17 +482,16 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
             # an axis whose bracket is a single point has nothing to refine
             if lam_lo < lam_hi:
                 score, log_best = _golden_min(
-                    lambda lls: sweep_scores([(10.0**ll, best_gamma) for ll in lls]),
+                    lambda lls: sweep_scores([(_exp10(ll), best_gamma) for ll in lls]),
                     lam_lo, lam_hi)
-                if np.isfinite(score) and score <= best_score:
-                    best_lam, best_score = 10.0**log_best, score
+                if math.isfinite(score) and score <= best_score:
+                    best_lam, best_score = _exp10(log_best), score
             if gam_lo < gam_hi:
                 score, log_best = _golden_min(
-                    lambda lgs: sweep_scores([(best_lam, 10.0**lg) for lg in lgs]),
+                    lambda lgs: sweep_scores([(best_lam, _exp10(lg)) for lg in lgs]),
                     gam_lo, gam_hi)
-                if np.isfinite(score) and score <= best_score:
-                    best_gamma, best_score = 10.0**log_best, score
+                if math.isfinite(score) and score <= best_score:
+                    best_gamma, best_score = _exp10(log_best), score
 
-    return SelectionResult(lam=float(best_lam), gamma=float(best_gamma),
-                           score=float(best_score), criterion=criterion,
+    return SelectionResult(lam=best_lam, gamma=best_gamma, score=best_score, criterion=criterion,
                            surface=surface, degenerate_count=degenerate)

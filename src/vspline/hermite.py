@@ -125,9 +125,9 @@ def _penalty_band(basis: HermiteBasis, values) -> np.ndarray:
     ``lam(t)`` is ``values[k]`` on the k-th interval of ``[0, t1], [t1, t2],
     ..., [tn, 1]``.  On each knot interval lam is constant and the basis
     second derivatives are linear, so a two-point Gauss rule per interval
-    integrates the products exactly; the 4x4 blocks of all intervals are
-    scattered into the band at once.  The outer intervals contribute
-    nothing: the basis is linear there.
+    integrates the products exactly; each of the ten lower entries of the
+    4x4 blocks is added into the band for all intervals at once.  The
+    outer intervals contribute nothing: the basis is linear there.
 
     With the unknowns interleaved as (value_0, slope_0, value_1, ...) the
     Gram has bandwidth 3; row ``r`` of the returned (4, 2n) array holds its
@@ -138,7 +138,6 @@ def _penalty_band(basis: HermiteBasis, values) -> np.ndarray:
     h, mid = hi - lo, 0.5 * (lo + hi)
     gauss_off = 0.5 / np.sqrt(3.0)
     blocks = np.zeros((lo.size, 4, 4))
-    rows, cols = np.tril_indices(4)
     band = np.zeros((4, 2 * basis.n))
     # a lam so large that the band overflows leaves non-finite entries,
     # which every factorization below rejects as a SingularSystemError
@@ -150,9 +149,10 @@ def _penalty_band(basis: HermiteBasis, values) -> np.ndarray:
                            (6 - 12 * x) / h**2,
                            (6 * x - 2) / h], axis=1)
             blocks += (d2[:, :, None] * d2[:, None, :]) * (values[1:-1] * 0.5 * h)[:, None, None]
-        # knot interval k couples the unknowns 2k .. 2k + 3
-        starts = 2 * np.arange(lo.size)[:, None]
-        np.add.at(band, (rows - cols, starts + cols), blocks[:, rows, cols])
+        # knot interval k couples the unknowns 2k .. 2k + 3: its entry (row, col)
+        # lands on band[row - col, 2k + col], which sums at most two intervals' terms
+        for row, col in zip(*np.tril_indices(4)):
+            band[row - col, col:col + 2 * lo.size:2] += blocks[:, row, col]
     return band
 
 
@@ -217,9 +217,9 @@ def build_design(knots, lam) -> DesignMatrices:
 def _weight_matrix(name, M, n):
     """The error weight ``W`` or ``Ucorr`` (``name``) of ``n`` samples, as
     every fit and hat block reads it: ``None`` (the identity) as it is,
-    else the finite (n, n) matrix's symmetric part ``(M + M') / 2``
-    (exactly symmetric input as it is, without a copy); ``ValueError``
-    naming it otherwise.
+    else the finite (n, n) matrix's symmetric part ``(M + M') / 2`` (exact
+    symmetric input without a copy); ``ValueError`` naming it otherwise or
+    for a negative diagonal entry (a zero one leaves a sample out).
 
     The dense factorization reads only the lower triangle while ``W y`` and
     the hat blocks read all of ``W``, so on the symmetric part every route
@@ -235,6 +235,8 @@ def _weight_matrix(name, M, n):
         raise ValueError(f"{name} must be an ({n}, {n}) matrix for {n} samples, not {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError(f"{name} must be finite")
+    if (np.diagonal(M) < 0.0).any():
+        raise ValueError(f"{name} must be positive semidefinite: a diagonal entry is negative")
     return M if np.array_equal(M, M.T) else (M + M.T) / 2
 
 
@@ -375,19 +377,18 @@ def _normal_stack(band, lams, gammas, weights: _ErrorWeights):
     :func:`_factor_solve_stack` factors and solves in place.  The penalty
     is rounded as on a design built at that lam, ``(band lam) n``.
     Overflow leaves non-finite entries, which :func:`_factor_solve_stack`
-    rejects.
+    rejects, silent under :func:`_banded_stack`'s ``np.errstate``.
     """
     count, size = lams.size, band.shape[1]
     ab = np.empty((count, size, 4)).transpose(0, 2, 1)
     rhs = np.empty((count, size))
     rhs[:, 0::2] = weights.wy
     w, u = weights.bands
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(band, lams[:, None, None], out=ab)
-        ab *= size // 2
-        ab[:, 0::2, 0::2] += w
-        ab[:, 0::2, 1::2] += gammas[:, None, None] * u
-        np.multiply(gammas[:, None], weights.uv, out=rhs[:, 1::2])
+    np.multiply(band, lams[:, None, None], out=ab)
+    ab *= size // 2
+    ab[:, 0::2, 0::2] += w
+    ab[:, 0::2, 1::2] += gammas[:, None, None] * u
+    np.multiply(gammas[:, None], weights.uv, out=rhs[:, 1::2])
     return ab, rhs
 
 
@@ -402,20 +403,18 @@ def _factor_solve_stack(ab, rhs):
     that is not positive definite, or a non-finite right-hand side, in
     that order.  A non-finite band is reset to the identity band before
     the factorization; when ``dpbtrf`` stops at a column, that column
-    names the point, whose band is reset to the identity band, and the
-    factorization resumes at the next point.  A failed point's right-hand
-    side is zeroed, so its solution is zero and its neighbours' are those
-    of a stack without it.  A finite stack can still give a non-finite
-    solution; in a joined call ``0 * inf`` spreads it to the neighbouring
-    blocks, which :func:`_fit_stack` handles.
+    names the point and the factorization resumes at the next point.
+    Every failed point leaves with a zero right-hand side and the identity
+    factor, so its solution is zero and its neighbours' are those of a
+    stack without it.  A finite stack can still give a non-finite
+    solution; ``0 * inf`` spreads it through a joined call (:func:`_fit_stack`).
     """
     count, size = rhs.shape
     errors = [None] * count
     joined = ab.transpose(1, 0, 2).reshape(4, -1)   # a view: (4, count size), Fortran
     if not np.isfinite(ab).all():
         for p in np.flatnonzero(~np.isfinite(ab).all(axis=(1, 2))):
-            errors[p] = _overflowed("band")
-            ab[p], ab[p, 0] = 0.0, 1.0
+            errors[p], ab[p] = _overflowed("band"), np.eye(4, 1)   # the identity's band
     start = 0
     while True:
         _, info = dpbtrf(joined[:, start:], lower=1, overwrite_ab=1)
@@ -425,7 +424,6 @@ def _factor_solve_stack(ab, rhs):
             break
         p = (start + info - 1) // size
         errors[p] = _not_positive_definite(f"{start + info - p * size}-th leading minor")
-        ab[p], ab[p, 0] = 0.0, 1.0
         start = (p + 1) * size
         if start == joined.shape[1]:
             break
@@ -433,7 +431,8 @@ def _factor_solve_stack(ab, rhs):
         for p in np.flatnonzero(~np.isfinite(rhs).all(axis=1)):
             errors[p] = errors[p] or _overflowed("right-hand side")
     if any(errors):
-        rhs[[error is not None for error in errors]] = 0.0
+        failed = [error is not None for error in errors]
+        rhs[failed], ab[failed] = 0.0, np.eye(4, 1)
     _, info = dpbtrs(joined, rhs.reshape(-1), lower=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrs")
@@ -560,33 +559,29 @@ def _dense_stack(band, lams, gammas, weights: _ErrorWeights, diagonals):
 
 
 def _banded_stack(band, lams, gammas, weights: _ErrorWeights, hats):
-    """:func:`_fit_stack` on the banded route: the interleaved solutions,
-    the hats and the errors, or ``None`` when a joined call of a stack of
-    more than one point gave a non-finite solution or band of ``A^-1``."""
-    ab, x = _normal_stack(band, lams, gammas, weights)
-    errors = _factor_solve_stack(ab, x)
-    if not np.isfinite(x).all():
-        if lams.size > 1:
+    """:func:`_fit_stack` on the banded route, under one ``np.errstate``: the
+    interleaved solutions, the hats and the errors, or ``None`` when a
+    joined call of more than one point gave a non-finite solution or band
+    of ``A^-1``.  A failed point runs through every stage with a zero
+    solution and the identity factor, so its hats carry no meaning; a
+    stack whose every point failed skips the solve for ``A^-1 = I``."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ab, x = _normal_stack(band, lams, gammas, weights)
+        errors = _factor_solve_stack(ab, x)
+        if not np.isfinite(x).all():
+            if lams.size > 1:
+                return None
+            errors[0], x[0], ab[0] = _overflowed("solution"), 0.0, np.eye(4, 1)
+        if hats is None:
+            return x, None, errors
+        zb = (np.tile(np.eye(1, 4), (lams.size, band.shape[1], 1)) if all(errors)  # A^-1 = I
+              else _band_inverse(ab.transpose(0, 2, 1)))   # the factors, in buffer order
+        if lams.size > 1 and not np.isfinite(zb).all():
             return None
-        errors[0], x[0] = _overflowed("solution"), 0.0
-    if hats is None:
-        return x, None, errors
-    L = ab.transpose(0, 2, 1)   # the factors, (count, size, 4), in the order of the buffer
-    count, size = L.shape[:2]
-    ok = [p for p, error in enumerate(errors) if error is None]
-    out = np.zeros((4, count, size // 2) if hats == "diagonals" else (4, count))
-    if not ok:   # a failed point keeps zeros
-        return x, out, errors
-    zb = _band_inverse(L if len(ok) == count else L[ok])
-    if len(zb) > 1 and not np.isfinite(zb).all():
-        return None
-    if hats == "traces":
-        hat = np.matmul(zb.reshape(len(zb), 1, -1), weights.trace_matrix)[:, 0].T
-    else:
-        hat = _hat_diagonals(np.ascontiguousarray(zb.transpose(0, 2, 1)), weights.bands)
-    if len(ok) == count:
-        return x, hat, errors
-    out[:, ok] = hat
+        if hats == "traces":
+            out = np.matmul(zb.reshape(lams.size, 1, -1), weights.trace_matrix)[:, 0].T
+        else:
+            out = _hat_diagonals(np.ascontiguousarray(zb.transpose(0, 2, 1)), weights.bands)
     return x, out, errors
 
 
@@ -603,19 +598,17 @@ def _fit_stack(band, lams, gammas, weights: _ErrorWeights, hats="diagonals"):
     values and slopes are then zeros and its hats meaningless); so does a
     finite system whose solution overflowed, on either route.
 
-    The banded route (``weights.bands``) assembles the stack by
-    :func:`_normal_stack`, factors and solves the whole stack by one
-    ``dpbtrf`` and one ``dpbtrs`` (:func:`_factor_solve_stack`), and
-    takes the bands of ``A^-1`` of the points that did not fail by one
-    ``dtbsv`` (:func:`_band_inverse`).  The hats come from those bands:
-    the diagonals by :func:`_hat_diagonals`, the traces by one product per
-    point with ``weights.trace_matrix`` (a batched ``matmul``).  Memory
-    grows with the stack, which the caller bounds.  In a joined call a
-    non-finite value spreads to the neighbouring blocks (``0 * inf`` is
-    NaN), so a stack of more than one point that meets one is refitted one
-    point at a time, through the same code.  A point has the same bits
-    alone and in any stack.  The dense route (:func:`_dense_stack`) fits
-    point by point.
+    The banded route (``weights.bands``, :func:`_banded_stack`) assembles
+    the stack (:func:`_normal_stack`), factors and solves it by one
+    ``dpbtrf`` and one ``dpbtrs`` (:func:`_factor_solve_stack`) and takes
+    the bands of ``A^-1`` of every point, failed ones (identity factors)
+    included, by one ``dtbsv`` (:func:`_band_inverse`), none when all
+    failed; the hats are :func:`_hat_diagonals`
+    or one batched product with ``weights.trace_matrix``.  Memory grows
+    with the stack, which the caller bounds.  A non-finite value spreads
+    through a joined call (``0 * inf`` is NaN), so a stack of more than one
+    point that meets one is refitted point by point; a point has the same
+    bits alone and in any stack.  The dense route fits point by point.
     """
     if weights.bands is None:
         x, out, errors = _dense_stack(band, lams, gammas, weights, hats is not None)
@@ -626,11 +619,10 @@ def _fit_stack(band, lams, gammas, weights: _ErrorWeights, hats="diagonals"):
         if fit is None:
             fits = [_banded_stack(band, lams[p:p + 1], gammas[p:p + 1], weights, hats)
                     for p in range(lams.size)]
-            x = np.concatenate([part[0] for part in fits])
-            out = None if hats is None else np.concatenate([part[1] for part in fits], axis=1)
-            errors = [part[2][0] for part in fits]
-        else:
-            x, out, errors = fit
+            fit = (np.concatenate([part[0] for part in fits]),
+                   None if hats is None else np.concatenate([part[1] for part in fits], axis=1),
+                   [part[2][0] for part in fits])
+        x, out, errors = fit
     return x[:, 0::2], x[:, 1::2], out, errors
 
 

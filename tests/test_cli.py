@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -24,6 +27,29 @@ def _read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], np.array([[float(x) for x in row] for row in rows[1:]])
+
+
+class TestModuleForm:
+    """``python -m vspline.cli`` from a source checkout runs the command line."""
+
+    @staticmethod
+    def _run(cwd, *args):
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run([sys.executable, "-m", "vspline.cli", *args], cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+
+    def test_simulate_writes_its_file(self, tmp_path):
+        proc = self._run(tmp_path, "simulate", "--n", "5", "--seed", "1", "--out", "x.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert main(["simulate", "--n", "5", "--seed", "1", "--out", str(tmp_path / "y.csv")]) == 0
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
+
+    def test_fit_on_a_missing_input_exits_2(self, tmp_path):
+        proc = self._run(tmp_path, "fit", "missing.csv", "--lambda", "1e-3", "--out", "f.json")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error while reading input: cannot read missing.csv")
+        assert not (tmp_path / "f.json").exists()
 
 
 class TestSimulate:

@@ -200,6 +200,66 @@ class TestGcvScore:
         gcv = _criterion("gcv", r[None], rp[None], diags.sum(axis=2), gammas)[0]
         assert gcv == pytest.approx(cv, rel=1e-12)
 
+    @pytest.mark.parametrize("criterion", ["gcv", "gcv-corr"])
+    def test_float_tail_is_bitwise_the_vectorized_formula(self, criterion):
+        # the vectorized formula the per-point float tail replaced, fed
+        # traces made by hand: ordinary points, a velocity denominator of
+        # exactly 0 (with an infinite and a NaN k), denominators that are 0,
+        # tiny, so tiny that their square is 0, or so large that it
+        # overflows, NaN and inf traces and residuals whose norm overflows;
+        # the same score bits and masks,
+        # as one stack and point by point, without a warning or an exception
+        def reference(r, rp, traces, gammas, corr):
+            n = r.shape[1]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                if corr is not None:
+                    w_root, u_root = corr._roots
+                    r = np.matmul(w_root, r[:, :, None])[:, :, 0]
+                    rp = np.matmul(u_root, rp[:, :, None])[:, :, 0]
+                tr_s, tr_t, tr_u, tr_v = traces
+                dv = n - gammas * tr_v
+                k = gammas * tr_t / dv
+                den = (n - tr_s - k * tr_u) / n
+                bad_dv = np.abs(dv) < 1e-12
+                bad_den = np.abs(den) < 1e-12
+                scores = ((r + k[:, None] * rp) ** 2).sum(axis=1) / n / den ** 2
+            scores[bad_dv | bad_den | ~np.isfinite(scores)] = np.nan
+            return scores, bad_dv, bad_den
+
+        rng = np.random.default_rng(41)
+        n = 8
+        corr = None
+        if criterion == "gcv-corr":
+            corr = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, 0.3))
+        inf, nan = np.inf, np.nan
+        rows = [  # (gamma, tr S, tr T, tr U, tr V)
+            (0.7, 2.1, 0.3, 0.4, 1.9), (1e-4, 3.0, 1e-3, 2.0, 0.5), (40.0, 0.2, 0.01, 0.1, 0.15),
+            (2.0, 1.0, 0.5, 0.5, 4.0), (2.0, 1.0, 0.0, 0.5, 4.0), (2.0, 1.0, nan, 0.5, 4.0),
+            (0.0, 8.0, 0.0, 1.0, 1.0), (0.0, 8.0 - 1e-12, 0.0, 1.0, 1.0),
+            (1.0, 8.0, 8e-170, -1.0, 0.0), (0.0, 7.0 + 1e-11, 0.0, 1.0, 1.0),
+            (1.0, -1e200, 0.5, 0.5, 1.0), (1.0, 1e300, -1e300, 1e300, 1e-300),
+            (0.5, nan, 0.3, 0.3, 1.0), (0.5, 1.0, 0.3, nan, 1.0), (0.5, 1.0, 0.3, 0.3, nan),
+            (0.5, inf, 0.3, 0.3, 1.0), (0.5, 1.0, inf, 0.3, 1.0), (0.5, 1.0, 0.3, inf, 1.0),
+            (0.5, 1.0, 0.3, 0.3, inf), (0.0, 1.0, 0.3, 0.3, inf), (0.5, 1.0, 0.3, 0.0, inf),
+            (1e300, 1.0, 1e300, 1e10, 1.0), (0.5, 1.0, 0.3, 0.3, 1.0),
+        ]
+        gammas = [row[0] for row in rows]
+        traces = np.array([row[1:] for row in rows]).T.copy()
+        r, rp = rng.standard_normal((2, len(rows), n))
+        r[-1] = 1e200   # the last point's norm overflows
+        want = reference(r, rp, traces, np.array(gammas), corr)
+        assert np.isnan(want[0][3:]).sum() < len(rows) - 3   # not every special point is NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, (bad_dv, bad_den) = _criterion(criterion, r, rp, traces, gammas, corr)
+            alone = [_criterion(criterion, r[p:p + 1], rp[p:p + 1], traces[:, p:p + 1],
+                                gammas[p:p + 1], corr) for p in range(len(rows))]
+        assert np.array(got).tobytes() == want[0].tobytes()
+        assert bad_dv == want[1].tolist() and bad_den == want[2].tolist()
+        for p, (score, masks) in enumerate(alone):
+            assert np.array(score).tobytes() == want[0][p:p + 1].tobytes()
+            assert [mask[0] for mask in masks] == [want[1][p], want[2][p]]
+
     def test_close_to_cv_on_equispaced_instance(self):
         rng = np.random.default_rng(4)
         n = 20
@@ -782,25 +842,44 @@ class TestOptimizeParams:
             if np.abs(y).max() < 1e300:   # ordinary data: every fine point scores
                 assert np.isfinite(scores).sum() == 65 - len(failures)
 
-    def test_failed_point_is_not_swept(self, monkeypatch):
+    def test_failed_point_takes_the_identity_factor(self, monkeypatch):
         # a point whose factorization fails (no penalty, no velocity weight)
-        # is NaN without its O(n) solve for the band of A^-1; at n = 5000
-        # that solve is the largest part of a golden point's cost
+        # runs through every stage with the identity as its factor: one
+        # solve for the bands of A^-1 covers a stack that mixes it with a
+        # fine point, and a stack of failed points skips that solve
+        # (A^-1 = I); at n = 5000 it is most of a golden point's cost
         import vspline.hermite as hermite_mod
         real = hermite_mod._band_inverse
         swept = []
         monkeypatch.setattr(hermite_mod, "_band_inverse",
-                            lambda L, *args: swept.append(L) or real(L, *args))
+                            lambda L, *args: swept.append(L.copy()) or real(L, *args))
         t = np.linspace(0.05, 0.95, 20)
         y = np.sin(2 * np.pi * t)
         v = 2 * np.pi * np.cos(2 * np.pi * t)
-        scores = _Scorer(_design_for(t, 1.0, UNIFORM), y, v, "cv").scores([0.0, 1e-3],
-                                                                          [0.0, 1.0])
+        scorer = _Scorer(_design_for(t, 1.0, UNIFORM), y, v, "cv")
+        scores = scorer.scores([0.0, 1e-3], [0.0, 1.0])
         assert np.isnan(scores[0]) and np.isfinite(scores[1])
+        assert len(swept) == 1 and swept[0].shape[0] == 2
+        identity = np.zeros((40, 4))
+        identity[:, 0] = 1.0
+        np.testing.assert_array_equal(swept[0][0], identity)
+        assert np.isnan(scorer.scores([0.0, 0.0], [0.0, 0.0])).all()
         assert len(swept) == 1
 
+    def test_sweep_to_the_largest_float_does_not_raise(self):
+        # a gamma bracket that ends at the largest float: 10 ** log10(gamma)
+        # overflows there, which makes an infinite gamma (a failed point),
+        # not an OverflowError
+        t = np.linspace(0.05, 0.95, 20)
+        y = np.sin(2 * np.pi * t)
+        v = 2 * np.pi * np.cos(2 * np.pi * t)
+        with np.errstate(over="ignore"):   # np.geomspace's own overflow at that bound
+            res = optimize_params(t, y, v, UNIFORM, criterion="cv", lam_points=3,
+                                  gamma_bounds=(1e-4, np.finfo(float).max), gamma_points=2)
+        assert np.isfinite(res.score) and np.isfinite(res.gamma)
+
     def test_golden_min_finds_quadratic_minimum(self):
-        score, x = _golden_min(lambda x: (x - 0.3) ** 2 + 1.0, -1.0, 1.0)
+        score, x = _golden_min(lambda xs: [(x - 0.3) ** 2 + 1.0 for x in xs], -1.0, 1.0)
         assert x == pytest.approx(0.3, abs=1e-6)
         assert score == pytest.approx(1.0, abs=1e-12)
 

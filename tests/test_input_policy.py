@@ -26,6 +26,7 @@ BAD = {
     "negative-gamma": ("gamma", -1.0),
     "nan-gamma": ("gamma", np.nan),
     "wrong-size-W": ("W", ar1_precision(N + 2, 0.5)),
+    "negative-diagonal-W": ("W", -np.eye(N)),
 }
 
 
@@ -73,3 +74,18 @@ def test_input_fault_is_a_value_error_naming_the_argument(entry, bad):
     with pytest.raises(ValueError, match=f"^{name} must ") as err:
         ENTRIES[entry][1]({**GOOD, name: value})
     assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
+def test_negative_weight_diagonal_is_an_input_fault():
+    # a W or Ucorr with a negative diagonal entry is not positive
+    # semidefinite: a ValueError naming it on the banded and the dense
+    # route, not a failed factorization; a zeroed diagonal entry leaves a
+    # sample out and is accepted
+    wide = ar1_precision(N, 0.5) + 0.01 * np.eye(N, k=3) + 0.01 * np.eye(N, k=-3)
+    for name in ("W", "Ucorr"):
+        for M in (-np.eye(N), np.where(np.eye(N) == 1, -0.5, wide)):
+            with pytest.raises(ValueError, match=f"^{name} must be positive semidefinite") as err:
+                fit_theta(DESIGN, GOOD["y"], GOOD["v"], 1.0, **{name: M})
+            assert not isinstance(err.value, np.linalg.LinAlgError)
+    keep = np.diag((np.arange(N) != 3).astype(float))
+    assert np.isfinite(fit_theta(DESIGN, GOOD["y"], GOOD["v"], 1.0, W=keep, Ucorr=keep)).all()
