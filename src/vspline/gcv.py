@@ -75,11 +75,10 @@ class CvScore:
 
 
 def _psd_sqrt(A):
-    """Symmetric PSD square root via eigendecomposition, read-only."""
+    """Symmetric PSD square root via eigendecomposition."""
     w, Q = eigh(np.asarray(A, dtype=float))
-    root = (Q * np.sqrt(np.clip(w, 0.0, None))) @ Q.T
-    root.flags.writeable = False
-    return root
+    w = np.clip(w, 0.0, None)
+    return (Q * np.sqrt(w)) @ Q.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,18 +114,22 @@ class CorrelationSpec:
                 cholesky(sym, lower=True)
             except np.linalg.LinAlgError:
                 raise ValueError(f"{name} must be positive definite")
-            sym.flags.writeable = False
             mats.append(sym)
         W, U = mats
         if W.shape != U.shape:
             raise ValueError("W and Ucorr must have the same size")
+        for mat in (W, U):
+            mat.flags.writeable = False
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "Ucorr", U)
 
     @cached_property
     def _roots(self):
         """``(W^(1/2), Ucorr^(1/2))``, read-only."""
-        return _psd_sqrt(self.W), _psd_sqrt(self.Ucorr)
+        roots = (_psd_sqrt(self.W), _psd_sqrt(self.Ucorr))
+        for root in roots:
+            root.flags.writeable = False
+        return roots
 
 
 def _check_inputs(t, y, v, lam, gamma):
@@ -265,8 +268,6 @@ class _Scorer:
         :meth:`stack`, in consecutive stacks of at most ``_STACK_COLUMNS``
         unknowns (one point when a point has more), each point with its bits alone."""
         step = max(1, _STACK_COLUMNS // self.band.shape[1])
-        if len(lams) <= step:
-            return self.stack(lams, gammas)[0]
         return [score for i in range(0, len(lams), step)
                 for score in self.stack(lams[i:i + step], gammas[i:i + step])[0]]
 
@@ -296,7 +297,8 @@ def cv_closed_form(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     these squared.  Equals :func:`cv_brute_force` to rounding.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    return CvScore(_score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "cv"), lam, gamma)
+    value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "cv")
+    return CvScore(value=value, lam=lam, gamma=gamma)
 
 
 def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
@@ -307,7 +309,8 @@ def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     :func:`cv_closed_form` exactly.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    return CvScore(_score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv"), lam, gamma)
+    value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv")
+    return CvScore(value=value, lam=lam, gamma=gamma)
 
 
 def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
@@ -325,7 +328,7 @@ def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
     value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv-corr", corr)
-    return CvScore(value, lam, gamma)
+    return CvScore(value=value, lam=lam, gamma=gamma)
 
 
 def _score(design, y, v, lam, gamma, criterion, corr: CorrelationSpec | None = None):
@@ -389,7 +392,8 @@ def _golden_min(f, lo, hi):
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
     f_lo, f_hi, fc, fd = f([lo, hi, c, d])
     pts = [(f_lo, lo), (f_hi, hi), (fc, c), (fd, d)]
     for _ in range(40):

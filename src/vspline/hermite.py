@@ -619,10 +619,11 @@ def _fit_stack(band, lams, gammas, weights: _ErrorWeights, hats="diagonals"):
         if fit is None:
             fits = [_banded_stack(band, lams[p:p + 1], gammas[p:p + 1], weights, hats)
                     for p in range(lams.size)]
-            fit = (np.concatenate([part[0] for part in fits]),
-                   None if hats is None else np.concatenate([part[1] for part in fits], axis=1),
-                   [part[2][0] for part in fits])
-        x, out, errors = fit
+            x = np.concatenate([part[0] for part in fits])
+            out = None if hats is None else np.concatenate([part[1] for part in fits], axis=1)
+            errors = [part[2][0] for part in fits]
+        else:
+            x, out, errors = fit
     return x[:, 0::2], x[:, 1::2], out, errors
 
 
