@@ -3,8 +3,9 @@
 Datasets are CSV files with a header row and columns t, y, v (raw time,
 position, velocity).  Time axes are rescaled internally onto (0, 1) with a
 5% margin at each end; penalties apply on that unit axis and all reported
-curves are mapped back to raw units.  Reports are single JSON documents;
-curves and search surfaces are plot-ready CSV.
+curves are mapped back to raw units.  Reports are single JSON documents,
+written by ``json.dumps`` with sorted keys, that hold the knot fit once, in
+raw units, as ``knot_fit``; curves and search surfaces are plot-ready CSV.
 
 Exit codes: 0 success, 2 parse or input error (a ``ValueError``, or flags
 whose arrays do not fit in memory), 3 numerical failure (a singular or
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -163,12 +164,9 @@ def _read_corr(path, n):
         raise CliError(2, "reading correlation matrices", f"{path}: {exc}")
 
 
-_JSON_NUMBERS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _reprs(a):
     """The ``repr`` of each value of a float array, in one pass: the text
-    that ``csv.writer`` and ``json`` write for a Python float."""
+    that ``csv.writer`` writes for a Python float."""
     return list(map(float.__repr__, np.asarray(a, dtype=float).ravel().tolist()))
 
 
@@ -178,48 +176,6 @@ def _csv_text(header, rows):
     cells = iter(_reprs(rows))
     lines = map(",".join, zip(*[cells] * len(header)))
     return "\r\n".join([",".join(header), *lines, ""])
-
-
-def _json_text(value):
-    """``json.dumps(value, indent=2, sort_keys=True) + "\n"`` for dicts with
-    str keys, lists, str, int, float, bool and None, where a 1-D float array
-    stands for the list of its values.  Each array is formatted once,
-    however often ``value`` holds it."""
-    numbers = {}   # id of each array -> the JSON text of its values
-
-    def encode(value, indent):
-        if isinstance(value, float):
-            text = float.__repr__(value)
-            return _JSON_NUMBERS.get(text, text)
-        if isinstance(value, str):
-            return encode_basestring_ascii(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        inner, brackets = indent + "  ", "[]"
-        if isinstance(value, dict):
-            items = [encode_basestring_ascii(key) + ": " + encode(item, inner)
-                     for key, item in sorted(value.items())]
-            brackets = "{}"
-        elif isinstance(value, np.ndarray):
-            if id(value) not in numbers:
-                texts = _reprs(value)
-                numbers[id(value)] = list(map(_JSON_NUMBERS.get, texts, texts))
-            items = numbers[id(value)]
-        elif isinstance(value, list):
-            items = [encode(item, inner) for item in value]
-        else:
-            raise TypeError(f"{type(value).__name__} is not JSON serializable")
-        if not items:
-            return brackets
-        return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
-
-    return encode(value, "\n") + "\n"
 
 
 def _write_outputs(files):
@@ -275,7 +231,6 @@ def _fit_report(tu, yu, vu, scale, lam, gamma, weights, corr, grid, out_path,
         raise SingularSystemError("the fitted curve overflowed: non-finite values on its grid")
 
     curve_file = _sibling_path(out_path, ".curve.csv")
-    values = theta[:n]   # one array under two keys, formatted once
     report = {
         "n": int(n),
         "lambda": float(lam),
@@ -285,15 +240,16 @@ def _fit_report(tu, yu, vu, scale, lam, gamma, weights, corr, grid, out_path,
         "method": "hermite-basis",
         "trace_s": float(trace_s),
         "trace_v": float(trace_v),
-        "coefficients": {"values": values, "slopes": theta[n:]},
         "domain": {"t_min": scale.s_min, "t_max": scale.s_max, "margin": MARGIN},
         "curve_file": curve_file,
-        "knot_fit": {"f": values, "df_raw": theta[n:] / scale.time_factor},
+        "knot_fit": {"f": theta[:n].tolist(),
+                     "df_raw": (theta[n:] / scale.time_factor).tolist()},
     }
     if selection is not None:
         report["selection"] = selection
     curve = np.column_stack([grid_raw, f_curve, df_curve])
-    return [(curve_file, _csv_text(["t", "f", "df"], curve)), (out_path, _json_text(report))]
+    report_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return [(curve_file, _csv_text(["t", "f", "df"], curve)), (out_path, report_text)]
 
 
 def cmd_simulate(args) -> int:

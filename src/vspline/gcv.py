@@ -456,8 +456,9 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     _check_range(gamma_bounds, gamma_points, "gamma_bounds", "gamma_points")
     scorer = _Scorer(_design_for(t, 1.0, cfg), y, v, criterion, corr)
 
-    lams = np.geomspace(lam_bounds[0], lam_bounds[1], lam_points)
-    gammas = np.geomspace(gamma_bounds[0], gamma_bounds[1], gamma_points)
+    with np.errstate(over="ignore"):   # geomspace's power overflows near the largest float
+        lams = np.geomspace(lam_bounds[0], lam_bounds[1], lam_points)
+        gammas = np.geomspace(gamma_bounds[0], gamma_bounds[1], gamma_points)
     grid_lams, grid_gammas = (g.ravel().tolist() for g in np.meshgrid(lams, gammas, indexing="ij"))
     scores = scorer.scores(grid_lams, grid_gammas)
     surface = np.column_stack([grid_lams, grid_gammas, scores])

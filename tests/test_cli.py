@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import ar1_precision
-from vspline.cli import _csv_text, _json_text, main, simulate_dataset
+from vspline.cli import _csv_text, main, simulate_dataset
 from vspline import KernelConfig, build_gram, fitted_knot_values, solve_coefficients
 from vspline.errors import DegenerateGridError
 from vspline.fit import rescale_domain
@@ -50,6 +50,16 @@ class TestModuleForm:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error while reading input: cannot read missing.csv")
         assert not (tmp_path / "f.json").exists()
+
+    def test_select_to_the_largest_float_prints_no_numpy_warning(self, tmp_path):
+        # the log-spaced search grid reaches the largest float without
+        # numpy's overflow warning on stderr
+        assert main(["simulate", "--kind", "sine", "--n", "20", "--seed", "1",
+                     "--out", str(tmp_path / "d.csv")]) == 0
+        proc = self._run(tmp_path, "select", "d.csv", "--lambda-steps", "3",
+                         "--gamma-max", "1.7976931348623157e308", "--out", "s.json")
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestSimulate:
@@ -410,7 +420,6 @@ class TestFit:
             assert main(argv + ["--grid", "57", "--out", str(out)]) == 0
             report = json.loads(out.read_text())
             assert report["method"] == "hermite-basis"
-            assert set(report["coefficients"]) == {"values", "slopes"}
             _, curve = _read_csv(report["curve_file"])
             val, der = _hermite_curve(raw[:, 0], np.array(report["knot_fit"]["f"]),
                                       np.array(report["knot_fit"]["df_raw"]), curve[:, 0])
@@ -837,7 +846,8 @@ class TestRoundTrip:
 
 
 class TestOutputBytes:
-    """Every written file has the bytes of the csv/json writers it replaced."""
+    """Every written file has the bytes of the standard library's csv and
+    json writers."""
 
     @staticmethod
     def _csv_oracle(header, rows):
@@ -891,6 +901,30 @@ class TestOutputBytes:
         self._assert_csv(report["curve_file"])
         self._assert_csv(report["selection"]["surface_file"])
 
+    def test_report_keys_and_layout_are_pinned(self, tmp_path):
+        # the knot fit appears once, in raw units; every report is the text
+        # of json.dumps with two-space indents and sorted keys
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--kind", "sine", "--n", "12", "--noise", "0.1",
+                     "--seed", "3", "--out", str(data)]) == 0
+        fit, sel = tmp_path / "fit.json", tmp_path / "sel.json"
+        assert main(["fit", str(data), "--lambda", "1e-3", "--out", str(fit)]) == 0
+        assert main(["select", str(data), "--lambda-steps", "3", "--gamma-steps", "3",
+                     "--out", str(sel)]) == 0
+        keys = {"n", "lambda", "gamma", "weighted", "correlated", "method", "trace_s",
+                "trace_v", "domain", "curve_file", "knot_fit"}
+        for path, top in (fit, keys), (sel, keys | {"selection"}):
+            self._assert_report(path)
+            report = json.loads(path.read_text())
+            assert set(report) == top
+            assert set(report["domain"]) == {"t_min", "t_max", "margin"}
+            assert set(report["knot_fit"]) == {"f", "df_raw"}
+            assert len(report["knot_fit"]["f"]) == len(report["knot_fit"]["df_raw"]) == 12
+        selection = json.loads(sel.read_text())["selection"]
+        assert set(selection) == {"criterion", "lambda", "gamma", "score",
+                                  "degenerate_grid_points", "at_bound", "surface_file"}
+        assert set(selection["at_bound"]) == {"lambda", "gamma"}
+
     def test_fit_at_5000_samples_matches_the_stdlib_writers(self, tmp_path):
         data = tmp_path / "d.csv"
         assert main(["simulate", "--kind", "sine", "--n", "5000", "--noise", "0.1",
@@ -909,37 +943,10 @@ _FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5]),
     st.floats().map(np.float64))
-_ARRAYS = st.lists(_FLOATS, max_size=6).map(lambda xs: np.array(xs, dtype=float))
-_JSON = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, st.text(max_size=8), _ARRAYS),
-    lambda inner: st.one_of(st.lists(inner, max_size=4),
-                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
-    max_leaves=24)
-
-
-def _plain(value):
-    """``value`` with each array replaced by the list of its values."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_plain(item) for item in value]
-    return value
 
 
 class TestWriters:
-    """The report and CSV writers against the standard library's."""
-
-    @PROPERTY
-    @given(_JSON)
-    def test_json_text_is_indented_sorted_json_dumps(self, value):
-        assert _json_text(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
-
-    def test_json_text_formats_a_repeated_array_alike(self):
-        values = np.array([0.1, np.nan, -np.inf, 1e300])
-        value = {"b": [values, {"c": values}], "a": values, "é": []}
-        assert _json_text(value) == json.dumps(_plain(value), indent=2, sort_keys=True) + "\n"
+    """The CSV writer against the standard library's."""
 
     @PROPERTY
     @given(st.integers(1, 4), st.integers(0, 6), st.data())

@@ -869,11 +869,12 @@ class TestOptimizeParams:
     def test_sweep_to_the_largest_float_does_not_raise(self):
         # a gamma bracket that ends at the largest float: 10 ** log10(gamma)
         # overflows there, which makes an infinite gamma (a failed point),
-        # not an OverflowError
+        # not an OverflowError; nor does the search grid warn at that bound
         t = np.linspace(0.05, 0.95, 20)
         y = np.sin(2 * np.pi * t)
         v = 2 * np.pi * np.cos(2 * np.pi * t)
-        with np.errstate(over="ignore"):   # np.geomspace's own overflow at that bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = optimize_params(t, y, v, UNIFORM, criterion="cv", lam_points=3,
                                   gamma_bounds=(1e-4, np.finfo(float).max), gamma_points=2)
         assert np.isfinite(res.score) and np.isfinite(res.gamma)
