@@ -280,8 +280,6 @@ class _Scorer:
         values, slopes, out, errors = _fit_stack(self.band, lams, gammas, self.weights, hats)
         scores, degenerate = _criterion(self.criterion, values - self.y, slopes - self.v,
                                         out, gammas.tolist(), self.corr)
-        if any(errors):
-            scores = [math.nan if e is not None else score for score, e in zip(scores, errors)]
         return scores, errors, degenerate
 
 
@@ -436,10 +434,12 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     four opening points of each golden-section sweep not already scored,
     go to the engine in stacks of at most ``_STACK_COLUMNS`` unknowns
     (:meth:`_Scorer.scores`), and each later point is a stack of one.  On
-    the banded route a stack of any size costs one LAPACK factorization,
-    one LAPACK solve, and one BLAS banded triangular solve for its bands
-    of ``A^-1``, failed points included; the GCV criteria read each
-    point's four traces from one product.  Each point's GCV scalars and
+    the banded route a stack of any size that fits costs one LAPACK
+    factorization, one LAPACK solve, and one BLAS banded triangular solve
+    for its bands of ``A^-1``; the GCV criteria read each point's four
+    traces from one product.  A stack that meets a singular or
+    overflowing point is refitted point by point
+    (:func:`vspline.hermite._fit_stack`).  Each point's GCV scalars and
     the sweeps' points are Python floats (:func:`_criterion`); a
     degenerate, singular or overflowing point, or one whose score is not
     finite, scores NaN without a warning.  No (lam, gamma)

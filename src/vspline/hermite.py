@@ -32,7 +32,9 @@ product of that band with a fixed matrix.  So a stack costs three
 LAPACK/BLAS calls and a few array operations, whatever its size: O(n)
 time and memory per point, no 2n-by-2n matrix.  The caller bounds the
 size of a stack (:class:`vspline.gcv._Scorer`).  Wider ``W``/``Ucorr``
-fill ``A`` in and take the dense route.  The full hat blocks of
+fill ``A`` in and take the dense route, one point at a time.  A stack
+that meets any failure is refitted point by point, so each point gets
+its own result or error.  The full hat blocks of
 :func:`hat_matrices` and :func:`hat_matrices_correlated` stay dense, as
 the tests' oracles.
 """
@@ -225,8 +227,8 @@ def _weight_matrix(name, M, n):
     the hat blocks read all of ``W``, so on the symmetric part every route
     solves the same problem, and rounding asymmetry does not change the
     route.  With the data checked by :func:`vspline.fit._check_data`, a
-    non-finite system or solution further on can only come from overflow
-    (:func:`_factor_solve_stack`, :func:`_fit_stack`).
+    non-finite system, solution or hat further on can only come from
+    overflow (:func:`_banded_solve`, :func:`_dense_solve`).
     """
     if M is None:
         return None
@@ -247,6 +249,11 @@ def _not_positive_definite(exc):
 def _overflowed(what):
     return SingularSystemError(f"penalized normal equations overflowed: non-finite {what} "
                                "(lambda or gamma too large)")
+
+
+def _hats_overflowed():
+    return SingularSystemError("hat matrices overflowed: non-finite inverse of the penalized "
+                               "normal equations (lambda and gamma too small)")
 
 
 def _factor_normal(band, lam, gamma, W=None, Ucorr=None):
@@ -374,10 +381,10 @@ def _normal_stack(band, lams, gammas, weights: _ErrorWeights):
     (count, 2n, 4) buffer, so each is Fortran-ordered and the whole stack,
     read as a Fortran (4, count 2n) band, is one block-diagonal band
     (every band is zero past the end of each row), which
-    :func:`_factor_solve_stack` factors and solves in place.  The penalty
-    is rounded as on a design built at that lam, ``(band lam) n``.
-    Overflow leaves non-finite entries, which :func:`_factor_solve_stack`
-    rejects, silent under :func:`_banded_stack`'s ``np.errstate``.
+    :func:`_banded_solve` factors and solves in place.  The penalty is
+    rounded as on a design built at that lam, ``(band lam) n``.  Overflow
+    leaves non-finite entries, which :func:`_banded_solve` rejects, silent
+    under its ``np.errstate``.
     """
     count, size = lams.size, band.shape[1]
     ab = np.empty((count, size, 4)).transpose(0, 2, 1)
@@ -390,53 +397,6 @@ def _normal_stack(band, lams, gammas, weights: _ErrorWeights):
     ab[:, 0::2, 1::2] += gammas[:, None, None] * u
     np.multiply(gammas[:, None], weights.uv, out=rhs[:, 1::2])
     return ab, rhs
-
-
-def _factor_solve_stack(ab, rhs):
-    """Factor the bands ``ab`` of :func:`_normal_stack` in place and
-    overwrite the right-hand sides ``rhs`` with the solutions: one LAPACK
-    ``dpbtrf`` and one ``dpbtrs`` for the whole stack, read as one
-    block-diagonal band.
-
-    Returns, per point, ``None`` or its :class:`SingularSystemError`: a
-    non-finite band (lam or gamma so large that ``A`` overflowed), a band
-    that is not positive definite, or a non-finite right-hand side, in
-    that order.  A non-finite band is reset to the identity band before
-    the factorization; when ``dpbtrf`` stops at a column, that column
-    names the point and the factorization resumes at the next point.
-    Every failed point leaves with a zero right-hand side and the identity
-    factor, so its solution is zero and its neighbours' are those of a
-    stack without it.  A finite stack can still give a non-finite
-    solution; ``0 * inf`` spreads it through a joined call (:func:`_fit_stack`).
-    """
-    count, size = rhs.shape
-    errors = [None] * count
-    joined = ab.transpose(1, 0, 2).reshape(4, -1)   # a view: (4, count size), Fortran
-    if not np.isfinite(ab).all():
-        for p in np.flatnonzero(~np.isfinite(ab).all(axis=(1, 2))):
-            errors[p], ab[p] = _overflowed("band"), np.eye(4, 1)   # the identity's band
-    start = 0
-    while True:
-        _, info = dpbtrf(joined[:, start:], lower=1, overwrite_ab=1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpbtrf")
-        if info == 0:
-            break
-        p = (start + info - 1) // size
-        errors[p] = _not_positive_definite(f"{start + info - p * size}-th leading minor")
-        start = (p + 1) * size
-        if start == joined.shape[1]:
-            break
-    if not np.isfinite(rhs).all():
-        for p in np.flatnonzero(~np.isfinite(rhs).all(axis=1)):
-            errors[p] = errors[p] or _overflowed("right-hand side")
-    if any(errors):
-        failed = [error is not None for error in errors]
-        rhs[failed], ab[failed] = 0.0, np.eye(4, 1)
-    _, info = dpbtrs(joined, rhs.reshape(-1), lower=1, overwrite_b=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpbtrs")
-    return errors
 
 
 def _band_inverse(L):
@@ -524,65 +484,74 @@ def _hat_diagonals(zb, bands):
     return out
 
 
-def _dense_stack(band, lams, gammas, weights: _ErrorWeights, diagonals):
-    """:func:`_fit_stack` on the dense route, one factorization per point;
-    the solutions come back interleaved, as on the banded route.
+def _banded_solve(band, lams, gammas, weights: _ErrorWeights, hats):
+    """:func:`_fit_stack` on the banded route for a stack that fits: the
+    values, the slopes and the hats, from one ``dpbtrf``, one ``dpbtrs`` and
+    one :func:`_band_inverse` call for the whole stack, read as one
+    block-diagonal band, under one ``np.errstate``.
 
-    With ``diagonals`` one ``cho_solve`` on ``[rhs | I]`` gives the
-    coefficients and ``A^-1`` (the coefficients by a direct solve, never
-    ``A^-1`` times the data); without, one ``cho_solve`` on ``rhs``.  A
-    solution that is not finite is the point's :class:`SingularSystemError`.
-    """
-    n = band.shape[1] // 2
-    x = np.zeros((lams.size, 2 * n))
-    diags = np.zeros((4, lams.size, n)) if diagonals else None
-    errors = []
-    for p, (lam, gamma) in enumerate(zip(lams, gammas)):
-        try:
-            cho = _factor_normal(band, lam, gamma, weights.W, weights.Ucorr)
-            with np.errstate(over="ignore", invalid="ignore"):
-                rhs = np.concatenate([weights.wy, gamma * weights.uv])
-            if not np.isfinite(rhs).all():
-                raise _overflowed("right-hand side")
-            sol = cho_solve(cho, np.column_stack([rhs, np.eye(2 * n)]) if diagonals else rhs)
-            coefs = sol[:, 0] if diagonals else sol
-            if not np.isfinite(coefs).all():
-                raise _overflowed("solution")
-            if diagonals:
-                hats = _hat_blocks(sol[:, 1:], weights.W, weights.Ucorr)
-                diags[:, p] = [np.diagonal(h) for h in (hats.S, hats.T, hats.U, hats.V)]
-            x[p] = coefs
-            errors.append(None)
-        except SingularSystemError as exc:
-            errors.append(exc)
-    return x.reshape(-1, 2, n).swapaxes(1, 2).reshape(-1, 2 * n), diags, errors
-
-
-def _banded_stack(band, lams, gammas, weights: _ErrorWeights, hats):
-    """:func:`_fit_stack` on the banded route, under one ``np.errstate``: the
-    interleaved solutions, the hats and the errors, or ``None`` when a
-    joined call of more than one point gave a non-finite solution or band
-    of ``A^-1``.  A failed point runs through every stage with a zero
-    solution and the identity factor, so its hats carry no meaning; a
-    stack whose every point failed skips the solve for ``A^-1 = I``."""
+    Raises the first :class:`SingularSystemError` met: a non-finite band
+    (lam or gamma so large that ``A`` overflowed), a band that is not
+    positive definite (the leading minor of its point), a non-finite
+    right-hand side, a non-finite solution, or non-finite hats (``A``
+    nearly singular, its inverse overflowed)."""
+    count, size = lams.size, band.shape[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ab, x = _normal_stack(band, lams, gammas, weights)
-        errors = _factor_solve_stack(ab, x)
+        if not np.isfinite(ab).all():
+            raise _overflowed("band")
+        joined = ab.transpose(1, 0, 2).reshape(4, -1)   # a view: (4, count size), Fortran
+        _, info = dpbtrf(joined, lower=1, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+        if info > 0:
+            raise _not_positive_definite(f"{(info - 1) % size + 1}-th leading minor")
         if not np.isfinite(x).all():
-            if lams.size > 1:
-                return None
-            errors[0], x[0], ab[0] = _overflowed("solution"), 0.0, np.eye(4, 1)
-        if hats is None:
-            return x, None, errors
-        zb = (np.tile(np.eye(1, 4), (lams.size, band.shape[1], 1)) if all(errors)  # A^-1 = I
-              else _band_inverse(ab.transpose(0, 2, 1)))   # the factors, in buffer order
-        if lams.size > 1 and not np.isfinite(zb).all():
-            return None
-        if hats == "traces":
-            out = np.matmul(zb.reshape(lams.size, 1, -1), weights.trace_matrix)[:, 0].T
-        else:
-            out = _hat_diagonals(np.ascontiguousarray(zb.transpose(0, 2, 1)), weights.bands)
-    return x, out, errors
+            raise _overflowed("right-hand side")
+        _, info = dpbtrs(joined, x.reshape(-1), lower=1, overwrite_b=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+        if not np.isfinite(x).all():
+            raise _overflowed("solution")
+        out = None
+        if hats is not None:
+            zb = _band_inverse(ab.transpose(0, 2, 1))   # the factors, in buffer order
+            if hats == "traces":
+                out = np.matmul(zb.reshape(count, 1, -1), weights.trace_matrix)[:, 0].T
+            else:
+                out = _hat_diagonals(np.ascontiguousarray(zb.transpose(0, 2, 1)), weights.bands)
+            if not np.isfinite(out).all():
+                raise _hats_overflowed()
+    return x[:, 0::2], x[:, 1::2], out
+
+
+def _dense_solve(band, lams, gammas, weights: _ErrorWeights, hats):
+    """:func:`_fit_stack` on the dense route for a stack of one point that
+    fits: one dense factorization and one ``cho_solve``, on ``[rhs | I]``
+    for the coefficients and ``A^-1`` with ``hats`` (the coefficients by a
+    direct solve, never ``A^-1`` times the data), on ``rhs`` without.
+
+    Raises the point's :class:`SingularSystemError` in the order of
+    :func:`_banded_solve`."""
+    (lam,), (gamma,) = lams, gammas
+    n = band.shape[1] // 2
+    cho = _factor_normal(band, lam, gamma, weights.W, weights.Ucorr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.concatenate([weights.wy, gamma * weights.uv])
+        if not np.isfinite(rhs).all():
+            raise _overflowed("right-hand side")
+        sol = cho_solve(cho, rhs if hats is None else np.column_stack([rhs, np.eye(2 * n)]))
+        coefs = sol if hats is None else sol[:, 0]
+        if not np.isfinite(coefs).all():
+            raise _overflowed("solution")
+        out = None
+        if hats is not None:
+            blocks = _hat_blocks(sol[:, 1:], weights.W, weights.Ucorr)
+            out = np.array([np.diagonal(h) for h in (blocks.S, blocks.T, blocks.U, blocks.V)])
+            out = out[:, None] if hats == "diagonals" else out.sum(axis=1)[:, None]
+            if not np.isfinite(out).all():
+                raise _hats_overflowed()
+    return coefs[None, :n], coefs[None, n:], out
 
 
 def _fit_stack(band, lams, gammas, weights: _ErrorWeights, hats="diagonals"):
@@ -594,37 +563,33 @@ def _fit_stack(band, lams, gammas, weights: _ErrorWeights, hats="diagonals"):
     with "diagonals", the hat diagonals ``(S_ii, T_ii, U_ii, V_ii)`` as one
     C-ordered (4, count, n) array, with "traces" their sums
     ``(tr S, tr T, tr U, tr V)``, (4, count), with ``None`` nothing; and,
-    per point, ``None`` or the :class:`SingularSystemError` it raised (its
-    values and slopes are then zeros and its hats meaningless); so does a
-    finite system whose solution overflowed, on either route.
+    per point, ``None`` or the :class:`SingularSystemError` it raised.  A
+    failed point's values and slopes are zeros and its hats NaN, so every
+    criterion scores it NaN.
 
-    The banded route (``weights.bands``, :func:`_banded_stack`) assembles
-    the stack (:func:`_normal_stack`), factors and solves it by one
-    ``dpbtrf`` and one ``dpbtrs`` (:func:`_factor_solve_stack`) and takes
-    the bands of ``A^-1`` of every point, failed ones (identity factors)
-    included, by one ``dtbsv`` (:func:`_band_inverse`), none when all
-    failed; the hats are :func:`_hat_diagonals`
-    or one batched product with ``weights.trace_matrix``.  Memory grows
-    with the stack, which the caller bounds.  A non-finite value spreads
-    through a joined call (``0 * inf`` is NaN), so a stack of more than one
-    point that meets one is refitted point by point; a point has the same
-    bits alone and in any stack.  The dense route fits point by point.
+    The banded route (``weights.bands``, :func:`_banded_solve`) fits the
+    whole stack in one call per stage; memory grows with the stack, which
+    the caller bounds.  The dense route (:func:`_dense_solve`) fits one
+    point per call.  A stack that meets any failure, and every stack of
+    more than one point on the dense route, is fitted point by point
+    here, the one place where a failed point is handled; a single point is
+    fitted once.  A point has the same bits alone and in any stack.
     """
-    if weights.bands is None:
-        x, out, errors = _dense_stack(band, lams, gammas, weights, hats is not None)
-        if hats == "traces":
-            out = out.sum(axis=2)
-    else:
-        fit = _banded_stack(band, lams, gammas, weights, hats)
-        if fit is None:
-            fits = [_banded_stack(band, lams[p:p + 1], gammas[p:p + 1], weights, hats)
-                    for p in range(lams.size)]
-            x = np.concatenate([part[0] for part in fits])
-            out = None if hats is None else np.concatenate([part[1] for part in fits], axis=1)
-            errors = [part[2][0] for part in fits]
-        else:
-            x, out, errors = fit
-    return x[:, 0::2], x[:, 1::2], out, errors
+    count = lams.size
+    if count == 1 or weights.bands is not None:
+        solve = _dense_solve if weights.bands is None else _banded_solve
+        try:
+            return (*solve(band, lams, gammas, weights, hats), [None] * count)
+        except SingularSystemError as exc:
+            if count == 1:
+                n = band.shape[1] // 2
+                shape = (4, 1, n) if hats == "diagonals" else (4, 1)
+                return (np.zeros((1, n)), np.zeros((1, n)),
+                        None if hats is None else np.full(shape, np.nan), [exc])
+    fits = [_fit_stack(band, lams[p:p + 1], gammas[p:p + 1], weights, hats) for p in range(count)]
+    values, slopes = (np.concatenate([fit[i] for fit in fits]) for i in (0, 1))
+    out = None if hats is None else np.concatenate([fit[2] for fit in fits], axis=1)
+    return values, slopes, out, [fit[3][0] for fit in fits]
 
 
 def _fit_point(design: DesignMatrices, y, v, gamma, W=None, Ucorr=None, hats=None):

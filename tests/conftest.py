@@ -85,7 +85,10 @@ def mixed_failure_problems(rng):
     definite (no penalty, no velocity weight), a band that overflowed, a
     right-hand side that overflowed (gamma Ucorr v) and a finite system
     whose solution overflows.  A random instance of ordinary size fails in
-    the first three ways, and its fine points have finite scores.
+    the first three ways, and its fine points have finite scores.  The two
+    random instances come again with a ``W`` wider than tridiagonal, which
+    takes the dense route, where an overflowed system is a non-finite
+    "matrix".
     """
     from vspline.fit import rescale_domain
     pd, band = (0.0, 0.0, "not positive definite"), (1e305, 1.0, "non-finite band")
@@ -102,6 +105,12 @@ def mixed_failure_problems(rng):
     mats = ar1_precision(t.size, 0.4), ar1_precision(t.size, 0.2)
     rhs = (1e-3, 1e308 / np.abs(v).max(), "non-finite right-hand side")
     problems.append((t, y, 100.0 * v, cfg, mats, ((-6, -1), (-2, 2)), [pd, band, rhs]))
+    for t, y, v, cfg, (_, Ucorr), fine, failures in problems[1:]:
+        i = np.arange(t.size)
+        wide = 0.4 ** np.abs(i[:, None] - i[None, :])
+        failures = [(lam, gamma, "non-finite matrix" if (lam, gamma) == band[:2] else message)
+                    for lam, gamma, message in failures]
+        problems.append((t, y, v, cfg, (wide, Ucorr), fine, failures))
     return problems
 
 

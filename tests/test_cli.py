@@ -310,6 +310,33 @@ class TestFit:
         assert err.startswith("error while fitting: ") and "curve overflowed" in err
         assert list(tmp_path.iterdir()) == [data]
 
+    @pytest.mark.parametrize("blocks", [None, "ar1", "dense"])
+    def test_overflowing_hats_exit_3(self, tmp_path, capsys, blocks):
+        # lambda so small, and gamma 0, that A^-1 overflows while the knot
+        # fit stays finite: exit 3 and no files, not a report whose traces
+        # are NaN tokens (which is not JSON), on the identity, AR(1) and
+        # dense routes, without a numpy warning
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "30", "--seed", "1", "--out", str(data)])
+        inputs = [data]
+        args = ["fit", str(data), "--lambda", "1e-320", "--gamma", "0"]
+        if blocks is not None:
+            i = np.arange(30)
+            W = (ar1_precision(30, 0.5) if blocks == "ar1"
+                 else 0.4 ** np.abs(i[:, None] - i[None, :]))
+            inputs.append(tmp_path / "c.csv")
+            np.savetxt(inputs[-1], np.vstack([W, W]), delimiter=",", fmt="%.17g")
+            args += ["--corr", str(inputs[-1])]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*args, "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error while fitting: ")
+        assert "lambda and gamma too small" in err[0]
+        assert sorted(tmp_path.iterdir()) == sorted(inputs)
+
     def test_weights_file(self, tmp_path):
         data = tmp_path / "d.csv"
         main(["simulate", "--kind", "sine", "--n", "10", "--noise", "0.1",

@@ -731,8 +731,8 @@ class TestOptimizeParams:
     @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
     def test_overflowing_solutions_are_failed_points(self, criterion):
         # y = 1e308: at these lam the systems are finite but their solutions
-        # overflow; each such point carries its SingularSystemError and is
-        # NaN by mask, in a stack of one and in a full chunk, on the banded
+        # overflow; each such point carries its SingularSystemError and
+        # scores NaN, in a stack of one and in a full chunk, on the banded
         # and the dense route, without a warning;
         # the public score raises it
         n = 8
@@ -842,12 +842,12 @@ class TestOptimizeParams:
             if np.abs(y).max() < 1e300:   # ordinary data: every fine point scores
                 assert np.isfinite(scores).sum() == 65 - len(failures)
 
-    def test_failed_point_takes_the_identity_factor(self, monkeypatch):
-        # a point whose factorization fails (no penalty, no velocity weight)
-        # runs through every stage with the identity as its factor: one
-        # solve for the bands of A^-1 covers a stack that mixes it with a
-        # fine point, and a stack of failed points skips that solve
-        # (A^-1 = I); at n = 5000 it is most of a golden point's cost
+    def test_failed_stack_is_refitted_point_by_point(self, monkeypatch):
+        # a stack that mixes a point whose factorization fails (no penalty,
+        # no velocity weight) with a fine point is refitted point by point:
+        # one solve for the bands of A^-1 runs, of the fine point alone, with
+        # the factor and score of that point scored on its own; a stack whose
+        # every point fails runs none
         import vspline.hermite as hermite_mod
         real = hermite_mod._band_inverse
         swept = []
@@ -859,12 +859,12 @@ class TestOptimizeParams:
         scorer = _Scorer(_design_for(t, 1.0, UNIFORM), y, v, "cv")
         scores = scorer.scores([0.0, 1e-3], [0.0, 1.0])
         assert np.isnan(scores[0]) and np.isfinite(scores[1])
-        assert len(swept) == 1 and swept[0].shape[0] == 2
-        identity = np.zeros((40, 4))
-        identity[:, 0] = 1.0
-        np.testing.assert_array_equal(swept[0][0], identity)
+        assert len(swept) == 1 and swept[0].shape[0] == 1
+        assert scorer.scores([1e-3], [1.0]) == scores[1:]
+        np.testing.assert_array_equal(swept[1], swept[0])
+        swept.clear()
         assert np.isnan(scorer.scores([0.0, 0.0], [0.0, 0.0])).all()
-        assert len(swept) == 1
+        assert not swept
 
     def test_sweep_to_the_largest_float_does_not_raise(self):
         # a gamma bracket that ends at the largest float: 10 ** log10(gamma)

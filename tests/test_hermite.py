@@ -642,6 +642,33 @@ class TestBandedEngine:
                 with pytest.raises(SingularSystemError, match="non-finite solution"):
                     fit_theta(design, big, zeros, 1.0, W)
 
+    def test_overflowing_hats_are_one_error_on_every_route(self):
+        # lam so small, with gamma 0, that A^-1 overflows while the knot fit
+        # stays finite: with hats asked for, the point's SingularSystemError
+        # names the cause, and its hats are NaN, on the identity, tridiagonal
+        # and dense routes, without a numpy warning; a fine point of the
+        # same stack keeps the bits it has alone
+        n = 30
+        t = np.linspace(0.05, 0.95, n)
+        band = build_design(t, 1.0).band
+        y, v = np.sin(6 * t), 6 * np.cos(6 * t)
+        i = np.arange(n)
+        lams, gammas = np.array([1e-320, 1e-3]), np.array([0.0, 1.0])
+        for W in (None, ar1_precision(n, 0.5), 0.4 ** np.abs(i[:, None] - i[None, :])):
+            weights = _ErrorWeights(y, v, W, W)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values, slopes, _, errors = _fit_stack(band, lams[:1], gammas[:1], weights, None)
+                assert errors == [None] and np.isfinite(values).all() and np.isfinite(slopes).all()
+                for hats in ("diagonals", "traces"):
+                    stack = _fit_stack(band, lams, gammas, weights, hats)
+                    alone = _fit_stack(band, lams[1:], gammas[1:], weights, hats)
+                    assert "lambda and gamma too small" in str(stack[3][0])
+                    assert stack[3][1] is None and np.isnan(stack[2][:, 0]).all()
+                    for got, want in zip(alone[:2], stack[:2]):
+                        np.testing.assert_array_equal(got, want[1:])
+                    np.testing.assert_array_equal(alone[2], stack[2][:, 1:])
+
     def test_singular_band_raises_singular_system_error(self):
         # no penalty and no velocity weight leaves the slopes undetermined
         design = build_design(np.array([0.2, 0.5, 0.8]), 0.0)
