@@ -11,8 +11,7 @@ selection.
 __version__ = "0.1.0"
 
 from .bayes import (GpPrior, LimitIdentityGaps, PosteriorSummary,
-                    limit_identities_check, posterior_mean_diffuse,
-                    posterior_mean_finite_rho, prior_cov)
+                    limit_identities_check, posterior_mean_finite_rho, prior_cov)
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import (DomainScale, GramSystem, VSplineFit, build_gram, fit_vspline,
                   fitted_knot_values, objective_value, penalty_quadratic,
@@ -61,7 +60,6 @@ __all__ = [
     "objective_value",
     "optimize_params",
     "penalty_quadratic",
-    "posterior_mean_diffuse",
     "posterior_mean_finite_rho",
     "prior_cov",
     "rescale_domain",

@@ -4,20 +4,20 @@ The penalized fit equals the posterior mean of a Gaussian process whose
 affine component is given an arbitrarily vague prior.  This module
 exposes the prior covariances (value and derivative pairings), the
 posterior mean at finite vagueness ``rho`` together with its pointwise
-variance, the vague limit (which reuses the representer solve), and a
-numeric diagnostic for the two limit identities connecting them.
+variance, and a numeric diagnostic for the two limit identities
+connecting them.  The vague limit is the representer solve itself, and
+the posterior mean shares it, with ``I/rho`` added to its 2x2 system.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_solve
 
 from . import kernels
-from .fit import GramSystem, VSplineFit, _check_data, _lu_checked, build_gram, solve_coefficients
+from .fit import GramSystem, VSplineFit, _lu_checked, _projected_solve, build_gram
 from .kernels import KernelConfig
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "LimitIdentityGaps",
     "PosteriorSummary",
     "limit_identities_check",
-    "posterior_mean_diffuse",
     "posterior_mean_finite_rho",
     "prior_cov",
 ]
@@ -39,8 +38,8 @@ class GpPrior:
 
     ``beta`` multiplies the curvature kernel family and equals the noise
     variance divided by ``n * lam``.  ``rho`` is the vagueness ratio of
-    the affine component: 0 switches it off, ``math.inf`` is the fully
-    vague prior whose posterior mean is the penalized fit itself.
+    the affine component, finite and nonnegative: 0 switches it off, and
+    the fully vague limit is the penalized fit (``solve_coefficients``).
     """
 
     beta: float
@@ -50,8 +49,8 @@ class GpPrior:
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError("beta must be positive and finite")
-        if math.isnan(self.rho) or self.rho < 0.0:
-            raise ValueError("rho must be nonnegative (math.inf for the vague prior)")
+        if not (np.isfinite(self.rho) and self.rho >= 0.0):
+            raise ValueError("rho must be nonnegative and finite")
 
 
 def prior_cov(s, t, which: str, prior: GpPrior):
@@ -59,13 +58,10 @@ def prior_cov(s, t, which: str, prior: GpPrior):
 
     ``which`` selects the pairing: "ff", "fdf" (f at s with f' at t),
     "dff", or "dfdf".  The value is ``beta`` times the matching curvature
-    kernel plus ``rho * beta`` times the affine kernel part; requires a
-    finite ``rho``.
+    kernel plus ``rho * beta`` times the affine kernel part.
     """
     if which not in _SELECTORS:
         raise ValueError(f"which must be one of {_SELECTORS}")
-    if math.isinf(prior.rho):
-        raise ValueError("the vague prior has no finite pointwise covariance")
     cfg = prior.config
     # The base kernel call validates the domain; the affine parts are the
     # matching partial derivatives of 1 + s t.
@@ -90,18 +86,15 @@ class PosteriorSummary:
     """Posterior mean of the process fit, evaluable anywhere on [0, 1].
 
     The mean is stored in the representer form shared with
-    :class:`vspline.fit.VSplineFit`.  The finite-rho path also carries the
-    factored data covariance, enabling :meth:`variance`; the vague limit
-    does not define a finite pointwise variance, so that path raises.
+    :class:`vspline.fit.VSplineFit`; the LU factors of its solve, of ``M``
+    and of ``T' M^-1 T + I/rho``, serve :meth:`variance`.
     """
 
     fit: VSplineFit
     prior: GpPrior
-    lam: float
-    gamma: float
-    _gram: GramSystem | None = None
-    _mlu: tuple | None = None
-    _cap: np.ndarray | None = None
+    _gram: GramSystem
+    _mlu: tuple
+    _cap_lu: tuple
 
     def mean(self, t):
         return self.fit.evaluate(t)
@@ -110,7 +103,7 @@ class PosteriorSummary:
         return self.fit.evaluate_deriv(t)
 
     def variance(self, t):
-        """Pointwise posterior variance of f(t); finite-rho path only.
+        """Pointwise posterior variance of f(t).
 
         Uses the explicit-basis form (Rasmussen & Williams 2006, eq. 2.42)
 
@@ -119,10 +112,8 @@ class PosteriorSummary:
         with ``k0`` the curvature-kernel covariances of f(t) with the data
         and ``r = (1, t) - T' M^-1 k0``.  Every term stays bounded as rho
         grows, so no two numbers of size rho are subtracted; all points
-        share one solve against the stored factors.
+        share one solve against each of the stored factors.
         """
-        if self._mlu is None or self._gram is None:
-            raise ValueError("posterior variance is only defined for the finite-rho posterior")
         cfg = self.prior.config
         knots = self.fit.knots[:, None]
         tt = np.atleast_1d(np.asarray(t, dtype=float))
@@ -131,13 +122,13 @@ class PosteriorSummary:
         mk = lu_solve(self._mlu, k0)
         r = np.vstack([np.ones_like(tt), tt]) - self._gram.T.T @ mk
         out = self.prior.beta * (kernels.eval_r1(tt, tt, cfg) - np.sum(k0 * mk, axis=0)
-                                 + np.sum(r * np.linalg.solve(self._cap, r), axis=0))
+                                 + np.sum(r * lu_solve(self._cap_lu, r), axis=0))
         return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def posterior_mean_finite_rho(knots, y, v, prior: GpPrior,
                               lam: float, gamma: float) -> PosteriorSummary:
-    """Posterior mean with a finite-vagueness affine prior.
+    """Posterior mean with a finite-vagueness affine prior (``rho > 0``).
 
     Conditions the joint Gaussian of the observations on the data through
     the scaled covariance ``rho T T' + M`` (all entries divided by
@@ -148,33 +139,14 @@ def posterior_mean_finite_rho(knots, y, v, prior: GpPrior,
         (rho T T' + M)^-1 = M^-1 - M^-1 T (T' M^-1 T + I/rho)^-1 T' M^-1,
 
     which stays accurate for arbitrarily large rho where the directly
-    assembled matrix would drown M in roundoff.
+    assembled matrix would drown M in roundoff: the representer solve
+    with ``I/rho`` added to its 2x2 system.
     """
-    if not (np.isfinite(prior.rho) and prior.rho > 0.0):
-        raise ValueError("posterior_mean_finite_rho needs a finite, positive rho")
+    if not prior.rho > 0.0:
+        raise ValueError("posterior_mean_finite_rho needs a positive rho")
     gram = build_gram(knots, prior.config, lam, gamma)
-    n = gram.n
-    if n < 2:
-        raise ValueError("need at least 2 knots")
-    y, v = _check_data("y", y, n), _check_data("v", v, n)
-    mlu = _lu_checked(gram.M, "the kernel block system")
-    sol = lu_solve(mlu, np.column_stack([gram.T, np.concatenate([y, v])]))
-    MiT, Miz = sol[:, :2], sol[:, 2]
-    cap = gram.T.T @ MiT + np.eye(2) / prior.rho
-    d = np.linalg.solve(cap, gram.T.T @ Miz)
-    w = Miz - MiT @ d
-    fit = VSplineFit(d=d, c=w[:n], b=w[n:], knots=gram.knots,
-                     config=gram.config, lam=gram.lam, gamma=gram.gamma)
-    return PosteriorSummary(fit=fit, prior=prior, lam=gram.lam, gamma=gram.gamma,
-                            _gram=gram, _mlu=mlu, _cap=cap)
-
-
-def posterior_mean_diffuse(knots, y, v, beta: float, lam: float, gamma: float,
-                           config: KernelConfig) -> PosteriorSummary:
-    """Vague-limit posterior mean; identical to the representer solve."""
-    prior = GpPrior(beta=beta, rho=math.inf, config=config)
-    fit = solve_coefficients(build_gram(knots, config, lam, gamma), y, v)
-    return PosteriorSummary(fit=fit, prior=prior, lam=float(lam), gamma=float(gamma))
+    fit, mlu, cap_lu = _projected_solve(gram, y, v, 1.0 / prior.rho)
+    return PosteriorSummary(fit=fit, prior=prior, _gram=gram, _mlu=mlu, _cap_lu=cap_lu)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,11 +8,11 @@ with the curvature kernel ``R1`` from :mod:`vspline.kernels`.  Its
 coefficients solve a ridge-regularized linear system whose blocks are the
 kernel Gram matrices at the knots; the ridge couples the position penalty
 ``n * lam`` and the velocity weight ``gamma``.  The same coefficients are
-the vague-prior limit of the Gaussian-process posterior mean (see
-:mod:`vspline.bayes`), and the fitted values agree with the direct
-Hermite-basis regression of :mod:`vspline.hermite`; the test suite checks
-all three routes against each other.  The command line reports the
-basis fit only; this O(n^3) route is a library function and the
+the vague-prior limit of the Gaussian-process posterior mean, which
+shares their solve (:mod:`vspline.bayes`), and the fitted values agree
+with the direct Hermite-basis regression of :mod:`vspline.hermite`; the
+test suite checks all three routes against each other.  The command line
+reports the basis fit only; this O(n^3) route is a library function and the
 reference the basis fit is checked against.
 """
 
@@ -242,7 +242,7 @@ def _lu_checked(A, what: str,
     The reciprocal condition number is LAPACK's 1-norm estimate from the
     factors themselves (``dgecon``), so the check costs O(size) on top of
     the factorization the solve needs anyway.  This is the package's one
-    conditioning check; every representer-system solve goes through it.
+    conditioning check; both systems of the projected solve go through it.
     ``hint`` ends the error message; the default suits the fitting
     systems, and a caller factoring an arbitrary matrix passes ``None``.
     """
@@ -259,6 +259,26 @@ def _lu_checked(A, what: str,
     return lu, piv
 
 
+def _projected_solve(gram: GramSystem, y, v, shift: float):
+    """:func:`solve_coefficients` with ``shift`` added to the diagonal of
+    the 2x2 system ``T' M^-1 T``: 0 for the representer fit, ``1 / rho``
+    for the GP posterior mean.  Returns the fit and the LU factors of
+    ``M`` and of the shifted 2x2 system."""
+    n = gram.n
+    if n < 2:
+        raise ValueError("need at least 2 knots to determine the affine part")
+    y, v = _check_data("y", y, n), _check_data("v", v, n)
+    m_lu = _lu_checked(gram.M, "the kernel block system")
+    sol = lu_solve(m_lu, np.column_stack([gram.T, np.concatenate([y, v])]))
+    MiT, Miz = sol[:, :2], sol[:, 2]
+    cap_lu = _lu_checked(gram.T.T @ MiT + np.diag([shift, shift]), "the reduced affine system")
+    d = lu_solve(cap_lu, gram.T.T @ Miz)
+    cb = Miz - MiT @ d
+    fit = VSplineFit(d=d, c=cb[:n], b=cb[n:], knots=gram.knots,
+                     config=gram.config, lam=gram.lam, gamma=gram.gamma)
+    return fit, m_lu, cap_lu
+
+
 def solve_coefficients(gram: GramSystem, y, v) -> VSplineFit:
     """Solve the representer system for the coefficients (d, c, b).
 
@@ -268,22 +288,10 @@ def solve_coefficients(gram: GramSystem, y, v) -> VSplineFit:
         d = (T' M^-1 T)^-1 T' M^-1 [y; v]
         [c; b] = (M^-1 - M^-1 T (T' M^-1 T)^-1 T' M^-1) [y; v]
 
-    Requires at least 2 knots so the affine design has full column rank.
+    This is also the vague limit of the GP posterior mean.  Requires at
+    least 2 knots so the affine design has full column rank.
     """
-    n = gram.n
-    if n < 2:
-        raise ValueError("need at least 2 knots to determine the affine part")
-    y, v = _check_data("y", y, n), _check_data("v", v, n)
-    z = np.concatenate([y, v])
-    lu = _lu_checked(gram.M, "the kernel block system")
-    sol = lu_solve(lu, np.column_stack([gram.T, z]))
-    MiT = sol[:, :2]
-    Miz = sol[:, 2]
-    A2 = gram.T.T @ MiT
-    d = lu_solve(_lu_checked(A2, "the reduced affine system"), gram.T.T @ Miz)
-    cb = Miz - MiT @ d
-    return VSplineFit(d=d, c=cb[:n], b=cb[n:], knots=gram.knots,
-                      config=gram.config, lam=gram.lam, gamma=gram.gamma)
+    return _projected_solve(gram, y, v, 0.0)[0]
 
 
 def fit_vspline(t, y, v, config: KernelConfig | None = None,

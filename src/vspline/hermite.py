@@ -36,7 +36,7 @@ fill ``A`` in and take the dense route, one point at a time.  A stack
 that meets any failure is refitted point by point, so each point gets
 its own result or error.  The full hat blocks of
 :func:`hat_matrices` and :func:`hat_matrices_correlated` stay dense, as
-the tests' oracles.
+the tests' oracles, from the dense route's hat helper.
 """
 
 from __future__ import annotations
@@ -527,9 +527,10 @@ def _banded_solve(band, lams, gammas, weights: _ErrorWeights, hats):
 
 def _dense_solve(band, lams, gammas, weights: _ErrorWeights, hats):
     """:func:`_fit_stack` on the dense route for a stack of one point that
-    fits: one dense factorization and one ``cho_solve``, on ``[rhs | I]``
-    for the coefficients and ``A^-1`` with ``hats`` (the coefficients by a
-    direct solve, never ``A^-1`` times the data), on ``rhs`` without.
+    fits: one dense factorization, one ``cho_solve`` of the right-hand side
+    for the coefficients (a direct solve, never ``A^-1`` times the data),
+    and with ``hats`` the hat blocks of :func:`_hat_blocks`, the helper of
+    the public hat oracles, from the same factor.
 
     Raises the point's :class:`SingularSystemError` in the order of
     :func:`_banded_solve`."""
@@ -540,13 +541,12 @@ def _dense_solve(band, lams, gammas, weights: _ErrorWeights, hats):
         rhs = np.concatenate([weights.wy, gamma * weights.uv])
         if not np.isfinite(rhs).all():
             raise _overflowed("right-hand side")
-        sol = cho_solve(cho, rhs if hats is None else np.column_stack([rhs, np.eye(2 * n)]))
-        coefs = sol if hats is None else sol[:, 0]
+        coefs = cho_solve(cho, rhs)
         if not np.isfinite(coefs).all():
             raise _overflowed("solution")
         out = None
         if hats is not None:
-            blocks = _hat_blocks(sol[:, 1:], weights.W, weights.Ucorr)
+            blocks = _hat_blocks(cho, weights.W, weights.Ucorr)
             out = np.array([np.diagonal(h) for h in (blocks.S, blocks.T, blocks.U, blocks.V)])
             out = out[:, None] if hats == "diagonals" else out.sum(axis=1)[:, None]
             if not np.isfinite(out).all():
@@ -640,14 +640,20 @@ class HatMatrices:
     V: np.ndarray
 
 
-def _hat_blocks(Ainv, W=None, Ucorr=None) -> HatMatrices:
-    """Hat blocks from ``A^-1``: its sub-blocks times the error weights."""
-    n = Ainv.shape[0] // 2
-    S, T, U, V = Ainv[:n, :n], Ainv[:n, n:], Ainv[n:, :n], Ainv[n:, n:]
-    if W is not None:
-        S, U = S @ W, U @ W
-    if Ucorr is not None:
-        T, V = T @ Ucorr, V @ Ucorr
+def _hat_blocks(cho, W=None, Ucorr=None) -> HatMatrices:
+    """Hat blocks from the dense Cholesky factor ``cho`` of ``A``: the
+    sub-blocks of ``A^-1`` times the error weights.  Blocks that overflowed
+    raise :class:`SingularSystemError`, without a numpy warning."""
+    n = cho[0].shape[0] // 2
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        Ainv = cho_solve(cho, np.eye(2 * n))
+        S, T, U, V = Ainv[:n, :n], Ainv[:n, n:], Ainv[n:, :n], Ainv[n:, n:]
+        if W is not None:
+            S, U = S @ W, U @ W
+        if Ucorr is not None:
+            T, V = T @ Ucorr, V @ Ucorr
+    if not all(np.isfinite(h).all() for h in (S, T, U, V)):
+        raise _hats_overflowed()
     return HatMatrices(S=S, T=T, U=U, V=V)
 
 
@@ -667,9 +673,9 @@ def hat_matrices_correlated(design: DesignMatrices, gamma, W, Ucorr) -> HatMatri
     Same structure as :func:`hat_matrices` with the precision matrices
     inserted, so the blocks are no longer symmetric.  ``W`` and ``Ucorr``
     are read as in :func:`fit_theta`, as their symmetric part (``None`` is
-    the identity).
+    the identity).  Dense, by the dense route's :func:`_hat_blocks`, and
+    so with its :class:`SingularSystemError` for blocks that overflowed.
     """
     gamma = _check_param("gamma", gamma, positive=False)
     W, Ucorr = _weight_matrix("W", W, design.n), _weight_matrix("Ucorr", Ucorr, design.n)
-    cho = _factor_normal(design.band, 1.0, gamma, W, Ucorr)
-    return _hat_blocks(cho_solve(cho, np.eye(2 * design.n)), W, Ucorr)
+    return _hat_blocks(_factor_normal(design.band, 1.0, gamma, W, Ucorr), W, Ucorr)

@@ -86,10 +86,6 @@ class KernelConfig:
         return cls(np.asarray(breakpoints, dtype=float),
                    np.asarray(weights, dtype=float))
 
-    @property
-    def is_uniform(self) -> bool:
-        return self.weights.size == 1 and self.weights[0] == 1.0
-
 
 def _unit_args(*vals):
     out = []

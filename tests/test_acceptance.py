@@ -81,8 +81,9 @@ def test_criterion_3_limit_identities():
 
 
 def test_criterion_4_posterior_equals_penalized_fit():
-    # the finite-rho GP posterior, through its rank-two update, against the
-    # representer fit: the gap closes like 1/rho
+    # the finite-rho GP posterior against the representer fit: the two share
+    # one solve and differ only by the I/rho added to its 2x2 affine system,
+    # so this checks that term's limit; the gap closes like 1/rho
     rng = np.random.default_rng(104)
     grid = np.linspace(0.01, 0.99, 50)
     worst = {1e10: 0.0, 1e12: 0.0}

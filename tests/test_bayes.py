@@ -9,8 +9,7 @@ import oracles
 from conftest import random_config, random_instance, random_knots
 from vspline import (GpPrior, KernelConfig, SingularSystemError, build_gram,
                      eval_r1, fit_vspline, limit_identities_check,
-                     posterior_mean_diffuse, posterior_mean_finite_rho,
-                     prior_cov, solve_coefficients)
+                     posterior_mean_finite_rho, prior_cov)
 
 UNIFORM = KernelConfig.uniform()
 
@@ -36,34 +35,21 @@ class TestPriorCov:
         want = eval_r1(s, t, UNIFORM) + 2.0 * (1.0 + s * t)
         assert prior_cov(s, t, "ff", prior) == pytest.approx(want, rel=1e-14)
 
-    def test_vague_prior_rejected(self):
-        prior = GpPrior(beta=1.0, rho=math.inf, config=UNIFORM)
-        with pytest.raises(ValueError):
-            prior_cov(0.2, 0.3, "ff", prior)
+    def test_unknown_pairing_rejected(self):
         with pytest.raises(ValueError):
             prior_cov(0.2, 0.3, "nope", GpPrior(beta=1.0, rho=0.0, config=UNIFORM))
 
 
 class TestDiffusePosterior:
-    def test_equals_representer_solve(self):
-        rng = np.random.default_rng(0)
-        t, y, v, cfg, lam, gamma = random_instance(rng)
-        fit = solve_coefficients(build_gram(t, cfg, lam, gamma), y, v)
-        post = posterior_mean_diffuse(t, y, v, beta=0.4, lam=lam, gamma=gamma,
-                                      config=cfg)
-        np.testing.assert_allclose(post.fit.d, fit.d, atol=1e-12)
-        np.testing.assert_allclose(post.fit.c, fit.c, atol=1e-12)
-        np.testing.assert_allclose(post.fit.b, fit.b, atol=1e-12)
-
+    # the vague limit rho -> inf is the representer fit itself
     def test_line_data_gives_line_mean(self):
         t = np.array([0.15, 0.4, 0.6, 0.85])
         y = 1.0 - 2.0 * t
         v = np.full(4, -2.0)
-        post = posterior_mean_diffuse(t, y, v, beta=1.0, lam=0.3, gamma=2.0,
-                                      config=UNIFORM)
+        fit = fit_vspline(t, y, v, UNIFORM, lam=0.3, gamma=2.0)
         grid = np.linspace(0.0, 1.0, 21)
-        np.testing.assert_allclose(post.mean(grid), 1.0 - 2.0 * grid, atol=1e-9)
-        np.testing.assert_allclose(post.mean_deriv(grid), -2.0, atol=1e-9)
+        np.testing.assert_allclose(fit.evaluate(grid), 1.0 - 2.0 * grid, atol=1e-9)
+        np.testing.assert_allclose(fit.evaluate_deriv(grid), -2.0, atol=1e-9)
 
     def test_unit_weights_match_uniform(self):
         rng = np.random.default_rng(1)
@@ -71,17 +57,10 @@ class TestDiffusePosterior:
         y = rng.standard_normal(6)
         v = rng.standard_normal(6)
         cfg1 = KernelConfig.piecewise(np.concatenate([[0.0], t, [1.0]]), np.ones(7))
-        a = posterior_mean_diffuse(t, y, v, 1.0, 0.02, 1.5, UNIFORM)
-        b = posterior_mean_diffuse(t, y, v, 1.0, 0.02, 1.5, cfg1)
+        a = fit_vspline(t, y, v, UNIFORM, 0.02, 1.5)
+        b = fit_vspline(t, y, v, cfg1, 0.02, 1.5)
         grid = np.linspace(0.0, 1.0, 40)
-        np.testing.assert_allclose(a.mean(grid), b.mean(grid), atol=1e-10)
-
-    def test_no_variance_in_diffuse_path(self):
-        t = np.array([0.2, 0.8])
-        post = posterior_mean_diffuse(t, np.zeros(2), np.zeros(2), 1.0, 0.1, 1.0,
-                                      UNIFORM)
-        with pytest.raises(ValueError):
-            post.variance(0.5)
+        np.testing.assert_allclose(a.evaluate(grid), b.evaluate(grid), atol=1e-10)
 
 
 class TestFiniteRhoPosterior:
@@ -96,23 +75,23 @@ class TestFiniteRhoPosterior:
     def test_large_rho_matches_diffuse(self):
         rng = np.random.default_rng(2)
         t, y, v, cfg, lam, gamma = random_instance(rng)
-        diffuse = posterior_mean_diffuse(t, y, v, 1.0, lam, gamma, cfg)
+        diffuse = fit_vspline(t, y, v, cfg, lam, gamma)
         prior = GpPrior(beta=1.0, rho=1e10, config=cfg)
         finite = posterior_mean_finite_rho(t, y, v, prior, lam, gamma)
         grid = np.linspace(0.02, 0.98, 50)
-        scale = np.abs(diffuse.mean(grid)).max()
-        assert np.abs(finite.mean(grid) - diffuse.mean(grid)).max() <= 1e-5 * scale
+        scale = np.abs(diffuse.evaluate(grid)).max()
+        assert np.abs(finite.mean(grid) - diffuse.evaluate(grid)).max() <= 1e-5 * scale
 
     def test_convergence_monotone_in_rho(self):
         rng = np.random.default_rng(3)
         t, y, v, cfg, lam, gamma = random_instance(rng, weighted=False)
-        diffuse = posterior_mean_diffuse(t, y, v, 1.0, lam, gamma, cfg)
+        diffuse = fit_vspline(t, y, v, cfg, lam, gamma)
         grid = np.linspace(0.02, 0.98, 50)
         gaps = []
         for rho in (1e2, 1e4, 1e6, 1e8):
             prior = GpPrior(beta=1.0, rho=rho, config=cfg)
             finite = posterior_mean_finite_rho(t, y, v, prior, lam, gamma)
-            gaps.append(np.abs(finite.mean(grid) - diffuse.mean(grid)).max())
+            gaps.append(np.abs(finite.mean(grid) - diffuse.evaluate(grid)).max())
         for a, b in zip(gaps, gaps[1:]):
             assert b <= 1.1 * a  # decreasing, modest slack at the tiny end
 
@@ -210,10 +189,15 @@ class TestGpPriorValidation:
         with pytest.raises(ValueError):
             GpPrior(beta=1.0, rho=-1.0, config=UNIFORM)
 
-    def test_finite_rho_requires_positive_rho(self):
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_non_finite_rho_rejected(self, rho):
+        with pytest.raises(ValueError, match="^rho must be nonnegative and finite$"):
+            GpPrior(beta=1.0, rho=rho, config=UNIFORM)
+
+    def test_posterior_requires_positive_rho(self):
         t = np.array([0.2, 0.8])
-        prior = GpPrior(beta=1.0, rho=math.inf, config=UNIFORM)
-        with pytest.raises(ValueError):
+        prior = GpPrior(beta=1.0, rho=0.0, config=UNIFORM)
+        with pytest.raises(ValueError, match="positive rho"):
             posterior_mean_finite_rho(t, np.zeros(2), np.zeros(2), prior, 0.1, 1.0)
 
     def test_non_finite_data_is_named(self):

@@ -647,7 +647,8 @@ class TestBandedEngine:
         # stays finite: with hats asked for, the point's SingularSystemError
         # names the cause, and its hats are NaN, on the identity, tridiagonal
         # and dense routes, without a numpy warning; a fine point of the
-        # same stack keeps the bits it has alone
+        # same stack keeps the bits it has alone; the hat oracles raise the
+        # same error instead of returning a non-finite V
         n = 30
         t = np.linspace(0.05, 0.95, n)
         band = build_design(t, 1.0).band
@@ -668,6 +669,8 @@ class TestBandedEngine:
                     for got, want in zip(alone[:2], stack[:2]):
                         np.testing.assert_array_equal(got, want[1:])
                     np.testing.assert_array_equal(alone[2], stack[2][:, 1:])
+                with pytest.raises(SingularSystemError, match="lambda and gamma too small"):
+                    hat_matrices_correlated(build_design(t, 1e-320), 0.0, W, W)
 
     def test_singular_band_raises_singular_system_error(self):
         # no penalty and no velocity weight leaves the slopes undetermined

@@ -13,7 +13,7 @@ UNIFORM = KernelConfig.uniform()
 
 class TestConfigValidation:
     def test_uniform_is_single_unit_interval(self):
-        assert UNIFORM.is_uniform
+        assert UNIFORM.weights.tolist() == [1.0]
         assert UNIFORM.breakpoints.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("breaks, weights", [
