@@ -7,6 +7,7 @@ posterior mean at finite vagueness ``rho`` together with its pointwise
 variance, and a numeric diagnostic for the two limit identities
 connecting them.  The vague limit is the representer solve itself, and
 the posterior mean shares it, with ``I/rho`` added to its 2x2 system.
+The top level keeps :class:`GpPrior` and :func:`posterior_mean_finite_rho`.
 """
 
 from __future__ import annotations

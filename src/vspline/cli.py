@@ -296,6 +296,9 @@ def cmd_select(args) -> int:
     _check_grid(args.grid)
     if args.criterion == "gcv-corr" and args.corr is None:
         raise CliError(2, "parsing flags", "--criterion gcv-corr requires --corr")
+    if args.criterion != "gcv-corr" and args.corr is not None:
+        raise CliError(2, "parsing flags", "--corr goes with --criterion gcv-corr only, "
+                       f"not {args.criterion}")
     data = tu, yu, vu, _ = _read_dataset(args.input)
     weights = _read_weights(args.weights, tu.size) if args.weights else None
     corr = _read_corr(args.corr, tu.size) if args.corr else None
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--gamma-max", type=float, default=1e4)
     sel.add_argument("--gamma-steps", type=int, default=13)
     sel.add_argument("--weights")
-    sel.add_argument("--corr")
+    sel.add_argument("--corr", help="CSV with stacked W and Ucorr blocks; gcv-corr only")
     sel.add_argument("--grid", type=int, default=200)
     sel.add_argument("--out", required=True)
     sel.set_defaults(func=cmd_select)

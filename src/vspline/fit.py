@@ -12,8 +12,9 @@ the vague-prior limit of the Gaussian-process posterior mean, which
 shares their solve (:mod:`vspline.bayes`), and the fitted values agree
 with the direct Hermite-basis regression of :mod:`vspline.hermite`; the
 test suite checks all three routes against each other.  The command line
-reports the basis fit only; this O(n^3) route is a library function and the
-reference the basis fit is checked against.
+reports the basis fit only; this O(n^3) route is the reference it is
+checked against, imported from here (the top level keeps only
+``build_gram``, ``solve_coefficients`` and ``fitted_knot_values``).
 """
 
 from __future__ import annotations

@@ -250,16 +250,17 @@ class _Scorer:
     diagonals for "cv" and only the four traces for the GCV criteria;
     :func:`_criterion` runs once per stack.  :meth:`scores` is the one
     place that sizes the stacks: at most ``_STACK_COLUMNS`` unknowns each,
-    or one point when a point has more.  A missing ``corr`` for
-    "gcv-corr", or one of another size than the data
-    (:class:`vspline.hermite._ErrorWeights`), fails here.
+    or one point when a point has more.  A ``corr`` missing for
+    "gcv-corr" or given for "cv"/"gcv", or one of another size than the
+    data (:class:`vspline.hermite._ErrorWeights`), fails here.
     """
 
     def __init__(self, design, y, v, criterion, corr: CorrelationSpec | None = None):
         self.band, self.y, self.v = design.band, y, v
         self.criterion, self.corr = criterion, corr
-        if criterion == "gcv-corr" and corr is None:
-            raise ValueError("corr must be a CorrelationSpec for criterion 'gcv-corr'")
+        if (criterion == "gcv-corr") != (corr is not None):
+            raise ValueError("corr must be a CorrelationSpec for criterion 'gcv-corr', "
+                             "and None for 'cv' and 'gcv'")
         mats = () if corr is None else (corr.W, corr.Ucorr)
         self.weights = _ErrorWeights(y, v, *mats)
 
@@ -411,15 +412,15 @@ def _golden_min(f, lo, hi):
 def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = None,
                     criterion: str = "cv",
                     lam_bounds=(1e-8, 1e2), gamma_bounds=(1e-4, 1e4),
-                    lam_points: int = 15, gamma_points: int = 13,
-                    refine: bool = True) -> SelectionResult:
+                    lam_points: int = 15, gamma_points: int = 13) -> SelectionResult:
     """Pick (lam, gamma) minimizing a cross-validation criterion.
 
     A log-spaced coarse grid is scored first; the best point is then
     refined by two sweeps of golden-section search per coordinate, each
     confined between the neighboring grid points.  Deterministic for
     fixed inputs.  ``criterion`` may be "cv" (closed-form leave-one-out,
-    the default), "gcv", or "gcv-corr" (requires ``corr``).  Both bounds
+    the default), "gcv", or "gcv-corr", the one criterion that takes
+    ``corr`` and requires it (``ValueError`` otherwise).  Both bounds
     of each range must be positive and finite with ``lo < hi``, and each
     axis needs at least one point (``ValueError`` otherwise); a one-point
     axis stays at its lower bound.
@@ -450,8 +451,6 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     t, y, v, _, _ = _check_inputs(t, y, v, 1.0, 1.0)
     if criterion not in _DEGENERATE:
         raise ValueError("criterion must be 'cv', 'gcv', or 'gcv-corr'")
-    if criterion != "gcv-corr":
-        corr = None
     _check_range(lam_bounds, lam_points, "lam_bounds", "lam_points")
     _check_range(gamma_bounds, gamma_points, "gamma_bounds", "gamma_points")
     scorer = _Scorer(_design_for(t, 1.0, cfg), y, v, criterion, corr)
@@ -478,25 +477,24 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     best_row = int(np.nanargmin(surface[:, 2]))
     best_lam, best_gamma, best_score = surface[best_row].tolist()
 
-    if refine:
-        log_lams, log_gammas = np.log10(lams).tolist(), np.log10(gammas).tolist()
-        li, gi = divmod(best_row, gamma_points)
-        lam_lo, lam_hi = log_lams[max(li - 1, 0)], log_lams[min(li + 1, lam_points - 1)]
-        gam_lo, gam_hi = log_gammas[max(gi - 1, 0)], log_gammas[min(gi + 1, gamma_points - 1)]
-        for _ in range(2):
-            # an axis whose bracket is a single point has nothing to refine
-            if lam_lo < lam_hi:
-                score, log_best = _golden_min(
-                    lambda lls: sweep_scores([(_exp10(ll), best_gamma) for ll in lls]),
-                    lam_lo, lam_hi)
-                if math.isfinite(score) and score <= best_score:
-                    best_lam, best_score = _exp10(log_best), score
-            if gam_lo < gam_hi:
-                score, log_best = _golden_min(
-                    lambda lgs: sweep_scores([(best_lam, _exp10(lg)) for lg in lgs]),
-                    gam_lo, gam_hi)
-                if math.isfinite(score) and score <= best_score:
-                    best_gamma, best_score = _exp10(log_best), score
+    log_lams, log_gammas = np.log10(lams).tolist(), np.log10(gammas).tolist()
+    li, gi = divmod(best_row, gamma_points)
+    lam_lo, lam_hi = log_lams[max(li - 1, 0)], log_lams[min(li + 1, lam_points - 1)]
+    gam_lo, gam_hi = log_gammas[max(gi - 1, 0)], log_gammas[min(gi + 1, gamma_points - 1)]
+    for _ in range(2):
+        # an axis whose bracket is a single point has nothing to refine
+        if lam_lo < lam_hi:
+            score, log_best = _golden_min(
+                lambda lls: sweep_scores([(_exp10(ll), best_gamma) for ll in lls]),
+                lam_lo, lam_hi)
+            if math.isfinite(score) and score <= best_score:
+                best_lam, best_score = _exp10(log_best), score
+        if gam_lo < gam_hi:
+            score, log_best = _golden_min(
+                lambda lgs: sweep_scores([(best_lam, _exp10(lg)) for lg in lgs]),
+                gam_lo, gam_hi)
+            if math.isfinite(score) and score <= best_score:
+                best_gamma, best_score = _exp10(log_best), score
 
     return SelectionResult(lam=best_lam, gamma=best_gamma, score=best_score, criterion=criterion,
                            surface=surface, degenerate_count=degenerate)

@@ -20,8 +20,9 @@ per entry.  An ``n``-by-``m`` kernel matrix on ``k`` weight intervals
 therefore costs O(n*m + k), whatever the number of intervals.
 
 Evaluation points outside ``[0, 1]`` are rejected, not clamped; callers
-are expected to rescale their time axis first (see
-:func:`vspline.fit.rescale_domain`).
+rescale their time axis first (:func:`vspline.fit.rescale_domain`).  The
+``eval_*`` kernels serve the representer and the posterior, and are
+imported from here; only :class:`KernelConfig` is at the top level.
 """
 
 from __future__ import annotations

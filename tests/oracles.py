@@ -201,7 +201,7 @@ def gp_joint_posterior(t, y, v, t_eval, cfg, beta, rho, lam, gamma):
     covariance pairings and the two noise variances, then conditions; no
     representer algebra involved.
     """
-    from vspline import eval_r1, eval_r1_dsdt, eval_r1_dt
+    from vspline.kernels import eval_r1, eval_r1_dsdt, eval_r1_dt
 
     t = np.asarray(t, dtype=float)
     t_eval = np.asarray(t_eval, dtype=float)

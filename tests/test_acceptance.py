@@ -11,11 +11,12 @@ import pytest
 
 import oracles
 from conftest import random_config, random_instance, random_knots
-from vspline import (GpPrior, KernelConfig, build_design, build_gram,
-                     cv_brute_force, cv_closed_form, eval_r1, eval_r1_ds,
-                     eval_r1_dsdt, eval_r1_dt, fit_theta, hat_matrices,
-                     limit_identities_check, penalty_quadratic,
-                     posterior_mean_finite_rho, solve_coefficients)
+from vspline import (GpPrior, KernelConfig, build_design, build_gram, cv_brute_force,
+                     cv_closed_form, fit_theta, hat_matrices, posterior_mean_finite_rho,
+                     solve_coefficients)
+from vspline.bayes import limit_identities_check
+from vspline.fit import penalty_quadratic
+from vspline.kernels import eval_r1, eval_r1_ds, eval_r1_dsdt, eval_r1_dt
 from vspline.cli import main
 from vspline.gcv import _design_for
 

@@ -8,8 +8,10 @@ import pytest
 import oracles
 from conftest import random_config, random_instance, random_knots
 from vspline import (GpPrior, KernelConfig, SingularSystemError, build_gram,
-                     eval_r1, fit_vspline, limit_identities_check,
-                     posterior_mean_finite_rho, prior_cov)
+                     posterior_mean_finite_rho)
+from vspline.bayes import limit_identities_check, prior_cov
+from vspline.fit import fit_vspline
+from vspline.kernels import eval_r1
 
 UNIFORM = KernelConfig.uniform()
 

@@ -682,6 +682,25 @@ class TestSelect:
         assert err.startswith("warning: selected lambda=1 on the search bound")
         assert "--lambda-min/--lambda-max" in err and "gamma" not in err
 
+    @pytest.mark.parametrize("criterion", ["cv", "gcv"])
+    def test_corr_with_an_uncorrelated_criterion_exit_2(self, tmp_path, capsys, criterion):
+        # cv and gcv score without the precision blocks, so a report fitted
+        # with them would not be the estimator its score describes: exit 2
+        # while parsing flags, before any input is read, and no file
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", "12", "--seed", "3", "--out", str(data)])
+        corr = tmp_path / "c.csv"
+        np.savetxt(corr, np.vstack([ar1_precision(12, 0.6), ar1_precision(12, 0.6)]),
+                   delimiter=",")
+        capsys.readouterr()
+        for source in (data, tmp_path / "missing.csv"):
+            rc = main(["select", str(source), "--criterion", criterion, "--corr", str(corr),
+                       "--out", str(tmp_path / "s.json")])
+            assert rc == 2
+            assert capsys.readouterr().err == ("error while parsing flags: --corr goes with "
+                                               f"--criterion gcv-corr only, not {criterion}\n")
+            assert sorted(tmp_path.iterdir()) == sorted([data, corr])
+
     def test_cv_close_to_gcv_on_equispaced_case(self, tmp_path):
         data = tmp_path / "d.csv"
         main(["simulate", "--kind", "sine", "--n", "24", "--noise", "0.3",

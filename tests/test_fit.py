@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import random_instance, random_knots
-from vspline import (KernelConfig, SingularSystemError, build_gram, eval_r1,
-                     fit_vspline, fitted_knot_values, objective_value,
-                     penalty_quadratic, rescale_domain, solve_coefficients,
-                     stationarity_residuals)
+from vspline import (KernelConfig, SingularSystemError, build_gram, fitted_knot_values,
+                     rescale_domain, solve_coefficients)
+from vspline.fit import (fit_vspline, objective_value, penalty_quadratic,
+                         stationarity_residuals)
+from vspline.kernels import eval_r1
 
 UNIFORM = KernelConfig.uniform()
 

@@ -11,8 +11,9 @@ import oracles
 from conftest import (ar1_precision, mixed_chunk, mixed_failure_problems, random_config,
                       random_instance, random_knots)
 from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
-                     build_design, cv_brute_force, cv_closed_form, fit_theta, fit_vspline,
+                     build_design, cv_brute_force, cv_closed_form, fit_theta,
                      gcv_correlated, gcv_score, hat_matrices_correlated, optimize_params)
+from vspline.fit import fit_vspline
 from vspline.gcv import (_STACK_COLUMNS, _criterion, _design_for, _golden_min, _psd_sqrt,
                          _score, _Scorer)
 from vspline.errors import DegenerateScoreError, SingularSystemError
@@ -128,7 +129,7 @@ class TestBandedMemory:
         tracemalloc.start()
         try:
             res = optimize_params(t, y, v, UNIFORM, lam_bounds=(1e-8, 1e-2),
-                                  lam_points=5, gamma_points=5, refine=True)
+                                  lam_points=5, gamma_points=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -450,6 +451,18 @@ class TestCorrelatedGcv:
         with pytest.raises(ValueError, match="^corr must be a CorrelationSpec"):
             optimize_params(t, y, v, UNIFORM, criterion="gcv-corr", lam_points=3, gamma_points=3)
 
+    @pytest.mark.parametrize("criterion", ["cv", "gcv"])
+    def test_spec_for_another_criterion_is_refused(self, criterion):
+        # only gcv-corr scores with a spec; a cv or gcv search given one would
+        # score another estimator than the fit with it, so the spec is refused
+        t = np.linspace(0.05, 0.95, 10)
+        y, v = np.sin(6 * t), 6 * np.cos(6 * t)
+        corr = CorrelationSpec(W=ar1_precision(10, 0.5), Ucorr=ar1_precision(10, 0.3))
+        with pytest.raises(ValueError, match="^corr must be a CorrelationSpec for criterion "
+                                             "'gcv-corr', and None for 'cv' and 'gcv'$"):
+            optimize_params(t, y, v, UNIFORM, corr=corr, criterion=criterion,
+                            lam_points=3, gamma_points=3)
+
     def test_spec_of_another_size_is_named(self):
         # a 12 x 12 spec for 10 samples: a ValueError naming both sizes
         # before any fit, not numpy's broadcast error from inside the engine
@@ -651,7 +664,7 @@ class TestOptimizeParams:
             assert np.flatnonzero(np.isnan(got)).tolist() == [17]
             # the search's surface is the same batched computation
             res = optimize_params(t, y, v, cfg, corr=corr, criterion=criterion,
-                                  lam_points=9, gamma_points=count // 9, refine=False)
+                                  lam_points=9, gamma_points=count // 9)
             lam_col, gamma_col, score_col = res.surface.T
             per_point = [_score(unit, y, v, lam, gamma, criterion, corr)
                          for lam, gamma in zip(lam_col, gamma_col)]
@@ -774,7 +787,8 @@ class TestOptimizeParams:
             with pytest.raises(SingularSystemError, match="non-finite criterion"):
                 public[criterion]()
             with pytest.raises(DegenerateGridError):
-                optimize_params(t, y, v, UNIFORM, corr=corr, criterion=criterion)
+                optimize_params(t, y, v, UNIFORM, criterion=criterion,
+                                corr=corr if criterion == "gcv-corr" else None)
 
     @pytest.mark.parametrize("criterion", ["cv", "gcv"])
     def test_interpolating_points_in_a_chunk_are_nan(self, criterion):
@@ -975,5 +989,5 @@ class TestWeightedConfigScores:
                                            rel=1e-6)
             assert np.isfinite(gcv_score(t, y, v, 1e-3, 0.5, cfg).value)
             assert np.isfinite(gcv_correlated(t, y, v, 1e-3, 0.5, cfg, corr).value)
-            res = optimize_params(t, y, v, cfg, lam_points=3, gamma_points=3, refine=False)
+            res = optimize_params(t, y, v, cfg, lam_points=3, gamma_points=3)
             assert np.isfinite(res.score)

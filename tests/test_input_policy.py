@@ -8,9 +8,9 @@ import pytest
 
 from conftest import ar1_precision
 from vspline import (CorrelationSpec, GpPrior, KernelConfig, build_design, cv_brute_force,
-                     cv_closed_form, fit_theta, fit_vspline, gcv_correlated, gcv_score,
-                     hat_matrices, hat_matrices_correlated, optimize_params,
-                     posterior_mean_finite_rho)
+                     cv_closed_form, fit_theta, gcv_correlated, gcv_score, hat_matrices,
+                     hat_matrices_correlated, optimize_params, posterior_mean_finite_rho)
+from vspline.fit import fit_vspline
 
 UNIFORM = KernelConfig.uniform()
 N = 8

@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from conftest import random_config
-from vspline import (KernelConfig, eval_r0, eval_r1, eval_r1_ds, eval_r1_dsdt,
-                     eval_r1_dt, rescale_domain)
+from vspline import KernelConfig, rescale_domain
+from vspline.kernels import eval_r0, eval_r1, eval_r1_ds, eval_r1_dsdt, eval_r1_dt
 
 UNIFORM = KernelConfig.uniform()
 
