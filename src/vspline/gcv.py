@@ -32,8 +32,7 @@ from scipy.linalg import cholesky, eigh
 
 from .errors import DegenerateGridError, DegenerateScoreError, SingularSystemError
 from .fit import _check_data, _check_param, check_knots
-from .hermite import (_ErrorWeights, _fit_stack, _overflowed, _weight_matrix, build_design,
-                      fit_theta)
+from .hermite import _ErrorWeights, _fit_stack, _weight_matrix, build_design, fit_theta
 from .kernels import KernelConfig
 
 __all__ = [
@@ -142,43 +141,43 @@ def _check_inputs(t, y, v, lam, gamma):
 def _design_for(t, lam, cfg: KernelConfig):
     """Basis design whose penalty is lam times the config's weight profile,
     read on each knot interval ``[0, t1], ..., [tn, 1]``: the one place
-    where a :class:`KernelConfig` meets the basis route.  The basis is one
-    cubic per knot interval, so a value that changes strictly inside one
-    raises ``ValueError`` naming the breakpoint; breakpoints on the knots,
-    outside ``[t1, tn]``, or between equal values are accepted.  A lam so
-    large that a weighted value overflows raises the engine's overflow
-    :class:`SingularSystemError`, as the band it would fill does.
+    where a :class:`KernelConfig` meets the basis route.  Its band is built
+    at unit lam and multiplied by lam once, so a design at lam and a search
+    point (lam, gamma) assemble the same ``A``.  The basis is one cubic per
+    knot interval, so a weight that changes strictly inside one raises
+    ``ValueError`` naming the breakpoint; breakpoints on the knots, outside
+    ``[t1, tn]``, or between equal weights are accepted.  A band that
+    overflows is the engine's :class:`SingularSystemError`.
     """
-    breaks = cfg.breakpoints
-    with np.errstate(over="ignore"):   # checked below
-        values = lam * cfg.weights
+    breaks, weights = cfg.breakpoints, cfg.weights
     inner = breaks[1:-1]
     on_knot = t.take(np.searchsorted(t, inner), mode="clip") == inner   # t is sorted
-    jumps = (values[1:] != values[:-1]) & (inner > t[0]) & (inner < t[-1]) & ~on_knot
+    jumps = (weights[1:] != weights[:-1]) & (inner > t[0]) & (inner < t[-1]) & ~on_knot
     if jumps.any():
         b = float(inner[jumps][0])
         k = np.searchsorted(t, b)
         raise ValueError(f"the penalty changes at breakpoint {b!r}, inside the knot interval "
                          f"[{float(t[k - 1])!r}, {float(t[k])!r}] of the basis route")
-    if not np.isfinite(values).all():
-        raise _overflowed("penalty")
     mid = 0.5 * (np.append(0.0, t) + np.append(t, 1.0))
-    return build_design(t, values[np.searchsorted(breaks, mid) - 1])
+    design = build_design(t, weights[np.searchsorted(breaks, mid) - 1])
+    with np.errstate(over="ignore"):   # the engine rejects a non-finite band
+        np.multiply(design.band, lam, out=design.band)
+    return design
 
 
 def cv_brute_force(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     """Leave-one-out score by literally refitting without each sample.
 
     Each refit gives both observations of the left-out time zero weight
-    but keeps the penalty function and the 1/n normalization of the full
-    objective, so it solves the same problem the closed form describes.
-    Quadratic in n on top of the per-fit solve; use :func:`cv_closed_form`
-    for anything but verification.
+    but keeps the penalty band of the full problem (:func:`_design_for`
+    at lam, the closed form's) and its 1/n normalization, so it solves
+    the problem the closed form describes.  Quadratic in n on top of the
+    per-fit solve; use :func:`cv_closed_form` for anything but verification.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
     n = t.size
-    if n < 3:
-        raise ValueError("leave-one-out needs at least 3 samples")
+    if n < 2:
+        raise ValueError("leave-one-out needs at least 2 samples")
     design = _design_for(t, lam, cfg)
     errors = np.empty(n)
     for i in range(n):
@@ -296,7 +295,7 @@ def cv_closed_form(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     these squared.  Equals :func:`cv_brute_force` to rounding.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "cv")
+    value = _score(_design_for(t, lam, cfg), y, v, gamma, "cv")
     return CvScore(value=value, lam=lam, gamma=gamma)
 
 
@@ -308,7 +307,7 @@ def gcv_score(t, y, v, lam, gamma, cfg: KernelConfig) -> CvScore:
     :func:`cv_closed_form` exactly.
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv")
+    value = _score(_design_for(t, lam, cfg), y, v, gamma, "gcv")
     return CvScore(value=value, lam=lam, gamma=gamma)
 
 
@@ -326,16 +325,16 @@ def gcv_correlated(t, y, v, lam, gamma, cfg: KernelConfig,
     matrices are O(n^3).
     """
     t, y, v, lam, gamma = _check_inputs(t, y, v, lam, gamma)
-    value = _score(_design_for(t, lam, cfg), y, v, 1.0, gamma, "gcv-corr", corr)
+    value = _score(_design_for(t, lam, cfg), y, v, gamma, "gcv-corr", corr)
     return CvScore(value=value, lam=lam, gamma=gamma)
 
 
-def _score(design, y, v, lam, gamma, criterion, corr: CorrelationSpec | None = None):
-    """The score ``criterion`` of the fit with the penalty of ``design`` times
-    ``lam`` (checked arguments): the stack of one of a search, raising
-    :class:`SingularSystemError` or :class:`DegenerateScoreError` where the
-    search gives NaN."""
-    scores, errors, degenerate = _Scorer(design, y, v, criterion, corr).stack([lam], [gamma])
+def _score(design, y, v, gamma, criterion, corr: CorrelationSpec | None = None):
+    """The score ``criterion`` at ``design``'s penalty and ``gamma`` (checked
+    arguments): a search's stack of one at lam 1.0, so on :func:`_design_for`
+    at lam the bits of the search's point (lam, gamma).  Raises
+    :class:`SingularSystemError` or :class:`DegenerateScoreError` where the search gives NaN."""
+    scores, errors, degenerate = _Scorer(design, y, v, criterion, corr).stack([1.0], [gamma])
     if errors[0] is not None:
         raise errors[0]
     for message, mask in zip(_DEGENERATE[criterion], degenerate):
@@ -443,10 +442,11 @@ def optimize_params(t, y, v, cfg: KernelConfig, corr: CorrelationSpec | None = N
     (:func:`vspline.hermite._fit_stack`).  Each point's GCV scalars and
     the sweeps' points are Python floats (:func:`_criterion`); a
     degenerate, singular or overflowing point, or one whose score is not
-    finite, scores NaN without a warning.  No (lam, gamma)
-    pair is scored twice in one search: a point that a sweep revisits
-    takes the score already computed.  Scores and selection are the same
-    bits as scoring every point on its own.
+    finite, scores NaN without a warning.  No (lam, gamma) pair is scored
+    twice in one search: a point that a sweep revisits takes the score
+    already computed.  Every surface row and the selected score are the
+    bits of :func:`cv_closed_form`, :func:`gcv_score` or
+    :func:`gcv_correlated` at that (lam, gamma).
     """
     t, y, v, _, _ = _check_inputs(t, y, v, 1.0, 1.0)
     if criterion not in _DEGENERATE:

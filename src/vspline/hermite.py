@@ -382,9 +382,9 @@ def _normal_stack(band, lams, gammas, weights: _ErrorWeights):
     read as a Fortran (4, count 2n) band, is one block-diagonal band
     (every band is zero past the end of each row), which
     :func:`_banded_solve` factors and solves in place.  The penalty is
-    rounded as on a design built at that lam, ``(band lam) n``.  Overflow
-    leaves non-finite entries, which :func:`_banded_solve` rejects, silent
-    under its ``np.errstate``.
+    ``(band lam) n``: a band of :func:`vspline.gcv._design_for` at lam,
+    fitted at lam 1.0, has the bits of its unit band at lam.  Overflow
+    leaves non-finite entries, silently, for :func:`_banded_solve` to reject.
     """
     count, size = lams.size, band.shape[1]
     ab = np.empty((count, size, 4)).transpose(0, 2, 1)

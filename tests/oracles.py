@@ -277,3 +277,40 @@ def mp_band_inverse_diagonals(ab, digits=40, factored=False):
         for r in range(p + 1):
             out[r, :size - r] = [float(Z[j + r, j]) for j in range(size - r)]
     return out
+
+
+def mp_objective(t, y, v, theta, lam, gamma, digits=40):
+    """The penalized objective of a candidate fit, in ``digits``-digit
+    mpmath arithmetic and O(n) operations, times n:
+
+        |y - f|^2 + gamma |v - f'|^2 + n sum_k lam_k h_k (a_k^2 + a_k b_k + b_k^2) / 3
+
+    ``theta`` holds the candidate's values, then slopes, at the knots
+    ``t``; ``lam`` is a scalar or the ``n + 1`` interval values of
+    :func:`vspline.build_design`, of which only the ``n - 1`` knot
+    intervals count, since the candidate is linear outside the knots.
+    Between knots the candidate is the cubic Hermite interpolant of
+    ``theta``, whose second derivative is linear, so the curvature
+    integral over knot interval k is exact from its end curvatures
+    ``a_k`` and ``b_k``.  The double inputs are taken exactly.  The
+    problem is strictly convex, so of two candidates the one with the
+    lower objective is the better fit.  Returns an ``mpmath.mpf``.
+    """
+    import mpmath
+
+    n = len(t)
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (n + 1,))
+    with mpmath.workdps(digits):
+        mp = [[mpmath.mpf(float(x)) for x in a] for a in (t, y, v, theta, lam)]
+        t, y, v, theta, lam = mp
+        f, df = theta[:n], theta[n:]
+        fit = mpmath.fsum((y[i] - f[i]) ** 2 for i in range(n))
+        fit += mpmath.mpf(float(gamma)) * mpmath.fsum((v[i] - df[i]) ** 2 for i in range(n))
+        curvature = []
+        for k in range(n - 1):
+            h = t[k + 1] - t[k]
+            rise = 6 * (f[k + 1] - f[k]) / h
+            a = (rise - 4 * df[k] - 2 * df[k + 1]) / h
+            b = (-rise + 2 * df[k] + 4 * df[k + 1]) / h
+            curvature.append(lam[k + 1] * h * (a * a + a * b + b * b) / 3)
+        return +(fit + n * mpmath.fsum(curvature))

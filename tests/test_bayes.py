@@ -84,6 +84,31 @@ class TestFiniteRhoPosterior:
         scale = np.abs(diffuse.evaluate(grid)).max()
         assert np.abs(finite.mean(grid) - diffuse.evaluate(grid)).max() <= 1e-5 * scale
 
+    def test_mean_deriv_is_the_derivative_of_mean(self):
+        # a central difference of the mean, step 1e-6: truncation and
+        # rounding stay near 1e-9 of the slope scale
+        rng = np.random.default_rng(4)
+        grid = np.linspace(0.02, 0.98, 50)
+        for rho in (1.0, 1e4):
+            t, y, v, cfg, lam, gamma = random_instance(rng)
+            post = posterior_mean_finite_rho(t, y, v, GpPrior(beta=1.0, rho=rho, config=cfg),
+                                             lam, gamma)
+            slope = post.mean_deriv(grid)
+            central = (post.mean(grid + 1e-6) - post.mean(grid - 1e-6)) / 2e-6
+            assert np.abs(central - slope).max() <= 1e-7 * np.abs(slope).max()
+
+    def test_large_rho_mean_deriv_matches_diffuse(self):
+        # test_large_rho_matches_diffuse's instance and tolerance, for slopes
+        rng = np.random.default_rng(2)
+        t, y, v, cfg, lam, gamma = random_instance(rng)
+        diffuse = fit_vspline(t, y, v, cfg, lam, gamma)
+        prior = GpPrior(beta=1.0, rho=1e10, config=cfg)
+        finite = posterior_mean_finite_rho(t, y, v, prior, lam, gamma)
+        grid = np.linspace(0.02, 0.98, 50)
+        scale = np.abs(diffuse.evaluate_deriv(grid)).max()
+        assert (np.abs(finite.mean_deriv(grid) - diffuse.evaluate_deriv(grid)).max()
+                <= 1e-5 * scale)
+
     def test_convergence_monotone_in_rho(self):
         rng = np.random.default_rng(3)
         t, y, v, cfg, lam, gamma = random_instance(rng, weighted=False)

@@ -258,9 +258,8 @@ class TestFit:
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weights"])
     def test_largest_lambda_exit_3_with_and_without_weights(self, tmp_path, capsys, weighted):
-        # lam = 1e308 overflows the band, or with a weight above 1 the
-        # weighted penalty itself: one numerical failure, exit 3, no
-        # report, and no numpy warning
+        # lam = 1e308 overflows the band, with or without a weight above 1:
+        # one numerical failure, exit 3, no report, and no numpy warning
         data = tmp_path / "d.csv"
         main(["simulate", "--kind", "sine", "--n", "30", "--seed", "1", "--out", str(data)])
         capsys.readouterr()
@@ -494,6 +493,59 @@ class TestFit:
             tracemalloc.stop()
         assert rc == 0
         assert peak < 8 * (2 * n) ** 2 / 100
+
+
+class TestInputFiles:
+    """A weights or correlation file that cannot be used is an input error:
+    exit 2 from fit and select, one error line, and no file written."""
+
+    N = 6
+
+    @pytest.mark.parametrize("flag, text, stage, message", [
+        ("--weights", None, "reading weights", "cannot read"),
+        ("--weights", "1.0\nabc\n" + "1.0\n" * 5, "reading weights",
+         "expected one number per line"),
+        ("--weights", "1.0\n0.0\n" + "1.0\n" * 5, "reading weights",
+         "weights must be positive"),
+        ("--weights", "1.0\n-2.0\n" + "1.0\n" * 5, "reading weights",
+         "weights must be positive"),
+        ("--corr", None, "reading correlation matrices", "cannot read"),
+        ("--corr", "1,0\nx,y\n", "reading correlation matrices", "malformed CSV"),
+        ("--corr", "\n".join([",".join(["1"] * N)] * N) + "\n",
+         "reading correlation matrices", f"expected two stacked {N}x{N} blocks"),
+    ], ids=["weights-missing", "weights-non-numeric", "weights-zero", "weights-negative",
+            "corr-missing", "corr-malformed", "corr-shape"])
+    def test_unusable_file_exit_2(self, tmp_path, capsys, flag, text, stage, message):
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", str(self.N), "--seed", "4",
+              "--out", str(data)])
+        aux = tmp_path / "aux.txt"
+        if text is not None:
+            aux.write_text(text)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        select = ["select", str(data), "--lambda-steps", "2", "--gamma-steps", "2"]
+        if flag == "--corr":
+            select += ["--criterion", "gcv-corr"]
+        for command in (["fit", str(data), "--lambda", "0.01"], select):
+            rc = main([*command, flag, str(aux), "--out", str(tmp_path / "r.json")])
+            assert rc == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error while {stage}: ")
+            assert message in err[0]
+            assert sorted(tmp_path.iterdir()) == before
+
+    def test_gcv_corr_without_corr_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        main(["simulate", "--kind", "sine", "--n", str(self.N), "--seed", "4",
+              "--out", str(data)])
+        capsys.readouterr()
+        rc = main(["select", str(data), "--criterion", "gcv-corr", "--out",
+                   str(tmp_path / "s.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error while parsing flags: "
+                                           "--criterion gcv-corr requires --corr\n")
+        assert sorted(tmp_path.iterdir()) == [data]
 
 
 class TestTooLarge:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (ar1_precision, mixed_chunk, mixed_failure_problems, random_config,
-                      random_instance, random_knots)
+from conftest import (ar1_precision, jittered_knots, mixed_chunk, mixed_failure_problems,
+                      random_config, random_instance, random_knots)
 from vspline import (CorrelationSpec, DegenerateGridError, KernelConfig,
                      build_design, cv_brute_force, cv_closed_form, fit_theta,
                      gcv_correlated, gcv_score, hat_matrices_correlated, optimize_params)
@@ -17,7 +17,7 @@ from vspline.fit import fit_vspline
 from vspline.gcv import (_STACK_COLUMNS, _criterion, _design_for, _golden_min, _psd_sqrt,
                          _score, _Scorer)
 from vspline.errors import DegenerateScoreError, SingularSystemError
-from vspline.hermite import _ErrorWeights, _fit_point
+from vspline.hermite import _ErrorWeights, _fit_point, _fit_stack
 
 UNIFORM = KernelConfig.uniform()
 
@@ -56,10 +56,22 @@ class TestClosedFormAgainstBruteForce:
         assert cv_closed_form(t, y, v, 0.05, 1.0, UNIFORM).value < 1e-18
         assert gcv_score(t, y, v, 0.05, 1.0, UNIFORM).value < 1e-18
 
-    def test_needs_three_samples(self):
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_two_samples_match_the_closed_form(self, weighted):
+        # the smallest problem the closed form and the search accept: each
+        # refit keeps one sample pair and the full problem's penalty
         t = np.array([0.3, 0.7])
-        with pytest.raises(ValueError):
-            cv_brute_force(t, np.zeros(2), np.zeros(2), 0.1, 1.0, UNIFORM)
+        y, v = np.array([0.2, -0.5]), np.array([1.5, 0.4])
+        cfg = KernelConfig.piecewise([0.0, 0.3, 0.7, 1.0], [2.0, 0.5, 3.0]) if weighted else UNIFORM
+        for lam in (1e-6, 1e-3, 1e-1):
+            for gamma in (0.01, 1.0, 100.0):
+                brute = cv_brute_force(t, y, v, lam, gamma, cfg)
+                closed = cv_closed_form(t, y, v, lam, gamma, cfg)
+                assert closed.value == pytest.approx(brute.value, rel=1e-8)
+
+    def test_needs_two_samples(self):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            cv_brute_force(np.array([0.5]), np.zeros(1), np.zeros(1), 0.1, 1.0, UNIFORM)
 
 
 class TestOneFactorization:
@@ -657,7 +669,8 @@ class TestOptimizeParams:
             want = np.full(count, np.nan)
             for i in range(count):
                 try:
-                    want[i] = _score(unit, y, v, lams[i], gammas[i], criterion, corr)
+                    want[i] = _score(_design_for(t, lams[i], cfg), y, v, gammas[i],
+                                     criterion, corr)
                 except (DegenerateScoreError, SingularSystemError):
                     pass
             np.testing.assert_array_equal(got, want)
@@ -666,7 +679,7 @@ class TestOptimizeParams:
             res = optimize_params(t, y, v, cfg, corr=corr, criterion=criterion,
                                   lam_points=9, gamma_points=count // 9)
             lam_col, gamma_col, score_col = res.surface.T
-            per_point = [_score(unit, y, v, lam, gamma, criterion, corr)
+            per_point = [_score(_design_for(t, lam, cfg), y, v, gamma, criterion, corr)
                          for lam, gamma in zip(lam_col, gamma_col)]
             np.testing.assert_array_equal(score_col, per_point)
 
@@ -768,7 +781,7 @@ class TestOptimizeParams:
                 assert all(isinstance(error, SingularSystemError)
                            and "non-finite solution" in str(error) for error in errors)
             with pytest.raises(SingularSystemError, match="non-finite solution"):
-                _score(_design_for(t, 1.0, UNIFORM), y, v, 1.0, 1.0, criterion, corr)
+                _score(_design_for(t, 1.0, UNIFORM), y, v, 1.0, criterion, corr)
 
     @pytest.mark.parametrize("criterion", ["cv", "gcv", "gcv-corr"])
     def test_overflowing_scores_are_failed_points(self, criterion):
@@ -913,10 +926,10 @@ class TestWeightedConfigScores:
             assert closed.value == pytest.approx(brute.value, rel=1e-6)
 
     def test_overflowing_weighted_penalty_is_a_numerical_failure(self):
-        # lam times a weight above 1 overflows before the band is built: the
-        # engine's overflow error, as for an unweighted lam whose band
-        # overflows, without a warning; build_design still rejects an
-        # infinite penalty value as an input fault
+        # lam times the band of a weight above 1 overflows: the engine's
+        # overflow error, as for an unweighted lam whose band overflows,
+        # without a warning; build_design still rejects an infinite penalty
+        # value as an input fault
         n = 12
         t = np.linspace(0.05, 0.95, n)
         y, v = np.sin(6 * t), 6 * np.cos(6 * t)
@@ -991,3 +1004,35 @@ class TestWeightedConfigScores:
             assert np.isfinite(gcv_correlated(t, y, v, 1e-3, 0.5, cfg, corr).value)
             res = optimize_params(t, y, v, cfg, lam_points=3, gamma_points=3)
             assert np.isfinite(res.score)
+
+
+class TestOneAssemblyPerPoint:
+    """A search point, a public score and a report fit at the same
+    (lam, gamma) assemble one penalized system, so they agree bit for bit."""
+
+    @pytest.mark.parametrize("n", [12, 40, 90])
+    def test_surface_and_selection_are_the_public_scores(self, n):
+        rng = np.random.default_rng(n)
+        t = jittered_knots(rng, n)
+        y = np.sin(6 * t) + 0.1 * rng.standard_normal(n)
+        v = 6 * np.cos(6 * t) + 0.1 * rng.standard_normal(n)
+        corr = CorrelationSpec(W=ar1_precision(n, 0.5), Ucorr=ar1_precision(n, -0.3))
+        public = {"cv": cv_closed_form, "gcv": gcv_score,
+                  "gcv-corr": lambda *args: gcv_correlated(*args, corr)}
+        for cfg in (UNIFORM, random_config(rng, knots=t)):
+            for criterion, score in public.items():
+                spec = corr if criterion == "gcv-corr" else None
+                res = optimize_params(t, y, v, cfg, corr=spec, criterion=criterion,
+                                      lam_points=5, gamma_points=4)
+                rows = [row for row in res.surface.tolist() if not np.isnan(row[2])]
+                assert rows
+                for lam, gamma, value in rows:
+                    assert score(t, y, v, lam, gamma, cfg).value == value
+                assert score(t, y, v, res.lam, res.gamma, cfg).value == res.score
+                # the report's fit is the search's fit at the selected point
+                mats = () if spec is None else (spec.W, spec.Ucorr)
+                values, slopes, _, _ = _fit_stack(
+                    _design_for(t, 1.0, cfg).band, np.array([res.lam]),
+                    np.array([res.gamma]), _ErrorWeights(y, v, *mats), None)
+                theta = fit_theta(_design_for(t, res.lam, cfg), y, v, res.gamma, *mats)
+                np.testing.assert_array_equal(theta, np.concatenate([values[0], slopes[0]]))

@@ -197,6 +197,50 @@ class TestFitTheta:
             assert _max_rel(design.basis.evaluate_deriv(theta, grid), slope(grid)) <= 1e-6
 
 
+class TestObjectiveArbiter:
+    """The 40-digit O(n) objective of ``oracles.mp_objective``: the decider
+    between two candidate fits of one problem."""
+
+    @staticmethod
+    def _instance(rng, n, weighted):
+        t = random_knots(rng, n)
+        y = np.sin(5 * t) + 0.1 * rng.standard_normal(n)
+        v = 5 * np.cos(5 * t) + 0.1 * rng.standard_normal(n)
+        weights = rng.uniform(0.3, 3.0, n + 1) if weighted else np.ones(n + 1)
+        cfg = KernelConfig.piecewise(np.concatenate([[0.0], t, [1.0]]), weights)
+        return t, y, v, cfg, weights
+
+    def test_equals_the_representer_objective(self):
+        # n times the representer's double-precision objective_value, whose
+        # own rounding mpmath measured at up to 4.5e-14 relative on such draws
+        from vspline.fit import fitted_knot_values, objective_value
+        rng = np.random.default_rng(40)
+        for trial in range(12):
+            n = int(rng.integers(3, 21))
+            t, y, v, cfg, weights = self._instance(rng, n, weighted=trial % 2 == 1)
+            lam, gamma = 10.0 ** rng.uniform(-5, 0), 10.0 ** rng.uniform(-2, 2)
+            gram = build_gram(t, cfg, lam, gamma)
+            fit = solve_coefficients(gram, y, v)
+            f, fp = fitted_knot_values(gram, fit.d, fit.c, fit.b)
+            want = n * objective_value(gram, fit.d, fit.c, fit.b, y, v)
+            got = oracles.mp_objective(t, y, v, np.concatenate([f, fp]), lam * weights, gamma)
+            assert float(got) == pytest.approx(want, rel=1e-12)
+
+    def test_perturbations_of_the_engine_fit_never_lower_it(self):
+        rng = np.random.default_rng(41)
+        for trial in range(8):
+            n = int(rng.integers(3, 21))
+            t, y, v, cfg, weights = self._instance(rng, n, weighted=trial % 2 == 1)
+            lam, gamma = 10.0 ** rng.uniform(-5, -1), 10.0 ** rng.uniform(-2, 2)
+            theta = fit_theta(_design_for(t, lam, cfg), y, v, gamma)
+            best = oracles.mp_objective(t, y, v, theta, lam * weights, gamma)
+            for size in (1e-8, 1e-6, 1e-4):
+                for _ in range(5):
+                    step = size * np.abs(theta).max() * rng.standard_normal(2 * n)
+                    assert oracles.mp_objective(t, y, v, theta + step, lam * weights,
+                                                gamma) > best
+
+
 class TestHatMatrices:
     def test_hats_reproduce_fit(self):
         rng = np.random.default_rng(8)

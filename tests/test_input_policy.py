@@ -10,7 +10,8 @@ from conftest import ar1_precision
 from vspline import (CorrelationSpec, GpPrior, KernelConfig, build_design, cv_brute_force,
                      cv_closed_form, fit_theta, gcv_correlated, gcv_score, hat_matrices,
                      hat_matrices_correlated, optimize_params, posterior_mean_finite_rho)
-from vspline.fit import fit_vspline
+from vspline.fit import check_knots, fit_vspline
+from vspline.hermite import HermiteBasis
 
 UNIFORM = KernelConfig.uniform()
 N = 8
@@ -89,3 +90,38 @@ def test_negative_weight_diagonal_is_an_input_fault():
             assert not isinstance(err.value, np.linalg.LinAlgError)
     keep = np.diag((np.arange(N) != 3).astype(float))
     assert np.isfinite(fit_theta(DESIGN, GOOD["y"], GOOD["v"], 1.0, W=keep, Ucorr=keep)).all()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: CorrelationSpec(W=np.ones((3, 4)), Ucorr=np.eye(3)),
+                 "^W must be square$", id="non-square-W"),
+    pytest.param(lambda: CorrelationSpec(W=np.eye(3), Ucorr=np.eye(4)),
+                 "^W and Ucorr must have the same size$", id="W-Ucorr-sizes"),
+    pytest.param(lambda: HermiteBasis(np.array([0.5])), "^need at least 2 knots$",
+                 id="one-knot-basis"),
+    pytest.param(lambda: DESIGN.basis.evaluate(np.zeros(2 * N - 1), 0.5),
+                 rf"^theta must have shape \({2 * N},\)$", id="theta-shape"),
+    pytest.param(lambda: DESIGN.basis.evaluate_deriv(np.zeros((2, N)), 0.5),
+                 rf"^theta must have shape \({2 * N},\)$", id="theta-2d"),
+    pytest.param(lambda: DESIGN.basis.evaluate(np.zeros(2 * N), [0.5, 1.5]),
+                 r"^evaluation points must lie in \[0, 1\]$", id="point-above-1"),
+    pytest.param(lambda: DESIGN.basis.evaluate_deriv(np.zeros(2 * N), -0.1),
+                 r"^evaluation points must lie in \[0, 1\]$", id="point-below-0"),
+    pytest.param(lambda: DESIGN.basis.evaluate(np.zeros(2 * N), np.nan),
+                 r"^evaluation points must lie in \[0, 1\]$", id="nan-point"),
+    pytest.param(lambda: build_design(T, np.full(N, LAM)),
+                 f"^lam must be scalar or have {N + 1} interval values$", id="lam-length"),
+    pytest.param(lambda: check_knots(T.reshape(2, -1)),
+                 "^knots must be a one-dimensional, non-empty array$", id="2d-knots"),
+    pytest.param(lambda: check_knots(np.where(np.arange(N) == 2, np.nan, T)),
+                 "^knots must be finite$", id="nan-knot"),
+    pytest.param(lambda: check_knots(np.append(T, np.inf)), "^knots must be finite$",
+                 id="inf-knot"),
+])
+def test_shape_and_domain_faults_are_value_errors(call, message):
+    # the shape and domain checks of the spec, the basis, the design and
+    # the knots: each a ValueError with its own message, never a
+    # numerical failure
+    with pytest.raises(ValueError, match=message) as err:
+        call()
+    assert not isinstance(err.value, np.linalg.LinAlgError)
